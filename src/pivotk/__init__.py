@@ -6,7 +6,7 @@ bounds, within-slot race bounds, and a pathwise Monte-Carlo verifier.
 """
 
 from .config import AnalysisConfig
-from .geometry import ContactSchedule, SystemInstance, derive_instance, derive_schedule
+from .geometry import ContactSchedule, SystemInstance
 from .incentives import EconParams
 from .probability import DiscreteDistribution, HypergeomLaw, Prob
 
@@ -20,7 +20,5 @@ __all__ = [
     "HypergeomLaw",
     "Prob",
     "SystemInstance",
-    "derive_instance",
-    "derive_schedule",
     "__version__",
 ]

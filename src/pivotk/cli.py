@@ -36,8 +36,13 @@ EXIT_CONFIG = 1
 EXIT_PROPERTY = 2
 
 
-def _load_config(args) -> AnalysisConfig:
+def _load_config(args, need_cartel: bool = False) -> AnalysisConfig:
     cfg = AnalysisConfig.load(args.config) if args.config else AnalysisConfig.default()
+    if need_cartel and cfg.beta <= 0:
+        raise ConfigError(
+            f"{args.command} prices bounties per cartel lane and needs beta > 0; "
+            "set \"beta\" in the config to the cartel's lane fraction"
+        )
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_seed(args.seed)
     if getattr(args, "trials", None) is not None:
@@ -109,7 +114,7 @@ def _main_table_rows(cfg: AnalysisConfig):
 
 
 def cmd_table_main(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, need_cartel=True)
     header = ["kappa", "t_star", "delta", "q0", "q_rat", "q_micro", "B_static", "B_static_usd"]
     display, raw = _main_table_rows(cfg)
     _emit(args, _render(args, cfg, header, display, raw))
@@ -117,7 +122,7 @@ def cmd_table_main(args) -> int:
 
 
 def cmd_table_coalition(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, need_cartel=True)
     inst0 = cfg.instance
     header = ["kappa", "delta", "unilateral_safe", "equal_share", "B_coal", "B_static"]
     display, raw = [], []
@@ -126,7 +131,7 @@ def cmd_table_coalition(args) -> int:
         q0 = float(delay.exact_q0(inst, cfg.beta))
         share = incentives.equal_share(cfg.econ, inst)
         b_coal = incentives.coalition_sufficient_bounty(inst, cfg.econ)
-        b_static = cfg.econ.mev_exposure / cfg.beta * q0
+        b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat=0.0)
         display.append(
             [
                 str(kappa),
@@ -152,7 +157,7 @@ def cmd_table_coalition(args) -> int:
 
 
 def cmd_table_cost(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, need_cartel=True)
     inst = cfg.instance
     schedule = ContactSchedule.static(inst)
     q0 = float(delay.exact_q0(inst, cfg.beta))
@@ -253,10 +258,10 @@ def cmd_sweep_ratchet(args) -> int:
             est = ratchet.ratchet_multi_slot_delay(
                 inst, cfg.beta, spread, trials, cfg.seed
             )
-            if worst is None or est.estimate > worst.estimate:
+            if worst is None or est.frequency > worst.frequency:
                 worst = est
         lines.append(
-            f"{kappa},{q0!r},{q_rat!r},{worst.estimate!r},"
+            f"{kappa},{q0!r},{q_rat!r},{worst.frequency!r},"
             f"{worst.ci_low!r},{worst.ci_high!r},{epsilon!r}"
         )
     _emit(args, "\n".join(lines) + "\n")
@@ -474,7 +479,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, need_cartel=True)
     inst = cfg.instance
     schedule = ContactSchedule.static(inst)
     q0 = float(delay.exact_q0(inst, cfg.beta))
@@ -544,26 +549,12 @@ def cmd_advise(args) -> int:
 # --- simulate / replay -------------------------------------------------------
 
 
-def _parse_policy(spec: str) -> simulator.AdversaryPolicy:
-    kind, _, arg = spec.partition(":")
-    if kind == "full_include":
-        return simulator.FullInclude()
-    if kind == "full_withhold":
-        return simulator.FullWithhold()
-    if kind == "stationary_w":
-        return simulator.StationaryW(float(arg))
-    if kind == "minimal_sabotage":
-        return simulator.MinimalSabotage()
-    if kind == "ratchet_spread":
-        return simulator.RatchetSpread(tuple(int(x) for x in arg.split(",")))
-    if kind == "scripted":
-        return simulator.Scripted(tuple(int(x) for x in arg.split(",")))
-    raise ConfigError(f"unknown policy spec {spec!r}")
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    policy = _parse_policy(args.policy)
+    try:
+        policy = simulator.policy_from_spec(args.policy)
+    except ValueError as exc:
+        raise ConfigError(f"--policy: {exc}") from exc
     lines = []
     for i in range(args.traces):
         trace = simulator.run_trace(cfg.instance, cfg.beta, policy, [cfg.seed, i])

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .geometry import SystemInstance, derive_instance
+from .geometry import SystemInstance
 from .incentives import EconParams
 
 __all__ = ["AnalysisConfig", "ConfigError", "DEFAULT_CONFIG"]
@@ -88,7 +88,7 @@ class AnalysisConfig:
         else:
             K = 30 * s  # default operating point
         try:
-            instance = derive_instance(n, m, s, K)
+            instance = SystemInstance(n=n, m=m, s=s, K=K)
         except ValueError as exc:
             raise ConfigError(f"instance: {exc}") from exc
 

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "SystemInstance",
     "ContactSchedule",
-    "derive_instance",
-    "derive_schedule",
     "cartel_lane_count",
 ]
 
@@ -100,7 +98,7 @@ class SystemInstance:
     @classmethod
     def from_kappa(cls, n: int, m: int, kappa: int) -> "SystemInstance":
         """Single-symbol bundles: K = kappa, s = 1."""
-        return derive_instance(n, m, 1, kappa)
+        return cls(n=n, m=m, s=1, K=kappa)
 
     def to_config(self) -> dict:
         """Primitive fields only; derived values are always recomputed."""
@@ -108,11 +106,7 @@ class SystemInstance:
 
     @classmethod
     def from_config(cls, obj: Mapping) -> "SystemInstance":
-        return derive_instance(int(obj["n"]), int(obj["m"]), int(obj["s"]), int(obj["K"]))
-
-
-def derive_instance(n: int, m: int, s: int, K: int) -> SystemInstance:
-    return SystemInstance(n=n, m=m, s=s, K=K)
+        return cls(n=int(obj["n"]), m=int(obj["m"]), s=int(obj["s"]), K=int(obj["K"]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,3 @@ class ContactSchedule:
     def static(cls, instance: SystemInstance) -> "ContactSchedule":
         """The fixed-m sender truncated at its horizon."""
         return cls((instance.m,) * instance.t_star, instance.kappa)
-
-
-def derive_schedule(per_slot_contacts: Sequence[int], kappa: int) -> ContactSchedule:
-    return ContactSchedule(tuple(int(c) for c in per_slot_contacts), kappa)

@@ -75,15 +75,14 @@ def resolve_order(records: Iterable[BundleRecord]) -> list[BundleRecord]:
     survives.  Distinct tickets that collide in the full sort key are
     rejected rather than tie-broken arbitrarily.
     """
-    admissible = [rec for rec in records if rec.admissible]
-    admissible.sort(key=lambda rec: rec.sort_key)
+    keyed = [(rec.sort_key, rec) for rec in records if rec.admissible]
+    keyed.sort(key=lambda pair: pair[0])
     seen_tickets: set = set()
     keys: set[tuple[int, int, int]] = set()
     out = []
-    for rec in admissible:
+    for key, rec in keyed:
         if rec.ticket_id in seen_tickets:
             continue
-        key = rec.sort_key
         if key in keys:
             raise ValueError(
                 f"distinct tickets collide in the resolution order at {key}"

@@ -24,6 +24,7 @@ __all__ = [
     "chernoff_tail_bound",
     "binomial_pmf_vector",
     "binomial_tail_ge",
+    "MCEstimate",
 ]
 
 NEG_INF = float("-inf")
@@ -327,3 +328,26 @@ def binomial_tail_ge(n: int, p: float, r: int) -> Prob:
         return Prob(0.0, NEG_INF)
     ls = _logsumexp([log_binomial_pmf(n, p, k) for k in range(r, n + 1)])
     return Prob(math.exp(ls), ls)
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """Monte-Carlo event frequency with a 95% Wald interval."""
+
+    frequency: float
+    stderr: float
+    ci_low: float
+    ci_high: float
+    trials: int
+
+    @classmethod
+    def from_counts(cls, hits: int, trials: int) -> "MCEstimate":
+        p = hits / trials
+        se = math.sqrt(p * (1.0 - p) / trials)
+        return cls(
+            frequency=p,
+            stderr=se,
+            ci_low=max(0.0, p - 1.96 * se),
+            ci_high=min(1.0, p + 1.96 * se),
+            trials=trials,
+        )

@@ -8,7 +8,6 @@ shrinks the cartel's effective fraction slot over slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,9 +17,9 @@ from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .probability import (
     DiscreteDistribution,
     HypergeomLaw,
+    MCEstimate,
     Prob,
     binomial_pmf_vector,
-    convolve_iid,
     hypergeom_tail_ge,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "RatchetState",
     "q_rat_first_slot",
     "beta_shrink",
-    "MCEstimate",
     "ratchet_multi_slot_delay",
     "honest_miss_delay_bound",
 ]
@@ -73,31 +71,6 @@ def beta_shrink(n: int, beta, flagged: int) -> float:
     return (marked - flagged) / (n - flagged)
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte-Carlo frequency with binomial error bars."""
-
-    estimate: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    static_exact: float
-
-    @classmethod
-    def from_counts(cls, hits: int, trials: int, static_exact: float) -> "MCEstimate":
-        p = hits / trials
-        se = math.sqrt(p * (1.0 - p) / trials)
-        return cls(
-            estimate=p,
-            stderr=se,
-            ci_low=max(0.0, p - 1.96 * se),
-            ci_high=min(1.0, p + 1.96 * se),
-            trials=trials,
-            static_exact=static_exact,
-        )
-
-
 def ratchet_multi_slot_delay(
     instance: SystemInstance,
     beta,
@@ -110,8 +83,7 @@ def ratchet_multi_slot_delay(
     ``spread_policy[t-1]`` caps how many bundles the cartel withholds in slot
     ``t``; it withholds ``min(cap, contacts)`` and each withheld bundle flags
     its lane out of the pool.  Requires a multi-slot horizon; with t* = 1
-    there is no later slot for the ratchet to protect.  Also carries the
-    static-pool exact delay probability for comparison.
+    there is no later slot for the ratchet to protect.
     """
     if instance.t_star < 2:
         raise ValueError("ratchet analysis needs t_star >= 2")
@@ -124,9 +96,6 @@ def ratchet_multi_slot_delay(
 
     n, m, delta, t_star = instance.n, instance.m, instance.delta, instance.t_star
     marked = cartel_lane_count(n, beta)
-    static_exact = float(
-        convolve_iid(HypergeomLaw(n, marked, m), t_star).tail_gt(delta)
-    )
 
     hits = 0
     for trial in range(trials):
@@ -145,7 +114,7 @@ def ratchet_multi_slot_delay(
             pool_cartel -= w
         if withheld > delta:
             hits += 1
-    return MCEstimate.from_counts(hits, trials, static_exact)
+    return MCEstimate.from_counts(hits, trials)
 
 
 def honest_miss_delay_bound(

@@ -24,6 +24,7 @@ from .mechanism import (
     pivotal_allocation,
     resolve_order,
 )
+from .probability import MCEstimate
 
 __all__ = [
     "AdversaryPolicy",
@@ -34,10 +35,10 @@ __all__ = [
     "RatchetSpread",
     "Scripted",
     "policy_from_config",
+    "policy_from_spec",
     "SlotRecord",
     "Trace",
     "run_trace",
-    "DelayEstimate",
     "estimate_delay",
     "PayoffBreakdown",
     "payoff_of_trace",
@@ -58,25 +59,33 @@ _POLICY_STREAM = 1
 
 
 class AdversaryPolicy:
-    """Per-slot inclusion decisions over the cartel's contacted bundles."""
+    """How many of the cartel's contacted bundles to withhold, slot by slot.
+
+    ``withhold`` is the one decision rule.  It works element-wise, so
+    ``contacts`` and ``withheld_so_far`` may be ints (one trace) or numpy
+    arrays (one entry per sample path); ``instance`` is the geometry and
+    ``rng`` the policy's own stream.
+    """
 
     name = "abstract"
 
-    def include_flags(
-        self,
-        t: int,
-        contacts: int,
-        withheld_so_far: int,
-        instance: SystemInstance,
-        rng: np.random.Generator,
-    ) -> list[bool]:
+    def withhold(self, t: int, contacts, withheld_so_far, instance: SystemInstance, rng):
+        """Bundles withheld in slot ``t`` out of ``contacts`` received."""
         raise NotImplementedError
+
+    def include_flags(self, t, contacts, withheld_so_far, instance, rng) -> list[bool]:
+        """Decisions over one slot's cartel lanes in lane order; the lowest are withheld."""
+        k = int(self.withhold(t, contacts, withheld_so_far, instance, rng))
+        return [False] * k + [True] * (contacts - k)
 
     def withheld_by_horizon(
         self, contacts: np.ndarray, instance: SystemInstance, rng: np.random.Generator
     ) -> np.ndarray:
-        """Vectorized pre-horizon withheld counts, one per path row."""
-        raise NotImplementedError
+        """Pre-horizon withheld counts, one per row of a (paths, t*) contact matrix."""
+        withheld = np.zeros(contacts.shape[0], dtype=np.int64)
+        for t in range(1, contacts.shape[1] + 1):
+            withheld += self.withhold(t, contacts[:, t - 1], withheld, instance, rng)
+        return withheld
 
     def to_config(self) -> dict:
         return {"kind": self.name}
@@ -85,21 +94,15 @@ class AdversaryPolicy:
 class FullInclude(AdversaryPolicy):
     name = "full_include"
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
-        return [True] * contacts
-
-    def withheld_by_horizon(self, contacts, instance, rng):
-        return np.zeros(contacts.shape[0], dtype=np.int64)
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
+        return np.zeros_like(contacts)
 
 
 class FullWithhold(AdversaryPolicy):
     name = "full_withhold"
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
-        return [False] * contacts
-
-    def withheld_by_horizon(self, contacts, instance, rng):
-        return contacts.sum(axis=1)
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
+        return contacts
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,12 @@ class StationaryW(AdversaryPolicy):
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
-        return [bool(u < self.w) for u in rng.random(contacts)]
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
+        return contacts - rng.binomial(contacts, self.w)
 
-    def withheld_by_horizon(self, contacts, instance, rng):
-        included = rng.binomial(contacts, self.w)
-        return (contacts - included).sum(axis=1)
+    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
+        # a coin per lane, so the withheld lanes are random, not the lowest
+        return [bool(u < self.w) for u in rng.random(contacts)]
 
     def to_config(self):
         return {"kind": self.name, "w": self.w}
@@ -130,15 +133,10 @@ class MinimalSabotage(AdversaryPolicy):
 
     name = "minimal_sabotage"
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
-        target = instance.delta + 1
-        if t > instance.t_star or withheld_so_far >= target:
-            return [True] * contacts
-        k = min(target - withheld_so_far, contacts)
-        return [False] * k + [True] * (contacts - k)
-
-    def withheld_by_horizon(self, contacts, instance, rng):
-        return np.minimum(contacts.sum(axis=1), instance.delta + 1)
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
+        if t > instance.t_star:
+            return np.zeros_like(contacts)
+        return np.minimum(contacts, np.maximum(instance.delta + 1 - withheld_so_far, 0))
 
 
 @dataclass(frozen=True)
@@ -152,17 +150,9 @@ class RatchetSpread(AdversaryPolicy):
         if any(c < 0 for c in self.caps):
             raise ValueError("caps must be nonnegative")
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
         cap = self.caps[t - 1] if t <= len(self.caps) else 0
-        k = min(cap, contacts)
-        return [False] * k + [True] * (contacts - k)
-
-    def withheld_by_horizon(self, contacts, instance, rng):
-        t_star = contacts.shape[1]
-        row = np.zeros(t_star, dtype=np.int64)
-        upto = min(len(self.caps), t_star)
-        row[:upto] = self.caps[:upto]
-        return np.minimum(contacts, row[None, :]).sum(axis=1)
+        return np.minimum(contacts, cap)
 
     def to_config(self):
         return {"kind": self.name, "caps": list(self.caps)}
@@ -179,18 +169,10 @@ class Scripted(AdversaryPolicy):
         if any(x < 0 for x in self.includes):
             raise ValueError("inclusion counts must be nonnegative")
 
-    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
         if t > len(self.includes):
-            return [True] * contacts
-        x = min(self.includes[t - 1], contacts)
-        return [False] * (contacts - x) + [True] * x
-
-    def withheld_by_horizon(self, contacts, instance, rng):
-        t_star = contacts.shape[1]
-        row = np.full(t_star, np.iinfo(np.int64).max, dtype=np.int64)
-        upto = min(len(self.includes), t_star)
-        row[:upto] = self.includes[:upto]
-        return np.maximum(contacts - row[None, :], 0).sum(axis=1)
+            return np.zeros_like(contacts)
+        return np.maximum(contacts - self.includes[t - 1], 0)
 
     def to_config(self):
         return {"kind": self.name, "includes": list(self.includes)}
@@ -211,6 +193,32 @@ def policy_from_config(obj: dict) -> AdversaryPolicy:
     if kind == "scripted":
         return Scripted(tuple(int(x) for x in obj["includes"]))
     raise ValueError(f"unknown policy kind {kind!r}")
+
+
+_SPEC_FORMS = (
+    "full_include, full_withhold, minimal_sabotage, stationary_w:W with "
+    "0 <= W <= 1, ratchet_spread:C1,C2,... or scripted:X1,X2,... with "
+    "nonnegative integers"
+)
+
+
+def policy_from_spec(spec: str) -> AdversaryPolicy:
+    """A policy from its command-line form, ``kind`` or ``kind:arg``.
+
+    Any malformed spec raises ValueError naming the accepted forms.
+    """
+    kind, _, arg = spec.partition(":")
+    obj = {"kind": kind}
+    try:
+        if kind == "stationary_w":
+            obj["w"] = float(arg)
+        elif kind == "ratchet_spread":
+            obj["caps"] = [int(x) for x in arg.split(",")]
+        elif kind == "scripted":
+            obj["includes"] = [int(x) for x in arg.split(",")]
+        return policy_from_config(obj)
+    except ValueError as exc:
+        raise ValueError(f"bad policy {spec!r} ({exc}); accepted forms: {_SPEC_FORMS}") from exc
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,27 @@ def _seed_list(seed) -> list[int]:
     return [int(seed)]
 
 
+def _lane_path(n: int, m: int, marked: int, rng: np.random.Generator):
+    """The cartel's lane set and an endless iterator over each slot's contacts.
+
+    Lanes are numbered 1..n.  The cartel set is drawn first; each slot then
+    contacts the first m entries of a fresh permutation, yielded sorted.
+    """
+    cartel_set = frozenset(int(l) for l in rng.permutation(n)[:marked] + 1)
+    slots = (sorted(int(l) for l in rng.permutation(n)[:m] + 1) for _ in itertools.count())
+    return cartel_set, slots
+
+
+def _contact_matrix(
+    instance: SystemInstance, marked: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Cartel contact counts, one row per path and one column per slot to t*."""
+    shape = (trials, instance.t_star)
+    if marked == 0:
+        return np.zeros(shape, dtype=np.int64)
+    return rng.hypergeometric(marked, instance.n - marked, instance.m, size=shape)
+
+
 def run_trace(
     instance: SystemInstance, beta, policy: AdversaryPolicy, seed
 ) -> Trace:
@@ -263,9 +292,9 @@ def run_trace(
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
     policy_rng = np.random.default_rng(key + [_POLICY_STREAM])
 
-    n, m, kappa, t_star = instance.n, instance.m, instance.kappa, instance.t_star
+    kappa, t_star = instance.kappa, instance.t_star
     cap = HORIZON_CAP_FACTOR * t_star
-    cartel_set = frozenset(int(l) for l in contact_rng.permutation(n)[:marked] + 1)
+    cartel_set, slot_lanes = _lane_path(instance.n, instance.m, marked, contact_rng)
 
     slots: list[SlotRecord] = []
     records: list[BundleRecord] = []
@@ -278,9 +307,9 @@ def run_trace(
     t = 0
     while True:
         t += 1
-        lanes = contact_rng.permutation(n)[:m] + 1
-        cartel = sorted(int(l) for l in lanes if l in cartel_set)
-        honest = sorted(int(l) for l in lanes if l not in cartel_set)
+        lanes = next(slot_lanes)
+        cartel = [l for l in lanes if l in cartel_set]
+        honest = [l for l in lanes if l not in cartel_set]
         flags = policy.include_flags(t, len(cartel), withheld_so_far, instance, policy_rng)
         if len(flags) != len(cartel):
             raise ValueError("policy returned wrong number of decisions")
@@ -335,18 +364,9 @@ def run_trace(
     )
 
 
-@dataclass(frozen=True)
-class DelayEstimate:
-    frequency: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    trials: int
-
-
 def estimate_delay(
     instance: SystemInstance, beta, policy: AdversaryPolicy, trials: int, seed
-) -> DelayEstimate:
+) -> MCEstimate:
     """Monte-Carlo delay frequency for a policy.
 
     Works at contact-count granularity: the delay event depends only on the
@@ -359,20 +379,9 @@ def estimate_delay(
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
     policy_rng = np.random.default_rng(key + [_POLICY_STREAM])
 
-    contacts = contact_rng.hypergeometric(
-        marked, instance.n - marked, instance.m, size=(trials, instance.t_star)
-    ) if marked > 0 else np.zeros((trials, instance.t_star), dtype=np.int64)
+    contacts = _contact_matrix(instance, marked, trials, contact_rng)
     withheld = policy.withheld_by_horizon(contacts, instance, policy_rng)
-    hits = int((withheld > instance.delta).sum())
-    p = hits / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return DelayEstimate(
-        frequency=p,
-        stderr=se,
-        ci_low=max(0.0, p - 1.96 * se),
-        ci_high=min(1.0, p + 1.96 * se),
-        trials=trials,
-    )
+    return MCEstimate.from_counts(int((withheld > instance.delta).sum()), trials)
 
 
 @dataclass(frozen=True)
@@ -551,13 +560,7 @@ def minimal_sabotage_exhaustive(
         return SabotageReport(0, 0, 0, 0, assumption_static_fees=False)
 
     marked = cartel_lane_count(instance.n, beta)
-    n, m, kappa, t_star, delta = (
-        instance.n,
-        instance.m,
-        instance.kappa,
-        instance.t_star,
-        instance.delta,
-    )
+    kappa, t_star, delta = instance.kappa, instance.t_star, instance.delta
     f = econ.proposer_fee(instance.s)
     g = econ.gamma
     cap = HORIZON_CAP_FACTOR * t_star
@@ -569,11 +572,8 @@ def minimal_sabotage_exhaustive(
 
     for path_idx in range(paths):
         rng = np.random.default_rng(key + [_CONTACT_STREAM, path_idx])
-        cartel_set = frozenset(int(l) for l in rng.permutation(n)[:marked] + 1)
-        slot_lanes = []
-        for _ in range(cap):
-            lanes = rng.permutation(n)[:m] + 1
-            slot_lanes.append(sorted(int(l) for l in lanes))
+        cartel_set, lanes = _lane_path(instance.n, instance.m, marked, rng)
+        slot_lanes = list(itertools.islice(lanes, cap))
 
         # pre-horizon cartel bundle positions, in resolution order
         positions = [
@@ -620,7 +620,7 @@ def minimal_sabotage_exhaustive(
             if inclusion_time is None:
                 raise RuntimeError("path too short to realize inclusion")
 
-            j = sum(1 for o in owners[:kappa] if o == "cartel")
+            j = cartel_prefix_count(owners, kappa)
             bounty = g**inclusion_time * j * econ.bounty / kappa
             mev = econ.mev_exposure * g**t_star
             payoff = fee + bounty + mev
@@ -643,10 +643,6 @@ def minimal_sabotage_exhaustive(
     )
 
 
-def _prefix_count(seq: Sequence[str], kappa: int) -> int:
-    return sum(1 for o in seq[:kappa] if o == "cartel")
-
-
 def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
     """Exhaustively verify that inserting cartel bundles never shrinks the prefix count.
 
@@ -660,7 +656,7 @@ def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
     checked = 0
     for bits in range(1 << length):
         seq = ["cartel" if bits >> i & 1 else "honest" for i in range(length)]
-        base = _prefix_count(seq, kappa)
+        base = cartel_prefix_count(seq, kappa)
         for k_insert in (1, 2):
             for spots in itertools.combinations_with_replacement(
                 range(length + 1), k_insert
@@ -668,7 +664,7 @@ def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
                 aug = list(seq)
                 for offset, pos in enumerate(sorted(spots)):
                     aug.insert(pos + offset, "cartel")
-                if _prefix_count(aug, kappa) < base:
+                if cartel_prefix_count(aug, kappa) < base:
                     raise AssertionError(
                         f"prefix count dropped after insertion: seq={seq}, spots={spots}"
                     )
@@ -723,9 +719,7 @@ def verify_pathwise_theorems(
     marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
-    contacts = contact_rng.hypergeometric(
-        marked, instance.n - marked, instance.m, size=(trials, instance.t_star)
-    ) if marked > 0 else np.zeros((trials, instance.t_star), dtype=np.int64)
+    contacts = _contact_matrix(instance, marked, trials, contact_rng)
 
     baseline = contacts.sum(axis=1) > instance.delta  # full withholding
     violations = 0

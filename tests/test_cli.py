@@ -121,6 +121,27 @@ class TestConfigHandling:
         code, _ = run_cli(capsys, "table-main", "--config", str(cfg_path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["table-main", "table-coalition", "table-cost", "advise"])
+    def test_zero_beta_rejected(self, capsys, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 0}))
+        code = main([command, "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert "beta > 0" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["stationary_w", "stationary_w:1.5", "ratchet_spread:-1", "scripted:a", "bogus"]
+    )
+    def test_bad_policy_spec_rejected(self, capsys, spec):
+        code = main(["simulate", "--traces", "1", "--policy", spec])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "stationary_w:W" in captured.err and "scripted:X1,X2,..." in captured.err
+
 
 class TestSweep:
     def test_row_count_matches_range(self, capsys, tmp_path):
@@ -233,7 +254,38 @@ class TestAdvise:
         assert report["coalition_bounty"] == pytest.approx(2610.3)
 
 
+SIMULATE_CONFIG = {
+    "instance": {"n": 20, "m": 5, "kappa": 12},
+    "beta": 0.25,
+    "econ": {"fee": 1.0, "alpha_v": 40.0, "gamma": 0.95, "bounty": 24.0},
+}
+SIMULATE_POLICIES = [
+    "full_include",
+    "full_withhold",
+    "stationary_w:0.5",
+    "minimal_sabotage",
+    "ratchet_spread:2,1,1",
+    "scripted:1,0,2",
+]
+SIMULATE_SEEDS = [1, 2, 3]
+
+
 class TestSimulateReplay:
+    def test_simulate_matches_golden(self, capsys, tmp_path):
+        # every policy at every seed, concatenated in (policy, seed) order
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SIMULATE_CONFIG))
+        chunks = []
+        for policy in SIMULATE_POLICIES:
+            for seed in SIMULATE_SEEDS:
+                code, out = run_cli(
+                    capsys, "simulate", "--config", str(cfg_path), "--seed", str(seed),
+                    "--policy", policy, "--traces", "4",
+                )
+                assert code == EXIT_OK
+                chunks.append(out)
+        assert "".join(chunks) == (GOLDEN / "simulate.jsonl").read_text()
+
     def test_simulate_then_replay_matches(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
         code, _ = run_cli(

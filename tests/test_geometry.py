@@ -12,43 +12,41 @@ from pivotk.geometry import (
     ContactSchedule,
     SystemInstance,
     cartel_lane_count,
-    derive_instance,
-    derive_schedule,
 )
 
 
 class TestDeriveInstance:
     def test_single_slot_with_slack(self):
-        inst = derive_instance(100, 20, 1, 10)
+        inst = SystemInstance(100, 20, 1, 10)
         assert (inst.kappa, inst.t_star, inst.delta, inst.r) == (10, 1, 10, 10)
         assert not inst.knife_edge
 
     def test_single_slot_knife_edge(self):
-        inst = derive_instance(100, 20, 1, 20)
+        inst = SystemInstance(100, 20, 1, 20)
         assert (inst.kappa, inst.t_star, inst.delta) == (20, 1, 0)
         assert inst.knife_edge
 
     def test_two_slot(self):
-        inst = derive_instance(100, 20, 1, 30)
+        inst = SystemInstance(100, 20, 1, 30)
         assert (inst.kappa, inst.t_star, inst.delta) == (30, 2, 10)
 
     def test_partial_final_bundle(self):
-        inst = derive_instance(100, 20, 4, 10)
+        inst = SystemInstance(100, 20, 4, 10)
         assert inst.kappa == 3
         assert inst.r_idx == 2  # 10 - 2*4
-        full = derive_instance(100, 20, 4, 12)
+        full = SystemInstance(100, 20, 4, 12)
         assert full.r_idx == 4  # divisible case: final bundle fully pivotal
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            derive_instance(10, 11, 1, 5)
+            SystemInstance(10, 11, 1, 5)
         with pytest.raises(ValueError):
-            derive_instance(10, 0, 1, 5)
+            SystemInstance(10, 0, 1, 5)
         with pytest.raises(ValueError):
-            derive_instance(10, 5, 1, 0)
+            SystemInstance(10, 5, 1, 0)
 
     def test_config_round_trip(self):
-        inst = derive_instance(100, 20, 4, 10)
+        inst = SystemInstance(100, 20, 4, 10)
         assert SystemInstance.from_config(inst.to_config()) == inst
         assert set(inst.to_config()) == {"n", "m", "s", "K"}
 
@@ -79,31 +77,31 @@ class TestDeriveInstance:
 
 class TestContactSchedule:
     def test_uniform_matches_static_instance(self):
-        inst = derive_instance(100, 20, 1, 30)
-        schedule = derive_schedule([20] * 4, kappa=30)
+        inst = SystemInstance(100, 20, 1, 30)
+        schedule = ContactSchedule((20,) * 4, kappa=30)
         assert schedule.t_star == inst.t_star
         assert schedule.slack == inst.delta
         assert ContactSchedule.static(inst).slack == inst.delta
 
     def test_two_slot_recovery(self):
-        schedule = derive_schedule([20, 20], kappa=30)
+        schedule = ContactSchedule((20, 20), kappa=30)
         assert schedule.t_star == 2
         assert schedule.total_by_horizon == 40
         assert schedule.delta_rec == 10
 
     def test_over_contacting_single_slot(self):
-        schedule = derive_schedule([25], kappa=20)
+        schedule = ContactSchedule((25,), kappa=20)
         assert schedule.t_star == 1
         assert schedule.slack == 5
 
     def test_unreachable_threshold_rejected(self):
         with pytest.raises(ValueError):
-            derive_schedule([5, 5], kappa=11)
+            ContactSchedule((5, 5), kappa=11)
         with pytest.raises(ValueError):
-            derive_schedule([], kappa=1)
+            ContactSchedule((), kappa=1)
 
     def test_slack_strictly_below_final_slot_contacts(self):
-        schedule = derive_schedule([3, 0, 7, 10], kappa=12)
+        schedule = ContactSchedule((3, 0, 7, 10), kappa=12)
         assert schedule.t_star == 4
         assert 0 <= schedule.slack < 10
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from pivotk.delay import exact_q0
@@ -101,6 +102,34 @@ class TestRunTrace:
         ):
             rebuilt = policy_from_config(policy.to_config())
             assert rebuilt.to_config() == policy.to_config()
+
+
+DETERMINISTIC_POLICIES = {
+    "full_include": FullInclude(),
+    "full_withhold": FullWithhold(),
+    "minimal_sabotage": MinimalSabotage(),
+    "ratchet_spread:2,1,1": RatchetSpread((2, 1, 1)),
+    "ratchet_spread:1": RatchetSpread((1,)),
+    "scripted:1,0,2": Scripted((1, 0, 2)),
+    "scripted:0": Scripted((0,)),
+}
+
+
+class TestPolicyAgreement:
+    @pytest.mark.parametrize("name", list(DETERMINISTIC_POLICIES))
+    @pytest.mark.parametrize("kappa", [10, 12, 14])
+    def test_trace_matches_vectorized_count(self, name, kappa):
+        # the per-slot decisions of run_trace and the vectorized count used by
+        # estimate_delay must withhold the same number on the same path
+        policy = DETERMINISTIC_POLICIES[name]
+        inst = SystemInstance.from_kappa(20, 5, kappa)
+        for seed in range(30):
+            trace = run_trace(inst, 0.25, policy, seed=seed)
+            contacts = np.array(
+                [[s.contacts_cartel for s in trace.slots[: inst.t_star]]], dtype=np.int64
+            )
+            withheld = policy.withheld_by_horizon(contacts, inst, np.random.default_rng(0))
+            assert int(withheld[0]) == trace.withheld_at_horizon
 
 
 class TestEstimateDelay:
