@@ -28,6 +28,30 @@ class TestGoldenTables:
         assert code == EXIT_OK
         assert out == expected
 
+    @pytest.mark.parametrize(
+        "golden, argv, config",
+        [
+            pytest.param("sweep.csv", ["sweep"], None, id="sweep"),
+            pytest.param("sweep-race.csv", ["sweep-race"], None, id="sweep-race"),
+            pytest.param("advise.json", ["advise", "--format", "json"], None, id="advise"),
+            pytest.param("verify.json", ["verify", "--trials", "1000"], None, id="verify"),
+            pytest.param(
+                "sweep-ratchet.csv",
+                ["sweep-ratchet", "--trials", "200"],
+                {"sweep": {"kappa_min": 21, "kappa_max": 40}},
+                id="sweep-ratchet",
+            ),
+        ],
+    )
+    def test_command_output_matches_golden(self, capsys, tmp_path, golden, argv, config):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / golden).read_text()
+
     def test_main_table_reference_cells(self, capsys):
         _, out = run_cli(capsys, "table-main", "--format", "csv")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]

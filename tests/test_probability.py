@@ -96,6 +96,20 @@ class TestHypergeomPmf:
         )
         assert abs(total - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("population", [37, 100, 1000, 10_000])
+    def test_reversed_cartel_masses_are_the_honest_pmf(self, population):
+        # A slot's honest contact count is draws - A, so the honest law is the
+        # cartel law read backwards; the two must agree bit for bit.
+        for marked in (0, population // 5, population // 3, population - 1):
+            for draws in (1, population // 5, population // 2):
+                cartel = DiscreteDistribution.from_law(HypergeomLaw(population, marked, draws))
+                honest = HypergeomLaw(population, population - marked, draws)
+                assert draws - cartel.support_max == honest.support_min
+                assert cartel.masses[::-1] == tuple(
+                    hypergeom_pmf(honest, h)
+                    for h in range(honest.support_min, honest.support_max + 1)
+                )
+
 
 class TestHypergeomTail:
     def test_table_values(self):
