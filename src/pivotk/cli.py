@@ -18,7 +18,7 @@ from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .probability import DiscreteDistribution, HypergeomLaw
+from .probability import cartel_contact_law, contact_sums
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -71,18 +71,22 @@ def _render(args, cfg: AnalysisConfig, header, display_rows, raw_rows) -> str:
     )
 
 
+def _sweep_by_kappa(cfg: AnalysisConfig, kappas) -> dict[int, delay.SweepRow]:
+    """Exact q0, q_rat and q_micro for ``kappas`` from one sweep, keyed by kappa."""
+    rows = delay.sawtooth_sweep(cfg.instance.n, cfg.instance.m, cfg.beta, kappas)
+    return {row.kappa: row for row in rows}
+
+
 # --- table commands ---------------------------------------------------------
 
 
 def _main_table_rows(cfg: AnalysisConfig):
     inst0 = cfg.instance
+    sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
     display, raw = [], []
     for kappa in cfg.table_kappas:
         inst = SystemInstance.from_kappa(inst0.n, inst0.m, kappa)
-        schedule = ContactSchedule.static(inst)
-        q0 = float(delay.exact_q0(inst, cfg.beta))
-        q_rat = float(ratchet.q_rat_first_slot(schedule, inst.n, cfg.beta))
-        q_micro = float(intra_slot.q_micro(inst, cfg.beta))
+        q0, q_rat, q_micro = sweep[kappa].q0, sweep[kappa].q_rat, sweep[kappa].q_micro
         b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat)
         b_shown = displayed_fee_units(b_static)
         usd = b_shown * cfg.usd_per_fee_unit
@@ -125,10 +129,11 @@ def cmd_table_coalition(args) -> int:
     cfg = _load_config(args, need_cartel=True)
     inst0 = cfg.instance
     header = ["kappa", "delta", "unilateral_safe", "equal_share", "B_coal", "B_static"]
+    sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
     display, raw = [], []
     for kappa in cfg.table_kappas:
         inst = SystemInstance.from_kappa(inst0.n, inst0.m, kappa)
-        q0 = float(delay.exact_q0(inst, cfg.beta))
+        q0 = sweep[kappa].q0
         share = incentives.equal_share(cfg.econ, inst)
         b_coal = incentives.coalition_sufficient_bounty(inst, cfg.econ)
         b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat=0.0)
@@ -236,18 +241,15 @@ def cmd_sweep_ratchet(args) -> int:
     trials = cfg.trials
     lines = ["kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon"]
     epsilon = args.epsilon
-    marked = cartel_lane_count(cfg.instance.n, cfg.beta)
-    for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
-        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        if inst.t_star < 2:
+    n, m = cfg.instance.n, cfg.instance.m
+    first_slot_law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
+    for row in delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)):
+        if row.t_star < 2:
             continue
+        inst = SystemInstance.from_kappa(n, m, row.kappa)
         schedule = ContactSchedule.static(inst)
-        q0 = float(delay.exact_q0(inst, cfg.beta))
         # first-slot bound at the configured honest-miss rate; at epsilon=0
         # this is exactly the ratchet tail P[A1 > delta_rec]
-        first_slot_law = DiscreteDistribution.from_law(
-            HypergeomLaw(inst.n, marked, inst.m)
-        )
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)
         spreads = [
             (inst.m,) + (0,) * (inst.t_star - 1),  # all in slot one
@@ -261,7 +263,7 @@ def cmd_sweep_ratchet(args) -> int:
             if worst is None or est.frequency > worst.frequency:
                 worst = est
         lines.append(
-            f"{kappa},{q0!r},{q_rat!r},{worst.frequency!r},"
+            f"{row.kappa},{row.q0!r},{q_rat!r},{worst.frequency!r},"
             f"{worst.ci_low!r},{worst.ci_high!r},{epsilon!r}"
         )
     _emit(args, "\n".join(lines) + "\n")
@@ -366,13 +368,13 @@ def _suite_pathwise(cfg: AnalysisConfig) -> dict:
     return {"passed": ok, **detail}
 
 
-def _suite_bound_dominance(cfg: AnalysisConfig) -> dict:
+def _suite_bound_dominance(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
     failures = []
     marked = cartel_lane_count(cfg.instance.n, cfg.beta)
     beta_frac = marked / cfg.instance.n
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        q0 = float(delay.exact_q0(inst, cfg.beta))
+        q0 = sweep[kappa].q0
         theta0 = inst.delta / (inst.t_star * inst.m)
         if theta0 > beta_frac:
             report = delay.fluid_delay_report(inst, cfg.beta, 0.0)
@@ -384,10 +386,8 @@ def _suite_bound_dominance(cfg: AnalysisConfig) -> dict:
     return {"passed": not failures, "failures": failures}
 
 
-def _suite_ratchet_improvement(cfg: AnalysisConfig) -> dict:
-    rows = delay.sawtooth_sweep(
-        cfg.instance.n, cfg.instance.m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)
-    )
+def _suite_ratchet_improvement(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
+    rows = [sweep[kappa] for kappa in range(cfg.sweep_min, cfg.sweep_max + 1)]
     weak = [r.kappa for r in rows if r.q_rat > r.q0 + 1e-15]
     strict = [
         r.kappa
@@ -401,26 +401,23 @@ def _suite_ratchet_improvement(cfg: AnalysisConfig) -> dict:
     }
 
 
-def _suite_honest_miss(cfg: AnalysisConfig) -> dict:
+def _suite_honest_miss(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
     failures = []
+    law = contact_sums(cartel_contact_law(cfg.instance.n, cfg.beta, cfg.instance.m), 1)[0]
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        schedule = ContactSchedule.static(inst)
-        marked = cartel_lane_count(inst.n, cfg.beta)
-        law = DiscreteDistribution.from_law(HypergeomLaw(inst.n, marked, inst.m))
-        with_miss = ratchet.honest_miss_delay_bound(schedule, 0.0, law)
-        q_rat = float(ratchet.q_rat_first_slot(schedule, inst.n, cfg.beta))
-        if abs(with_miss - q_rat) > 1e-12:
+        with_miss = ratchet.honest_miss_delay_bound(ContactSchedule.static(inst), 0.0, law)
+        if abs(with_miss - sweep[kappa].q_rat) > 1e-12:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}
 
 
-def _suite_mc_exact(cfg: AnalysisConfig) -> dict:
+def _suite_mc_exact(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
     detail = {}
     ok = True
     for kappa in cfg.table_kappas:
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        q0 = float(delay.exact_q0(inst, cfg.beta))
+        q0 = sweep[kappa].q0
         if q0 < 1e-4:
             detail[str(kappa)] = {"skipped": "q0 below MC resolution"}
             continue
@@ -439,30 +436,31 @@ def _suite_mc_exact(cfg: AnalysisConfig) -> dict:
     return {"passed": ok, **detail}
 
 
-def _suite_knife_edge(cfg: AnalysisConfig) -> dict:
+def _suite_knife_edge(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
     failures = []
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         if kappa % cfg.instance.m != 0:
             continue
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
         closed = float(delay.knife_edge_q0(inst, cfg.beta))
-        exact = float(delay.exact_q0(inst, cfg.beta))
-        if abs(closed - exact) > 1e-12:
+        if abs(closed - sweep[kappa].q0) > 1e-12:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    # One exact sweep serves every suite that reads q0 or q_rat.
+    sweep = _sweep_by_kappa(cfg, [*cfg.table_kappas, *range(cfg.sweep_min, cfg.sweep_max + 1)])
     suites: dict[str, Callable[[], dict]] = {
         "minimax": lambda: _suite_minimax(cfg, args.inject_fault == "minimax"),
         "conservation": lambda: _suite_conservation(cfg),
         "pathwise": lambda: _suite_pathwise(cfg),
-        "bound_dominance": lambda: _suite_bound_dominance(cfg),
-        "ratchet_improvement": lambda: _suite_ratchet_improvement(cfg),
-        "honest_miss": lambda: _suite_honest_miss(cfg),
-        "mc_exact": lambda: _suite_mc_exact(cfg),
-        "knife_edge_closed_form": lambda: _suite_knife_edge(cfg),
+        "bound_dominance": lambda: _suite_bound_dominance(cfg, sweep),
+        "ratchet_improvement": lambda: _suite_ratchet_improvement(cfg, sweep),
+        "honest_miss": lambda: _suite_honest_miss(cfg, sweep),
+        "mc_exact": lambda: _suite_mc_exact(cfg, sweep),
+        "knife_edge_closed_form": lambda: _suite_knife_edge(cfg, sweep),
     }
     results = {}
     all_ok = True

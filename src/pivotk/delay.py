@@ -16,10 +16,10 @@ from typing import Iterable
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .intra_slot import q_micro
 from .probability import (
-    HypergeomLaw,
     Prob,
+    cartel_contact_law,
     chernoff_tail_bound,
-    convolve_iid,
+    contact_sums,
     log_comb,
 )
 from .ratchet import q_rat_first_slot
@@ -37,23 +37,14 @@ __all__ = [
 ]
 
 
-def _contact_law(instance: SystemInstance, beta) -> HypergeomLaw:
-    marked = cartel_lane_count(instance.n, beta)
-    return HypergeomLaw(instance.n, marked, instance.m)
-
-
 def exact_q0(instance: SystemInstance, beta) -> Prob:
     """P[delay] under full withholding: the cumulative contact law past the slack.
 
     Computed from the exact convolution of t* single-slot draws, then a strict
     tail at the slack: P[S > delta].
     """
-    law = _contact_law(instance, beta)
-    if law.successes == 0:
-        return Prob(0.0)
-    dist = convolve_iid(law, instance.t_star)
-    value = dist.tail_gt(instance.delta)
-    return Prob(value)
+    law = cartel_contact_law(instance.n, beta, instance.m)
+    return Prob(contact_sums(law, instance.t_star)[-1].tail_gt(instance.delta))
 
 
 def knife_edge_q0(instance: SystemInstance, beta) -> Prob:
@@ -109,8 +100,8 @@ def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("w must lie in [0, 1); w = 1 never delays")
-    marked = cartel_lane_count(instance.n, beta)
-    beta_frac = marked / instance.n
+    law = cartel_contact_law(instance.n, beta, instance.m)
+    beta_frac = law.successes / instance.n
     tm = instance.t_star * instance.m
 
     one_minus_w = Fraction(1) - Fraction.from_float(float(w))
@@ -120,11 +111,7 @@ def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
     if threshold >= tm:
         return DelayReport(0.0, None, DelayRegime.IMPOSSIBLE, theta_w)
 
-    if marked == 0:
-        exact = 0.0
-    else:
-        dist = convolve_iid(HypergeomLaw(instance.n, marked, instance.m), instance.t_star)
-        exact = dist.tail_ge(math.floor(threshold) + 1)
+    exact = contact_sums(law, instance.t_star)[-1].tail_ge(math.floor(threshold) + 1)
 
     if not 0.0 < beta_frac < 1.0:
         return DelayReport(exact, None, DelayRegime.DEGENERATE, theta_w)
@@ -182,26 +169,26 @@ def sawtooth_sweep(
 ) -> list[SweepRow]:
     """Per-threshold delay panorama: exact q0, first-slot ratchet tail, race tail.
 
-    One row per decode threshold, ordered by kappa.  Knife edges (m | kappa)
-    are flagged; there the ratchet tail coincides with the single-contact
-    event and the race tail collapses to the all-cartel draw.
+    One row per distinct decode threshold, ordered by kappa.  The t-slot
+    contact sums are built once, up to the largest horizon in the range.
+    Knife edges (m | kappa) are flagged; there the ratchet tail coincides with
+    the single-contact event and the race tail collapses to the all-cartel draw.
     """
     kappas = sorted(set(int(k) for k in kappa_range))
     if not kappas:
         raise ValueError("kappa range is empty")
-    rows = []
-    for kappa in kappas:
-        inst = SystemInstance.from_kappa(n, m, kappa)
-        schedule = ContactSchedule.static(inst)
-        rows.append(
-            SweepRow(
-                kappa=kappa,
-                t_star=inst.t_star,
-                delta=inst.delta,
-                q0=float(exact_q0(inst, beta)),
-                q_rat=float(q_rat_first_slot(schedule, n, beta)),
-                q_micro=float(q_micro(inst, beta)),
-                knife_edge=inst.knife_edge,
-            )
+    instances = [SystemInstance.from_kappa(n, m, kappa) for kappa in kappas]
+    law = cartel_contact_law(n, beta, m)
+    sums = contact_sums(law, max(inst.t_star for inst in instances))
+    return [
+        SweepRow(
+            kappa=inst.kappa,
+            t_star=inst.t_star,
+            delta=inst.delta,
+            q0=sums[inst.t_star - 1].tail_gt(inst.delta),
+            q_rat=float(q_rat_first_slot(ContactSchedule.static(inst), n, beta)),
+            q_micro=float(q_micro(inst, beta)),
+            knife_edge=inst.knife_edge,
         )
-    return rows
+        for inst in instances
+    ]

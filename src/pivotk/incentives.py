@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .geometry import SystemInstance, cartel_lane_count
-from .probability import DiscreteDistribution, HypergeomLaw, hypergeom_pmf
+from .probability import DiscreteDistribution, cartel_contact_law, contact_sums
 
 __all__ = [
     "EconParams",
@@ -463,10 +463,11 @@ def distribution_of_T0(
     error names a cap that suffices; the default cap is grown automatically
     until the residual is negligible.
     """
-    marked = cartel_lane_count(instance.n, beta)
-    honest_law = HypergeomLaw(instance.n, instance.n - marked, instance.m)
-    h_lo, h_hi = honest_law.support_min, honest_law.support_max
-    h_pmf = [hypergeom_pmf(honest_law, h) for h in range(h_lo, h_hi + 1)]
+    # A slot's honest contact count is m - A, so its PMF is the cartel slot
+    # PMF read backwards, starting at m minus the cartel's support maximum.
+    slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
+    h_lo = instance.m - slot.support_max
+    h_pmf = slot.masses[::-1]
     kappa, t_star = instance.kappa, instance.t_star
 
     if horizon_cap is not None and horizon_cap < t_star:

@@ -13,9 +13,9 @@ from typing import Callable
 
 from .geometry import SystemInstance, cartel_lane_count
 from .probability import (
-    HypergeomLaw,
     Prob,
     binomial_tail_ge,
+    cartel_contact_law,
     hypergeom_tail_ge,
     kl_divergence,
     log_comb,
@@ -126,8 +126,7 @@ def q_micro(instance: SystemInstance, beta) -> Prob:
     The cartel needs all of the last ``r = m - delta`` bundles of the final
     slot to land on its lanes: P[A >= r] for one slot's contact draw.
     """
-    marked = cartel_lane_count(instance.n, beta)
-    law = HypergeomLaw(instance.n, marked, instance.m)
+    law = cartel_contact_law(instance.n, beta, instance.m)
     return hypergeom_tail_ge(law, instance.r)
 
 

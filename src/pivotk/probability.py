@@ -12,6 +12,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .geometry import cartel_lane_count
+
 __all__ = [
     "Prob",
     "HypergeomLaw",
@@ -19,7 +21,8 @@ __all__ = [
     "hypergeom_pmf",
     "log_hypergeom_pmf",
     "hypergeom_tail_ge",
-    "convolve_iid",
+    "cartel_contact_law",
+    "contact_sums",
     "kl_divergence",
     "chernoff_tail_bound",
     "binomial_pmf_vector",
@@ -239,18 +242,28 @@ class DiscreteDistribution:
         )
 
 
-def convolve_iid(law: HypergeomLaw, t: int) -> DiscreteDistribution:
-    """Exact law of the sum of ``t`` independent draws from ``law``.
+def cartel_contact_law(n: int, beta, draws: int) -> HypergeomLaw:
+    """One slot's cartel contact count: ``draws`` of ``n`` lanes, ``beta * n`` marked.
 
-    This is the cumulative cartel contact count after ``t`` slots.
+    Every exact delay, ratchet and race figure is a tail of this law or of its
+    t-slot sums (:func:`contact_sums`); this is the one place the cartel size
+    is turned into a contact law.
+    """
+    return HypergeomLaw(n, cartel_lane_count(n, beta), draws)
+
+
+def contact_sums(law: HypergeomLaw, t: int) -> tuple[DiscreteDistribution, ...]:
+    """Exact laws of S_1..S_t, the sums of 1..t independent draws from ``law``.
+
+    ``S_k`` is the cartel's cumulative contact count after ``k`` slots, built as
+    ``S_{k-1}`` convolved with ``S_1``; one call serves every horizon up to ``t``.
     """
     if t < 1:
         raise ValueError("need at least one draw")
-    base = DiscreteDistribution.from_law(law)
-    result = base
+    sums = [DiscreteDistribution.from_law(law)]
     for _ in range(t - 1):
-        result = result.convolve(base)
-    return result
+        sums.append(sums[-1].convolve(sums[0]))
+    return tuple(sums)
 
 
 def kl_divergence(theta: float, beta: float) -> float:

@@ -16,10 +16,10 @@ import numpy as np
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .probability import (
     DiscreteDistribution,
-    HypergeomLaw,
     MCEstimate,
     Prob,
     binomial_pmf_vector,
+    cartel_contact_law,
     hypergeom_tail_ge,
 )
 
@@ -54,8 +54,7 @@ def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> Prob:
     schedule's recovery slack with the first slot's contacts alone:
     P[A_1 > delta_rec] under the single-slot contact law.
     """
-    marked = cartel_lane_count(n, beta)
-    law = HypergeomLaw(n, marked, schedule.first_slot_contacts)
+    law = cartel_contact_law(n, beta, schedule.first_slot_contacts)
     return hypergeom_tail_ge(law, schedule.delta_rec + 1)
 
 

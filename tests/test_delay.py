@@ -121,9 +121,9 @@ class TestFluidDelayReport:
         # so the mass at 20 must not count.
         inst = SystemInstance.from_kappa(100, 20, 30)
         report = fluid_delay_report(inst, beta, 0.5)
-        from pivotk.probability import HypergeomLaw, convolve_iid
+        from pivotk.probability import HypergeomLaw, contact_sums
 
-        dist = convolve_iid(HypergeomLaw(100, 20, 20), 2)
+        dist = contact_sums(HypergeomLaw(100, 20, 20), 2)[-1]
         assert report.exact_probability == pytest.approx(dist.tail_ge(21), rel=1e-12)
 
     def test_full_inclusion_rejected(self, table_instances, beta):

@@ -15,8 +15,9 @@ from pivotk.probability import (
     Prob,
     binomial_pmf_vector,
     binomial_tail_ge,
+    cartel_contact_law,
     chernoff_tail_bound,
-    convolve_iid,
+    contact_sums,
     hypergeom_pmf,
     hypergeom_tail_ge,
     kl_divergence,
@@ -24,6 +25,7 @@ from pivotk.probability import (
 
 from conftest import (
     enumerate_hypergeom_pmf,
+    exact_convolved_tail_gt,
     exact_hypergeom_pmf,
     exact_hypergeom_tail_ge,
 )
@@ -152,35 +154,56 @@ class TestHypergeomTail:
 
 class TestConvolution:
     def test_identity_at_one_draw(self):
-        dist = convolve_iid(TABLE_LAW, 1)
+        dist = contact_sums(TABLE_LAW, 1)[-1]
         for k in range(0, 21):
             assert dist.pmf(k) == pytest.approx(hypergeom_pmf(TABLE_LAW, k), abs=1e-16)
 
     def test_two_slot_tail_reference_value(self):
-        dist = convolve_iid(TABLE_LAW, 2)
+        dist = contact_sums(TABLE_LAW, 2)[-1]
         assert dist.tail_gt(10) == pytest.approx(0.136, abs=5e-4)
 
     def test_three_slot_tail_reference_value(self):
-        dist = convolve_iid(TABLE_LAW, 3)
+        dist = contact_sums(TABLE_LAW, 3)[-1]
         assert dist.tail_gt(10) == pytest.approx(0.699, abs=5e-4)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 5])
     def test_mean_is_additive(self, t):
-        dist = convolve_iid(TABLE_LAW, t)
+        dist = contact_sums(TABLE_LAW, t)[-1]
         assert dist.mean() == pytest.approx(t * TABLE_LAW.mean, abs=1e-9)
 
     @pytest.mark.parametrize("t", [1, 2, 4, 6])
     def test_mass_conserved(self, t):
-        assert convolve_iid(TABLE_LAW, t).total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert contact_sums(TABLE_LAW, t)[-1].total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_draw_count_rejected(self):
         with pytest.raises(ValueError):
-            convolve_iid(TABLE_LAW, 0)
+            contact_sums(TABLE_LAW, 0)
 
     def test_support_bounds(self):
-        dist = convolve_iid(TABLE_LAW, 3)
+        dist = contact_sums(TABLE_LAW, 3)[-1]
         assert dist.offset == 0
         assert dist.support_max == 60
+
+    def test_cartel_contact_law(self):
+        assert cartel_contact_law(100, 0.2, 20) == TABLE_LAW
+        with pytest.raises(ValueError, match="beta = 12/100"):
+            cartel_contact_law(100, 0.123, 20)
+
+    def test_one_sum_per_slot(self):
+        sums = contact_sums(TABLE_LAW, 4)
+        assert len(sums) == 4
+        assert [s.support_max for s in sums] == [20, 40, 60, 80]
+        assert sums[0] == DiscreteDistribution.from_law(TABLE_LAW)
+
+    @pytest.mark.parametrize("population,draws", [(20, 5), (37, 7), (100, 10)])
+    @pytest.mark.parametrize("share", [0.0, 0.2, 0.5, 1.0])
+    def test_tails_match_exact_rational_convolution(self, population, draws, share):
+        successes = round(share * (population - 1))
+        sums = contact_sums(HypergeomLaw(population, successes, draws), 4)
+        for t, dist in enumerate(sums, start=1):
+            for threshold in range(-1, t * draws + 1):
+                exact = exact_convolved_tail_gt(population, successes, draws, t, threshold)
+                assert dist.tail_gt(threshold) == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestDiscreteDistribution:
@@ -247,7 +270,7 @@ class TestChernoffBound:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_dominates_exact_upper_tail(self, t):
         """exp(-tmD) caps P[S_t/(tm) >= theta] wherever theta > beta."""
-        dist = convolve_iid(TABLE_LAW, t)
+        dist = contact_sums(TABLE_LAW, t)[-1]
         tm = t * 20
         for threshold in range(0, tm + 1):
             theta = threshold / tm
@@ -259,7 +282,7 @@ class TestChernoffBound:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_dominates_exact_lower_tail(self, t):
-        dist = convolve_iid(TABLE_LAW, t)
+        dist = contact_sums(TABLE_LAW, t)[-1]
         tm = t * 20
         for threshold in range(0, tm + 1):
             theta = threshold / tm
