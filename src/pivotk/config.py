@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .geometry import SystemInstance
+from .geometry import SystemInstance, cartel_lane_count
 from .incentives import EconParams
 
 __all__ = ["AnalysisConfig", "ConfigError", "DEFAULT_CONFIG"]
@@ -94,6 +94,10 @@ class AnalysisConfig:
 
         beta = float(obj.get("beta", 0.2))
         _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
+        try:
+            cartel_lane_count(instance.n, beta)
+        except ValueError as exc:
+            raise ConfigError(f"beta: {exc}") from exc
 
         econ_obj = dict(obj.get("econ", {}))
         mode = econ_obj.get("mode", "normalized")

@@ -156,6 +156,30 @@ class TestConfigHandling:
         assert "beta > 0" in err
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            "table-main",
+            "table-coalition",
+            "table-cost",
+            "sweep",
+            "sweep-race",
+            "sweep-ratchet",
+            "advise",
+            "verify",
+            "simulate",
+        ],
+    )
+    def test_non_integral_cartel_rejected(self, capsys, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 0.123}))  # 12.3 of 100 lanes
+        code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "beta = 12/100" in captured.err
+
+    @pytest.mark.parametrize(
         "spec", ["stationary_w", "stationary_w:1.5", "ratchet_spread:-1", "scripted:a", "bogus"]
     )
     def test_bad_policy_spec_rejected(self, capsys, spec):
