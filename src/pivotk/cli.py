@@ -566,12 +566,19 @@ def cmd_replay(args) -> int:
     mismatches = 0
     total = 0
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             total += 1
-            trace, stored, econ = simulator.trace_from_json_with_econ(line)
+            try:
+                trace, stored, econ = simulator.trace_from_json_with_econ(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.input}:{lineno}: not valid JSON ({exc})") from exc
+            except KeyError as exc:
+                raise ConfigError(f"{args.input}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{args.input}:{lineno}: {exc}") from exc
             if stored is None or econ is None:
                 continue
             fresh = simulator.payoff_of_trace(trace, econ)

@@ -482,8 +482,8 @@ def trace_from_json_with_econ(
     line: str,
 ) -> tuple[Trace, PayoffBreakdown | None, EconParams | None]:
     obj = json.loads(line)
-    if obj.get("format") != 1:
-        raise ValueError("unknown trace format")
+    if not isinstance(obj, dict) or obj.get("format") != 1:
+        raise ValueError("not a trace record of format 1")
     instance = SystemInstance.from_config(obj["instance"])
     order = tuple(
         BundleRecord(slot, lane, (0, slot, lane), owner)

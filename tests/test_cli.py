@@ -352,6 +352,21 @@ class TestSimulateReplay:
         assert code == EXIT_OK
         assert json.loads(out) == {"traces": 5, "mismatches": 0}
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("{not json", "not valid JSON"), ('{"format": 2}', "not a trace record of format 1")],
+        ids=["not-json", "format-2"],
+    )
+    def test_replay_names_bad_line(self, capsys, tmp_path, bad, reason):
+        out_path = tmp_path / "traces.jsonl"
+        run_cli(capsys, "simulate", "--traces", "1", "--out", str(out_path))
+        out_path.write_text(out_path.read_text() + bad + "\n")
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {out_path}:2: {reason}")
+
     def test_replay_detects_tampering(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
         run_cli(capsys, "simulate", "--traces", "1", "--policy", "full_withhold",
