@@ -354,8 +354,16 @@ def _suite_pathwise(cfg: AnalysisConfig) -> dict:
         detail[str(kappa)] = {
             "paths": report.dominance_paths,
             "dominance_violations": report.dominance_violations,
-            "prefix_violations": report.prefix_violations,
         }
+    # Prefix monotonicity does not depend on the instance: one battery per run.
+    cases = violations = 0
+    for kappa in range(1, 7):
+        try:
+            cases += simulator.prefix_monotonicity_exhaustive(kappa)
+        except AssertionError:
+            violations += 1
+    ok = ok and violations == 0
+    detail["prefix_monotonicity"] = {"cases": cases, "violations": violations}
     sab = simulator.minimal_sabotage_exhaustive(
         sabotage_inst, 0.3, sabotage_econ, paths=25, seed=[cfg.seed, 13]
     )

@@ -255,6 +255,9 @@ class TestVerifyCommand:
             "mc_exact",
             "knife_edge_closed_form",
         }
+        pathwise = summary["suites"]["pathwise"]
+        assert pathwise["prefix_monotonicity"] == {"cases": 22992, "violations": 0}
+        assert set(pathwise["10"]) == {"paths", "dominance_violations"}
 
     def test_injected_fault_fails_battery(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
