@@ -345,7 +345,14 @@ def binomial_tail_ge(n: int, p: float, r: int) -> Prob:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte-Carlo event frequency with a 95% Wald interval."""
+    """Monte-Carlo event frequency with a 95% Wilson score interval (Wilson 1927).
+
+    ``stderr`` is the plug-in binomial standard error sqrt(p(1-p)/trials).
+    Unlike p +- 1.96 stderr, the Wilson interval stays non-degenerate when no
+    trial (or every trial) hits.  The bounds are clamped so that
+    0 <= ci_low <= frequency <= ci_high <= 1, with ci_low exactly 0 at zero
+    hits and ci_high exactly 1 when every trial hits.
+    """
 
     frequency: float
     stderr: float
@@ -356,11 +363,15 @@ class MCEstimate:
     @classmethod
     def from_counts(cls, hits: int, trials: int) -> "MCEstimate":
         p = hits / trials
-        se = math.sqrt(p * (1.0 - p) / trials)
+        var = p * (1.0 - p) / trials
+        z = 1.96
+        k = z * z / trials
+        centre = (p + k / 2) / (1 + k)
+        half = z / (1 + k) * math.sqrt(var + k / (4 * trials))
         return cls(
             frequency=p,
-            stderr=se,
-            ci_low=max(0.0, p - 1.96 * se),
-            ci_high=min(1.0, p + 1.96 * se),
+            stderr=math.sqrt(var),
+            ci_low=0.0 if hits == 0 else min(p, max(0.0, centre - half)),
+            ci_high=1.0 if hits == trials else max(p, min(1.0, centre + half)),
             trials=trials,
         )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pivotk.probability import (
     DiscreteDistribution,
     HypergeomLaw,
+    MCEstimate,
     Prob,
     binomial_pmf_vector,
     binomial_tail_ge,
@@ -336,3 +337,33 @@ class TestBinomialTail:
     def test_degenerate_p(self):
         assert binomial_tail_ge(5, 0.0, 1) == 0.0
         assert binomial_tail_ge(5, 1.0, 5) == 1.0
+
+
+class TestMCEstimate:
+    @pytest.mark.parametrize("trials", [1, 200, 10_000])
+    def test_wilson_bounds_ordered_and_exact_at_the_ends(self, trials):
+        for hits in sorted({0, 1, trials - 1, trials}):
+            est = MCEstimate.from_counts(hits, trials)
+            p = hits / trials
+            assert est.frequency == p
+            assert est.stderr == math.sqrt(p * (1 - p) / trials)
+            assert 0.0 <= est.ci_low <= est.frequency <= est.ci_high <= 1.0
+            assert (est.ci_low == 0.0) == (hits == 0)
+            assert (est.ci_high == 1.0) == (hits == trials)
+
+    @pytest.mark.parametrize("trials", [1, 200, 10_000])
+    def test_zero_hits_keep_a_nondegenerate_upper_bound(self, trials):
+        # Wilson's upper bound at zero hits is z^2 / (n + z^2).
+        est = MCEstimate.from_counts(0, trials)
+        assert est.ci_high == pytest.approx(1.96**2 / (trials + 1.96**2), rel=1e-12)
+        assert MCEstimate.from_counts(trials, trials).ci_low == pytest.approx(
+            1.0 - est.ci_high, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("hits,trials", [(1, 200), (37, 200), (199, 200), (5_000, 10_000)])
+    def test_interior_bounds_solve_the_score_equation(self, hits, trials):
+        # The Wilson bounds are the roots of (p_hat - q)^2 = z^2 q (1 - q) / n.
+        est = MCEstimate.from_counts(hits, trials)
+        p = hits / trials
+        for q in (est.ci_low, est.ci_high):
+            assert (p - q) ** 2 == pytest.approx(1.96**2 * q * (1 - q) / trials, rel=1e-9)
