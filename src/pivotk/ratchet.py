@@ -82,7 +82,9 @@ def ratchet_multi_slot_delay(
     ``spread_policy[t-1]`` caps how many bundles the cartel withholds in slot
     ``t``; it withholds ``min(cap, contacts)`` and each withheld bundle flags
     its lane out of the pool.  Requires a multi-slot horizon; with t* = 1
-    there is no later slot for the ratchet to protect.
+    there is no later slot for the ratchet to protect.  All trials run at
+    once: each slot is one hypergeometric draw per trial on that trial's
+    eligible pool.
     """
     if instance.t_star < 2:
         raise ValueError("ratchet analysis needs t_star >= 2")
@@ -96,23 +98,24 @@ def ratchet_multi_slot_delay(
     n, m, delta, t_star = instance.n, instance.m, instance.delta, instance.t_star
     marked = cartel_lane_count(n, beta)
 
-    hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        pool_n, pool_cartel = n, marked
-        withheld = 0
-        for t in range(t_star):
-            if pool_n < m:
-                raise ValueError(
-                    f"eligible pool shrank below m={m}; instance too small for the spread"
-                )
-            a = int(rng.hypergeometric(pool_cartel, pool_n - pool_cartel, m))
-            w = min(spread_policy[t], a)
-            withheld += w
-            pool_n -= w
-            pool_cartel -= w
-        if withheld > delta:
-            hits += 1
+    # One stream per estimate, keyed [seed, 0] like the contact stream of
+    # simulator.estimate_delay.  Slot one's draw does not depend on the spread
+    # or on kappa, so for a given seed it is shared across both.
+    rng = np.random.default_rng([seed, 0])
+    pool_n = np.full(trials, n, dtype=np.int64)
+    pool_cartel = np.full(trials, marked, dtype=np.int64)
+    withheld = np.zeros(trials, dtype=np.int64)
+    for t in range(t_star):
+        if pool_n.min() < m:
+            raise ValueError(
+                f"eligible pool shrank below m={m}; instance too small for the spread"
+            )
+        a = rng.hypergeometric(pool_cartel, pool_n - pool_cartel, m)
+        w = np.minimum(spread_policy[t], a)
+        withheld += w
+        pool_n -= w
+        pool_cartel -= w
+    hits = int(np.count_nonzero(withheld > delta))
     return MCEstimate.from_counts(hits, trials)
 
 

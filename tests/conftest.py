@@ -67,6 +67,28 @@ def exact_convolved_tail_gt(
     return sum(acc[threshold + 1 :], Fraction(0))
 
 
+def exact_ratchet_tail_gt(
+    population: int, successes: int, draws: int, spread, threshold: int
+) -> Fraction:
+    """P[W > threshold] for the ratchet's withheld count W, by exact rational DP.
+
+    The state is W.  Slot t draws a ~ Hypergeom(population - W,
+    successes - W, draws) from the pool left after W lanes were flagged, and
+    the cartel withholds min(spread[t], a) of it.
+    """
+    law = {0: Fraction(1)}
+    for cap in spread:
+        nxt: dict[int, Fraction] = {}
+        for w, p in law.items():
+            for a in range(0, min(draws, successes - w) + 1):
+                q = exact_hypergeom_pmf(population - w, successes - w, draws, a)
+                if q:
+                    step = w + min(cap, a)
+                    nxt[step] = nxt.get(step, Fraction(0)) + p * q
+        law = nxt
+    return sum((p for w, p in law.items() if w > threshold), Fraction(0))
+
+
 @pytest.fixture(scope="session")
 def table_instances() -> dict[int, SystemInstance]:
     """The five headline operating points: n=100, m=20, kappa in the table."""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from pivotk.cli import _even_spread
 from pivotk.delay import exact_q0
 from pivotk.geometry import ContactSchedule, SystemInstance
 from pivotk.probability import DiscreteDistribution, HypergeomLaw
@@ -15,6 +18,11 @@ from pivotk.ratchet import (
     ratchet_multi_slot_delay,
 )
 
+from conftest import exact_ratchet_tail_gt
+
+# Largest allowed distance between a Monte-Carlo frequency and the exact
+# ratchet law, in binomial standard errors sqrt(p(1-p)/trials) of the exact p.
+Z_TOL = 4.0
 
 def contact_law_dist(n=100, marked=20, m=20):
     return DiscreteDistribution.from_law(HypergeomLaw(n, marked, m))
@@ -116,6 +124,29 @@ class TestMultiSlotRatchet:
         q_rat = float(q_rat_first_slot(schedule, 100, beta))
         est = ratchet_multi_slot_delay(inst, beta, (20, 0), 4000, 11)
         assert est.ci_low - 0.02 <= q_rat <= est.ci_high + 0.02
+
+    @pytest.mark.parametrize("kappa", [30, 33, 35, 38, 55])
+    def test_matches_exact_ratchet_law(self, beta, kappa):
+        inst = SystemInstance.from_kappa(100, 20, kappa)
+        pad = (0,) * (inst.t_star - 2)
+        trials = 200_000
+        for spread in [(20, 0) + pad, (6, 5) + pad, _even_spread(inst.delta, inst.t_star)]:
+            exact = float(exact_ratchet_tail_gt(100, 20, 20, spread, inst.delta))
+            est = ratchet_multi_slot_delay(inst, beta, spread, trials, 2026)
+            se = math.sqrt(exact * (1 - exact) / trials)
+            assert abs(est.frequency - exact) <= Z_TOL * se, (spread, exact, est)
+
+    def test_first_slot_draws_shared_across_kappas(self, beta):
+        # With everything withheld in slot one a trial hits iff its first
+        # draw exceeds delta.  One seed gives every kappa the same first
+        # draws, so the hits can only grow as delta shrinks with kappa.
+        freqs = [
+            ratchet_multi_slot_delay(
+                SystemInstance.from_kappa(100, 20, kappa), beta, (20, 0), 2000, 5
+            ).frequency
+            for kappa in range(21, 40)
+        ]
+        assert freqs == sorted(freqs)
 
     def test_reproducible(self, table_instances, beta):
         a = ratchet_multi_slot_delay(table_instances[30], beta, (6, 5), 300, 42)
