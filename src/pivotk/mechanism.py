@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 __all__ = [
@@ -185,10 +187,23 @@ class WeightRule:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("need at least one rank")
-        if any(w < 0 for w in self.weights):
+        scale, nums = self._scaled
+        if nums[0] < 0:
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(nums) != scale:
             raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, nums)``: L is the weights' least common denominator and nums
+        their numerators over L, sorted ascending.
+
+        Computed on first use rather than stored, so a rule built without
+        ``__init__`` is still checked against its actual weights.
+        """
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        scale = math.lcm(*(den for _, den in ratios))
+        return scale, tuple(sorted(num * (scale // den) for num, den in ratios))
 
     @property
     def kappa(self) -> int:
@@ -196,8 +211,8 @@ class WeightRule:
 
     @property
     def is_uniform(self) -> bool:
-        u = Fraction(1, self.kappa)
-        return all(w == u for w in self.weights)
+        scale, nums = self._scaled
+        return nums[0] * self.kappa == scale == nums[-1] * self.kappa
 
     @classmethod
     def uniform(cls, kappa: int) -> "WeightRule":
@@ -232,7 +247,8 @@ def removal_floor(rule: WeightRule, d: int) -> Fraction:
     """
     if not 1 <= d <= rule.kappa:
         raise ValueError(f"d={d} outside [1, {rule.kappa}]")
-    return sum(sorted(rule.weights)[:d], Fraction(0))
+    scale, nums = rule._scaled
+    return Fraction(sum(nums[:d]), scale)
 
 
 @dataclass(frozen=True)
@@ -259,21 +275,24 @@ def minimax_certificate(
     Every rule must satisfy floor <= d/kappa, with equality only for the
     uniform rule; all comparisons are exact rational arithmetic.
     """
-    ceiling = Fraction(d, kappa)
+    if not 1 <= d <= kappa:
+        raise ValueError(f"d={d} outside [1, {kappa}]")
     violations = []
     false_eq = []
     for i, rule in enumerate(trial_rules):
         if rule.kappa != kappa:
             raise ValueError(f"rule {i} has {rule.kappa} ranks, expected {kappa}")
-        floor = removal_floor(rule, d)
-        if floor > ceiling:
+        # floor = sum(nums[:d]) / L against the ceiling d / kappa, cross-multiplied
+        scale, nums = rule._scaled
+        floor_scaled = sum(nums[:d]) * kappa
+        if floor_scaled > d * scale:
             violations.append(i)
-        elif floor == ceiling and not rule.is_uniform:
+        elif floor_scaled == d * scale and not rule.is_uniform:
             false_eq.append(i)
     return MinimaxReport(
         kappa=kappa,
         d=d,
-        ceiling=ceiling,
+        ceiling=Fraction(d, kappa),
         rules_checked=len(trial_rules),
         violations=tuple(violations),
         false_equalities=tuple(false_eq),

@@ -27,6 +27,27 @@ def rec(slot, lane, ticket=None, owner="honest", admissible=True):
     return BundleRecord(slot, lane, ticket or (0, slot, lane), owner, admissible)
 
 
+# Rules whose weights have unequal denominators, some with zero weights.
+UNEQUAL_DENOMINATOR_RULES = [
+    WeightRule.slot_decayed(5, Fraction(2, 3)),
+    WeightRule((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+    WeightRule((Fraction(0), Fraction(1, 3), Fraction(2, 3))),
+    WeightRule((Fraction(0), Fraction(0), Fraction(1))),
+    WeightRule((Fraction(1, 10), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(33, 70))),
+]
+
+
+def reference_floor(rule, d):
+    return sum(sorted(rule.weights)[:d], Fraction(0))
+
+
+def unnormalized_rule(kappa):
+    """Every weight 2/kappa, built without running ``__init__``'s checks."""
+    bad = WeightRule.__new__(WeightRule)
+    object.__setattr__(bad, "weights", tuple(Fraction(2, kappa) for _ in range(kappa)))
+    return bad
+
+
 class TestResolveOrder:
     def test_duplicate_ticket_dropped(self):
         first = rec(1, 2, ticket="t1")
@@ -169,10 +190,19 @@ class TestWeightRules:
             removal_floor(rule, 5)
 
     def test_rejects_unnormalized_or_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weights sum to 5/6, not 1$"):
             WeightRule((Fraction(1, 2), Fraction(1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
             WeightRule((Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
+            WeightRule((Fraction(1, 2), Fraction(-1, 3)))  # checked before the sum
+        with pytest.raises(ValueError, match=r"^need at least one rank$"):
+            WeightRule(())
+
+    @pytest.mark.parametrize("rule", UNEQUAL_DENOMINATOR_RULES)
+    def test_floor_matches_fraction_reference(self, rule):
+        for d in range(1, rule.kappa + 1):
+            assert removal_floor(rule, d) == reference_floor(rule, d)
 
     def test_slot_decay_constructor(self):
         rule = WeightRule.slot_decayed(3, Fraction(1, 2))
@@ -189,6 +219,34 @@ class TestWeightRules:
 
 
 class TestMinimaxCertificate:
+    def test_matches_fraction_reference(self):
+        for kappa in (3, 5):
+            rules = [WeightRule.uniform(kappa), unnormalized_rule(kappa)]
+            rules += [r for r in UNEQUAL_DENOMINATOR_RULES if r.kappa == kappa]
+            for d in range(1, kappa + 1):
+                ceiling = Fraction(d, kappa)
+                floors = [reference_floor(rule, d) for rule in rules]
+                report = minimax_certificate(kappa, d, rules)
+                assert report.ceiling == ceiling
+                assert report.violations == tuple(
+                    i for i, f in enumerate(floors) if f > ceiling
+                )
+                # at d = kappa every normalized rule attains the ceiling
+                assert report.false_equalities == tuple(
+                    i
+                    for i, (f, rule) in enumerate(zip(floors, rules))
+                    if f == ceiling and set(rule.weights) != {Fraction(1, kappa)}
+                )
+
+    def test_rule_built_without_init_is_a_violation(self):
+        # The verify battery's injected fault builds its rule this way.
+        kappa = 12
+        rules = [WeightRule.uniform(kappa), unnormalized_rule(kappa)]
+        for d in (1, 2, 3):
+            report = minimax_certificate(kappa, d, rules)
+            assert report.violations == (1,)
+            assert not report.passed
+
     def test_random_rules_bounded_with_unique_equality(self):
         rng = random.Random(11)
         kappa = 12
