@@ -219,9 +219,13 @@ class DiscreteDistribution:
         return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses))
 
     def tail_ge(self, r: int) -> float:
-        """P[X >= r] by compensated summation."""
+        """P[X >= r] by compensated summation, clamped into [0, 1].
+
+        The represented mass may be off from 1 by up to the 1e-12 the
+        constructor allows, so an unclamped sum could read just above 1.
+        """
         i = max(r - self.offset, 0)
-        return math.fsum(self.masses[i:])
+        return min(1.0, max(0.0, math.fsum(self.masses[i:])))
 
     def tail_gt(self, r: int) -> float:
         """P[X > r]."""

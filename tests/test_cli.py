@@ -277,6 +277,26 @@ class TestVerifyCommand:
         assert code == EXIT_PROPERTY
         assert summary["passed"] is False
         assert summary["suites"]["minimax"]["passed"] is False
+        assert summary["suites"]["minimax"]["violations"] == 3  # the bad rule, once per d
+
+    def test_saturated_delay_probabilities(self, capsys, tmp_path):
+        # q0 saturates at 1 for kappas 200 and 600; before the tails were
+        # clamped it read just above 1 and mc_exact died in math.sqrt.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "instance": {"n": 1000, "m": 200},
+                    "beta": 0.2,
+                    "table_kappas": [10, 200, 350, 600, 450],
+                }
+            )
+        )
+        code, out = run_cli(capsys, "verify", "--config", str(cfg_path), "--trials", "300")
+        summary = json.loads(out)
+        assert code == EXIT_OK
+        assert summary["passed"] is True
+        assert summary["suites"]["mc_exact"]["200"]["exact"] == 1.0
 
 
 class TestAdvise:

@@ -46,6 +46,14 @@ class TestExactQ0:
         # slack of 1e-12 absorbs convolution rounding where q0 saturates at 1
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_never_above_one_at_scale(self):
+        # The float-convolved laws here carry excess mass inside the 1e-12
+        # mass check; unclamped, q0 read 1 + 2.3e-14 at kappa=200.
+        for kappa in (200, 600):
+            assert 0.0 <= exact_q0(SystemInstance.from_kappa(1000, 200, kappa), 0.2) <= 1.0
+        rows = sawtooth_sweep(1000, 200, 0.2, range(190, 610, 10))
+        assert all(0.0 <= r.q0 <= 1.0 and 0.0 <= r.q_rat <= 1.0 for r in rows)
+
 
 class TestKnifeEdgeClosedForm:
     def test_single_slot_value(self, table_instances, beta):

@@ -221,6 +221,12 @@ class TestDiscreteDistribution:
         assert d.total_mass() == pytest.approx(0.8)
         assert d.tail_ge(4) == pytest.approx(0.4)
 
+    def test_tails_clamped_into_unit_interval(self):
+        # Both laws pass the 1e-12 mass check; their raw tail sums do not
+        # lie in [0, 1].
+        assert DiscreteDistribution(0, (0.5, 0.5 + 5e-13)).tail_ge(0) == 1.0
+        assert DiscreteDistribution(0, (1.0, -1e-16)).tail_gt(0) == 0.0
+
     def test_expected_power(self):
         d = DiscreteDistribution(1, (0.25, 0.75))
         assert d.expected_power(0.5) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25)
