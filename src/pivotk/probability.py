@@ -39,6 +39,9 @@ NEG_INF = float("-inf")
 # error-free transforms, rounding to a double only at the end.
 _LOG_FACT_HI: list[float] = [0.0, 0.0]
 _LOG_FACT_LO: list[float] = [0.0, 0.0]
+# numpy copies of the two lists for _log_comb_row.  The lists stay the one
+# table; the copies are rebuilt on the first row read after the table grew.
+_LOG_FACT_ARR: tuple[np.ndarray, np.ndarray] = (np.array([]), np.array([]))
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -77,6 +80,41 @@ def log_comb(n: int, k: int) -> float:
         lo = lo + e - _LOG_FACT_LO[idx]
         hi, lo = _two_sum(s, lo)
     return hi + lo
+
+
+def _log_comb_row(n: int, ks: np.ndarray) -> np.ndarray:
+    """``log_comb(n, k)`` for every k in ``ks`` (all within [0, n]), bit for bit.
+
+    The same error-free transforms as :func:`log_comb`, in the same order,
+    applied elementwise; each element rounds exactly as the scalar call does.
+    """
+    global _LOG_FACT_ARR
+    _grow_log_fact(n)
+    if len(_LOG_FACT_ARR[0]) != len(_LOG_FACT_HI):
+        _LOG_FACT_ARR = (np.array(_LOG_FACT_HI), np.array(_LOG_FACT_LO))
+    table_hi, table_lo = _LOG_FACT_ARR
+    hi = np.full(len(ks), _LOG_FACT_HI[n])
+    lo = np.full(len(ks), _LOG_FACT_LO[n])
+    for idx in (ks, n - ks):
+        b = -table_hi[idx]
+        s = hi + b
+        bb = s - hi
+        e = (hi - (s - bb)) + (b - bb)
+        lo = lo + e - table_lo[idx]
+        hi = s + lo
+        bb = hi - s
+        lo = (s - (hi - bb)) + (lo - bb)
+    return hi + lo
+
+
+def _log_hypergeom_row(law: "HypergeomLaw", lo: int, hi: int) -> np.ndarray:
+    """``log_hypergeom_pmf(law, k)`` for k in [lo, hi] inside the support, bit for bit."""
+    ks = np.arange(lo, hi + 1)
+    return (
+        _log_comb_row(law.successes, ks)
+        + _log_comb_row(law.population - law.successes, law.draws - ks)
+        - log_comb(law.population, law.draws)
+    )
 
 
 class Prob(float):
@@ -170,7 +208,7 @@ def hypergeom_tail_ge(law: HypergeomLaw, r: int) -> Prob:
         return Prob(1.0, 0.0)
     if r > law.support_max:
         return Prob(0.0, NEG_INF)
-    ls = _logsumexp([log_hypergeom_pmf(law, k) for k in range(r, law.support_max + 1)])
+    ls = _logsumexp(_log_hypergeom_row(law, r, law.support_max).tolist())
     return Prob(math.exp(ls), ls)
 
 
@@ -189,7 +227,7 @@ class DiscreteDistribution:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if any(m < -1e-15 for m in self.masses):
+        if self.masses and min(self.masses) < -1e-15:
             raise ValueError("negative probability mass")
         total = math.fsum(self.masses)
         if self.strict and abs(total - 1.0) > 1e-12:
@@ -200,7 +238,8 @@ class DiscreteDistribution:
     @classmethod
     def from_law(cls, law: HypergeomLaw) -> "DiscreteDistribution":
         lo, hi = law.support_min, law.support_max
-        return cls(lo, tuple(hypergeom_pmf(law, k) for k in range(lo, hi + 1)))
+        row = _log_hypergeom_row(law, lo, hi)
+        return cls(lo, tuple(math.exp(x) for x in row.tolist()))
 
     @property
     def support_max(self) -> int:
@@ -241,7 +280,7 @@ class DiscreteDistribution:
         out = np.convolve(np.asarray(self.masses), np.asarray(other.masses))
         return DiscreteDistribution(
             self.offset + other.offset,
-            tuple(float(x) for x in out),
+            tuple(out.tolist()),
             strict=self.strict and other.strict,
         )
 

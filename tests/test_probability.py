@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pivotk import probability
 from pivotk.probability import (
+    NEG_INF,
     DiscreteDistribution,
     HypergeomLaw,
     MCEstimate,
@@ -22,6 +26,7 @@ from pivotk.probability import (
     hypergeom_pmf,
     hypergeom_tail_ge,
     kl_divergence,
+    log_hypergeom_pmf,
 )
 
 from conftest import (
@@ -153,6 +158,70 @@ class TestHypergeomTail:
         assert math.isfinite(tail.log) and tail.log < -700
 
 
+def scalar_tail_ge(law, r):
+    """The per-point log-space tail that hypergeom_tail_ge replaced, as (value, log)."""
+    if r <= law.support_min:
+        return 1.0, 0.0
+    if r > law.support_max:
+        return 0.0, NEG_INF
+    ls = probability._logsumexp(
+        [log_hypergeom_pmf(law, k) for k in range(r, law.support_max + 1)]
+    )
+    return math.exp(ls), ls
+
+
+def assert_rows_match_scalar(law):
+    lo, hi = law.support_min, law.support_max
+    masses = DiscreteDistribution.from_law(law).masses
+    assert masses == tuple(hypergeom_pmf(law, k) for k in range(lo, hi + 1))
+    for r in (lo, lo + 1, (lo + hi) // 2, hi):
+        tail = hypergeom_tail_ge(law, r)
+        assert (float(tail), tail.log) == scalar_tail_ge(law, r)
+
+
+_rng = random.Random(20261018)
+ROW_LAWS = [
+    (12000, 2400, 2400),
+    (10000, 2000, 2000),
+    (1000, 200, 200),
+    (37, 7, 20),
+    (12000, 0, 500),  # no marked lanes
+    (12000, 600, 0),  # no draws
+    (12000, 3000, 12000),  # every lane drawn: single point
+    (12000, 12000, 700),  # every lane marked: single point
+    (5000, 4999, 4999),
+    (1, 0, 1),
+    (1, 1, 1),
+] + [
+    (n, _rng.randint(0, n), _rng.randint(0, n))
+    for n in (12, 100, 999, 4321, 12000)
+    for _ in range(3)
+]
+
+
+class TestLawRow:
+    """The vectorized log row reproduces the scalar log_comb path bit for bit."""
+
+    @pytest.mark.parametrize("population,successes,draws", ROW_LAWS)
+    def test_bit_identical_to_scalar_path(self, population, successes, draws):
+        assert_rows_match_scalar(HypergeomLaw(population, successes, draws))
+
+    def test_table_grown_between_rows(self, monkeypatch):
+        monkeypatch.setattr(probability, "_LOG_FACT_HI", [0.0, 0.0])
+        monkeypatch.setattr(probability, "_LOG_FACT_LO", [0.0, 0.0])
+        monkeypatch.setattr(probability, "_LOG_FACT_ARR", (np.array([]), np.array([])))
+        small, large = HypergeomLaw(50, 10, 20), HypergeomLaw(9000, 1800, 1800)
+        for law in (small, large):
+            DiscreteDistribution.from_law(law)
+            table_hi, table_lo = probability._LOG_FACT_ARR
+            # The rows index up to population - successes; the copy covers them.
+            assert len(table_hi) == law.population - law.successes + 1
+            assert table_hi.tolist() == probability._LOG_FACT_HI[: len(table_hi)]
+            assert table_lo.tolist() == probability._LOG_FACT_LO[: len(table_lo)]
+        assert_rows_match_scalar(small)
+        assert_rows_match_scalar(large)
+
+
 class TestConvolution:
     def test_identity_at_one_draw(self):
         dist = contact_sums(TABLE_LAW, 1)[-1]
@@ -215,6 +284,23 @@ class TestDiscreteDistribution:
             DiscreteDistribution(0, (0.5, 0.6))  # above 1
         with pytest.raises(ValueError):
             DiscreteDistribution(0, (-0.1, 1.1))
+
+    def test_negativity_threshold(self):
+        with pytest.raises(ValueError, match=r"^negative probability mass$"):
+            DiscreteDistribution(0, (1.0, -2e-15))
+        assert DiscreteDistribution(0, (1.0, -1e-16)).masses == (1.0, -1e-16)
+
+    def test_empty_masses(self):
+        with pytest.raises(ValueError, match=r"^total mass 0\.0 deviates from 1"):
+            DiscreteDistribution(0, ())
+        assert DiscreteDistribution(0, (), strict=False).total_mass() == 0.0
+
+    def test_convolve_returns_plain_floats(self):
+        law = DiscreteDistribution.from_law(HypergeomLaw(1000, 200, 200))
+        masses = law.convolve(law).masses
+        raw = np.convolve(np.asarray(law.masses), np.asarray(law.masses))
+        assert all(type(x) is float for x in masses)
+        assert masses == tuple(float(x) for x in raw)
 
     def test_partial_law_allowed_when_not_strict(self):
         d = DiscreteDistribution(3, (0.4, 0.4), strict=False)
