@@ -220,11 +220,15 @@ class WeightRule:
 
     @classmethod
     def from_weights(cls, raw: Sequence) -> "WeightRule":
-        ws = [Fraction(w) for w in raw]
-        total = sum(ws, Fraction(0))
+        ws = list(raw)
+        # All-int weights normalize with one integer sum; anything else
+        # (floats, Fractions, numpy scalars) goes through Fraction first.
+        if not all(isinstance(w, int) for w in ws):
+            ws = [Fraction(w) for w in ws]
+        total = sum(ws)
         if total <= 0:
             raise ValueError("weights must have positive total")
-        return cls(tuple(w / total for w in ws))
+        return cls(tuple(Fraction(w, total) for w in ws))
 
     @classmethod
     def slot_decayed(cls, kappa: int, decay) -> "WeightRule":
@@ -301,4 +305,4 @@ def minimax_certificate(
 
 def cartel_prefix_count(owners: Sequence[Owner], kappa: int) -> int:
     """How many of the first kappa included bundles belong to the cartel."""
-    return sum(1 for o in owners[:kappa] if o == "cartel")
+    return owners[:kappa].count("cartel")

@@ -204,6 +204,26 @@ class TestWeightRules:
         for d in range(1, rule.kappa + 1):
             assert removal_floor(rule, d) == reference_floor(rule, d)
 
+    @pytest.mark.parametrize("raw", [
+        [3, 0, 5, 0, 1],
+        [0, 0, 7, 0],  # a single nonzero entry
+        [9],
+        [0, 1],
+        [999, 1, 0, 500, 12, 12, 0, 3, 998, 0, 7, 1],
+    ])
+    def test_integer_weights_match_fraction_path(self, raw):
+        total = sum(Fraction(w) for w in raw)
+        reference = tuple(Fraction(w) / total for w in raw)
+        rule = WeightRule.from_weights(raw)
+        assert rule.weights == reference
+        assert all(type(w) is Fraction for w in rule.weights)
+        assert WeightRule.from_weights([Fraction(w) for w in raw]) == rule
+
+    def test_nonpositive_integer_total_rejected(self):
+        for raw in ([0, 0, 0], [2, -3], []):
+            with pytest.raises(ValueError, match=r"^weights must have positive total$"):
+                WeightRule.from_weights(raw)
+
     def test_slot_decay_constructor(self):
         rule = WeightRule.slot_decayed(3, Fraction(1, 2))
         assert rule.weights == (Fraction(4, 7), Fraction(2, 7), Fraction(1, 7))
