@@ -230,6 +230,9 @@ class DiscreteDistribution:
         if self.masses and min(self.masses) < -1e-15:
             raise ValueError("negative probability mass")
         total = math.fsum(self.masses)
+        # min() above skips a negative mass that follows a NaN; fsum does not.
+        if math.isnan(total):
+            raise ValueError("probability mass is NaN")
         if self.strict and abs(total - 1.0) > 1e-12:
             raise ValueError(f"total mass {total} deviates from 1 by more than 1e-12")
         if total > 1.0 + 1e-12:

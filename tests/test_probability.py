@@ -290,6 +290,12 @@ class TestDiscreteDistribution:
             DiscreteDistribution(0, (1.0, -2e-15))
         assert DiscreteDistribution(0, (1.0, -1e-16)).masses == (1.0, -1e-16)
 
+    def test_nan_mass_rejected(self):
+        for masses in ((math.nan,), (math.nan, -5.0, 1.0), (1.0, math.nan)):
+            for strict in (True, False):
+                with pytest.raises(ValueError):
+                    DiscreteDistribution(0, masses, strict=strict)
+
     def test_empty_masses(self):
         with pytest.raises(ValueError, match=r"^total mass 0\.0 deviates from 1"):
             DiscreteDistribution(0, ())
