@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Literal, Sequence
 
 __all__ = [
@@ -59,10 +60,6 @@ class BundleRecord:
     def ticket_hash(self) -> int:
         return ticket_hash_of(self.ticket_id)
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.slot, self.lane, self.ticket_hash)
-
 
 class DecodeNotReached(Exception):
     """Raised when fewer bundles than the decode threshold were included."""
@@ -71,27 +68,41 @@ class DecodeNotReached(Exception):
 def resolve_order(records: Iterable[BundleRecord]) -> list[BundleRecord]:
     """Admissible records in deterministic resolution order.
 
+    The order is by ``(slot, lane)``, with the ticket hash breaking ties
+    inside a cell; a record alone in its cell is never hashed.
     Non-admissible occurrences are ignored entirely, so stuffing the history
     with copied or unticketed bundles cannot move anyone's rank.  Each ticket
     is redeemable once: only its first admissible occurrence in the order
-    survives.  Distinct tickets that collide in the full sort key are
-    rejected rather than tie-broken arbitrarily.
+    survives.  Distinct tickets that collide in the full sort key
+    ``(slot, lane, ticket_hash)`` are rejected rather than tie-broken
+    arbitrarily.
     """
-    keyed = [(rec.sort_key, rec) for rec in records if rec.admissible]
-    keyed.sort(key=lambda pair: pair[0])
+    cells: dict[tuple, list[BundleRecord]] = {}
+    for rec in records:
+        if rec.admissible:
+            cells.setdefault((rec.slot, rec.lane), []).append(rec)
     seen_tickets: set = set()
-    keys: set[tuple[int, int, int]] = set()
     out = []
-    for key, rec in keyed:
-        if rec.ticket_id in seen_tickets:
-            continue
-        if key in keys:
-            raise ValueError(
-                f"distinct tickets collide in the resolution order at {key}"
-            )
-        keys.add(key)
-        seen_tickets.add(rec.ticket_id)
-        out.append(rec)
+    for cell in sorted(cells):
+        group = cells[cell]
+        # A record alone in its cell has no tie to break, so it goes unhashed.
+        keyed = (
+            sorted(((rec.ticket_hash, rec) for rec in group), key=itemgetter(0))
+            if len(group) > 1
+            else [(None, group[0])]
+        )
+        hashes: set = set()
+        for h, rec in keyed:
+            if rec.ticket_id in seen_tickets:
+                continue
+            if h in hashes:
+                raise ValueError(
+                    "distinct tickets collide in the resolution order at "
+                    f"{(rec.slot, rec.lane, h)}"
+                )
+            hashes.add(h)
+            seen_tickets.add(rec.ticket_id)
+            out.append(rec)
     return out
 
 
@@ -102,6 +113,14 @@ class PaymentEntry:
     owner: Owner
     index_count: int
     payment: Fraction
+
+
+def _exact_sum(payments: Iterable[Fraction]) -> Fraction:
+    """Exact sum of rationals, accumulated in integers over their common
+    denominator rather than one Fraction addition per term."""
+    ratios = [p.as_integer_ratio() for p in payments]
+    scale = math.lcm(*(den for _, den in ratios))
+    return Fraction(sum(num * (scale // den) for num, den in ratios), scale)
 
 
 @dataclass(frozen=True)
@@ -120,10 +139,10 @@ class PivotalAllocation:
 
     @property
     def total_paid(self) -> Fraction:
-        return sum((e.payment for e in self.entries), Fraction(0))
+        return _exact_sum(e.payment for e in self.entries)
 
     def paid_to(self, owner: Owner) -> Fraction:
-        return sum((e.payment for e in self.entries if e.owner == owner), Fraction(0))
+        return _exact_sum(e.payment for e in self.entries if e.owner == owner)
 
     def to_json_rows(self) -> str:
         rows = [
@@ -159,18 +178,14 @@ def pivotal_allocation(
         )
     budget = Fraction(B)
     per_index = budget / K
-    entries = []
-    for rank, rec in enumerate(ordered[:kappa], start=1):
-        count = s if rank < kappa else r_idx
-        entries.append(
-            PaymentEntry(
-                rank=rank,
-                lane=rec.lane,
-                owner=rec.owner,
-                index_count=count,
-                payment=per_index * count,
-            )
-        )
+    # Two exact payments, shared by every entry that earns them.
+    full, last = per_index * s, per_index * r_idx
+    entries = [
+        PaymentEntry(rank, rec.lane, rec.owner, s, full)
+        for rank, rec in enumerate(ordered[: kappa - 1], start=1)
+    ]
+    final = ordered[kappa - 1]
+    entries.append(PaymentEntry(kappa, final.lane, final.owner, r_idx, last))
     return PivotalAllocation(tuple(entries), kappa, r_idx, budget)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pivotk import mechanism
 from pivotk.mechanism import (
     BundleRecord,
     DecodeNotReached,
@@ -39,6 +41,52 @@ UNEQUAL_DENOMINATOR_RULES = [
 
 def reference_floor(rule, d):
     return sum(sorted(rule.weights)[:d], Fraction(0))
+
+
+def reference_resolve_order(records):
+    """The full-key resolution order, kept as an oracle for ``resolve_order``.
+
+    Sorts admissible records by ``(slot, lane, ticket_hash)``, keeps each
+    ticket's first occurrence and rejects distinct tickets whose full keys
+    collide.  Hashes through ``mechanism.ticket_hash_of`` so that a patched
+    hash reaches the oracle too.
+    """
+    keyed = [
+        ((r.slot, r.lane, mechanism.ticket_hash_of(r.ticket_id)), r)
+        for r in records
+        if r.admissible
+    ]
+    keyed.sort(key=lambda pair: pair[0])
+    seen, keys, out = set(), set(), []
+    for key, r in keyed:
+        if r.ticket_id in seen:
+            continue
+        if key in keys:
+            raise ValueError(f"distinct tickets collide in the resolution order at {key}")
+        keys.add(key)
+        seen.add(r.ticket_id)
+        out.append(r)
+    return out
+
+
+def order_outcome(resolve, records):
+    """Identities of the resolved records, or the error message."""
+    try:
+        return [id(r) for r in resolve(records)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_records(rng):
+    """Records on a small (slot, lane) grid: ties, repeated tickets at other
+    positions, and non-admissible copies all occur often."""
+    records = []
+    for _ in range(rng.randint(0, 14)):
+        slot, lane = rng.randint(1, 3), rng.randint(1, 3)
+        ticket = rng.choice([(0, slot, lane), f"t{rng.randint(0, 5)}"])
+        owner = rng.choice(["honest", "cartel"])
+        records.append(BundleRecord(slot, lane, ticket, owner, rng.random() < 0.8))
+    return records
 
 
 def unnormalized_rule(kappa):
@@ -88,6 +136,42 @@ class TestResolveOrder:
         with pytest.raises(ValueError, match="collide"):
             resolve_order([a, b])
 
+    def test_matches_full_key_oracle(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            records = random_records(rng)
+            expected = order_outcome(reference_resolve_order, records)
+            assert order_outcome(resolve_order, records) == expected
+
+    def test_forced_collision_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(mechanism, "ticket_hash_of", lambda ticket_id: 7)
+        rng = random.Random(12)
+        raised = 0
+        for _ in range(2000):
+            records = random_records(rng)
+            expected = order_outcome(reference_resolve_order, records)
+            assert order_outcome(resolve_order, records) == expected
+            raised += isinstance(expected, str)
+        assert raised > 100
+        a, b = rec(2, 3, ticket="a"), rec(2, 3, ticket="b")
+        with pytest.raises(ValueError, match=r"collide in the resolution order at \(2, 3, 7\)"):
+            resolve_order([a, b])
+
+    def test_only_tied_cells_are_hashed(self, monkeypatch):
+        hashed = []
+
+        def counting_hash(ticket_id, real=mechanism.ticket_hash_of):
+            hashed.append(ticket_id)
+            return real(ticket_id)
+
+        monkeypatch.setattr(mechanism, "ticket_hash_of", counting_hash)
+        lone = [rec(slot, lane) for slot in (1, 2) for lane in (4, 1, 3)]
+        assert resolve_order(lone) == sorted(lone, key=lambda r: (r.slot, r.lane))
+        assert hashed == []
+        tied = [rec(2, 2, ticket=t) for t in ("x", "y", "z")]
+        resolve_order(lone + tied)
+        assert sorted(hashed) == ["x", "y", "z"]
+
     def test_hash_is_deterministic(self):
         assert ticket_hash_of((0, 1, 2)) == ticket_hash_of((0, 1, 2))
         assert ticket_hash_of((0, 1, 2)) != ticket_hash_of((0, 1, 3))
@@ -130,6 +214,37 @@ class TestPivotalAllocation:
             ordered = [rec(1, lane) for lane in range(1, kappa + rng.randint(1, 4))]
             alloc = pivotal_allocation(ordered, K, s, B)
             assert alloc.total_paid == Fraction(B)
+
+    @pytest.mark.parametrize("kind", [int, float, Fraction])
+    def test_payments_exact_over_grid(self, kind):
+        for K, s in itertools.product(range(1, 13), range(1, 6)):
+            kappa = -(-K // s)
+            ordered = [rec(1, lane) for lane in range(1, kappa + 2)]
+            for raw in (1, 7, 250):
+                B = kind(raw) if kind is not Fraction else Fraction(raw, 3)
+                alloc = pivotal_allocation(ordered, K, s, B)
+                assert [e.index_count for e in alloc.entries] == [s] * (kappa - 1) + [
+                    K - (kappa - 1) * s
+                ]
+                for e in alloc.entries:
+                    assert e.payment == Fraction(B) / K * e.index_count
+                assert alloc.total_paid == Fraction(B)
+
+    def test_float_budget_is_exact(self):
+        alloc = pivotal_allocation([rec(1, lane) for lane in range(1, 4)], 3, 1, 0.1)
+        assert alloc.budget == Fraction(0.1)
+        assert alloc.total_paid == Fraction(0.1)
+
+    def test_conservation_reads_the_entries(self):
+        ordered = [rec(1, 1, owner="cartel"), rec(1, 2), rec(1, 3, owner="cartel")]
+        alloc = pivotal_allocation(ordered, 7, 3, 10)
+        assert alloc.total_paid == alloc.budget
+        for i, e in enumerate(alloc.entries):
+            bumped = dataclasses.replace(e, payment=e.payment + Fraction(1, 10**12))
+            entries = alloc.entries[:i] + (bumped,) + alloc.entries[i + 1 :]
+            faulty = dataclasses.replace(alloc, entries=entries)
+            assert faulty.total_paid != faulty.budget
+            assert faulty.paid_to(e.owner) == alloc.paid_to(e.owner) + Fraction(1, 10**12)
 
     def test_insensitive_to_non_admissible_stuffing(self):
         ordered = [rec(1, lane) for lane in range(1, 6)]
