@@ -588,13 +588,12 @@ def cmd_replay(args) -> int:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{args.input}:{lineno}: {exc}") from exc
             if stored is None or econ is None:
-                continue
-            fresh = simulator.payoff_of_trace(trace, econ)
-            if (
-                fresh.fee_revenue != stored.fee_revenue
-                or fresh.bounty_revenue != stored.bounty_revenue
-                or fresh.mev_option != stored.mev_option
-            ):
+                raise ConfigError(
+                    f"{args.input}:{lineno}: no stored payoff and econ to check "
+                    "(write traces with pivotk simulate)"
+                )
+            # All four stored floats, total included, must recur exactly.
+            if simulator.payoff_of_trace(trace, econ) != stored:
                 mismatches += 1
     sys.stdout.write(
         json.dumps({"traces": total, "mismatches": mismatches}) + "\n"

@@ -386,15 +386,16 @@ def estimate_delay(
 
 @dataclass(frozen=True)
 class PayoffBreakdown:
-    """Cartel revenue split: discounted fees, bounty share, and the MEV option."""
+    """Cartel revenue split: discounted fees, bounty share, and the MEV option.
+
+    ``total`` is fee + bounty + MEV.  It is a field, not derived, so that a
+    payoff read back from a trace line keeps the total that was stored.
+    """
 
     fee_revenue: float
     bounty_revenue: float
     mev_option: float
-
-    @property
-    def total(self) -> float:
-        return self.fee_revenue + self.bounty_revenue + self.mev_option
+    total: float
 
 
 def payoff_of_trace(
@@ -432,7 +433,7 @@ def payoff_of_trace(
         bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
 
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
-    return PayoffBreakdown(fee, bounty, mev)
+    return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
 
 
 # --- serialization ---------------------------------------------------------
@@ -506,7 +507,7 @@ def trace_from_json_with_econ(
     if "payoff" in obj:
         p = obj["payoff"]
         payoff = PayoffBreakdown(
-            p["fee_revenue"], p["bounty_revenue"], p["mev_option"]
+            p["fee_revenue"], p["bounty_revenue"], p["mev_option"], p["total"]
         )
     econ = EconParams.from_config(obj["econ"]) if "econ" in obj else None
     return trace, payoff, econ

@@ -9,6 +9,8 @@ import pytest
 
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
+from pivotk.geometry import SystemInstance
+from pivotk.simulator import FullWithhold, run_trace, trace_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -389,6 +391,31 @@ class TestSimulateReplay:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {out_path}:2: {reason}")
+
+    def test_replay_rejects_line_without_payoff(self, capsys, tmp_path):
+        trace = run_trace(SystemInstance.from_kappa(10, 3, 6), 0.2, FullWithhold(), seed=1)
+        out_path = tmp_path / "traces.jsonl"
+        run_cli(capsys, "simulate", "--traces", "1", "--out", str(out_path))
+        out_path.write_text(out_path.read_text() + trace_to_json(trace) + "\n")
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: {out_path}:2: no stored payoff and econ to check "
+            "(write traces with pivotk simulate)"
+        )
+
+    def test_replay_detects_tampered_total(self, capsys, tmp_path):
+        out_path = tmp_path / "traces.jsonl"
+        run_cli(capsys, "simulate", "--traces", "1", "--policy", "full_withhold",
+                "--out", str(out_path))
+        line = json.loads(out_path.read_text())
+        line["payoff"]["total"] += 1000
+        out_path.write_text(json.dumps(line) + "\n")
+        code, out = run_cli(capsys, "replay", "--input", str(out_path))
+        assert code == EXIT_PROPERTY
+        assert json.loads(out) == {"traces": 1, "mismatches": 1}
 
     def test_replay_detects_tampering(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
