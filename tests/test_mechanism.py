@@ -221,7 +221,8 @@ class TestPivotalAllocation:
             kappa = -(-K // s)
             ordered = [rec(1, lane) for lane in range(1, kappa + 2)]
             for raw in (1, 7, 250):
-                B = kind(raw) if kind is not Fraction else Fraction(raw, 3)
+                # Floats such as 0.1 and Fractions such as 7/3 are not whole.
+                B = {int: raw, float: raw / 10, Fraction: Fraction(raw, 3)}[kind]
                 alloc = pivotal_allocation(ordered, K, s, B)
                 assert [e.index_count for e in alloc.entries] == [s] * (kappa - 1) + [
                     K - (kappa - 1) * s
@@ -229,11 +230,6 @@ class TestPivotalAllocation:
                 for e in alloc.entries:
                     assert e.payment == Fraction(B) / K * e.index_count
                 assert alloc.total_paid == Fraction(B)
-
-    def test_float_budget_is_exact(self):
-        alloc = pivotal_allocation([rec(1, lane) for lane in range(1, 4)], 3, 1, 0.1)
-        assert alloc.budget == Fraction(0.1)
-        assert alloc.total_paid == Fraction(0.1)
 
     def test_conservation_reads_the_entries(self):
         ordered = [rec(1, 1, owner="cartel"), rec(1, 2), rec(1, 3, owner="cartel")]
