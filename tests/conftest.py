@@ -8,12 +8,14 @@ sharing any arithmetic with it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
-from pivotk.geometry import SystemInstance
+from pivotk.geometry import SystemInstance, cartel_lane_count
 
 
 def exact_hypergeom_pmf(population: int, successes: int, draws: int, k: int) -> Fraction:
@@ -87,6 +89,77 @@ def exact_ratchet_tail_gt(
                     nxt[step] = nxt.get(step, Fraction(0)) + p * q
         law = nxt
     return sum((p for w, p in law.items() if w > threshold), Fraction(0))
+
+
+def reference_sabotage_report(instance, beta, econ, paths, seed, pattern_limit=1 << 16):
+    """(paths_with_delay_option, paths_skipped, violations) by a standalone enumerator.
+
+    Draws each path's lanes from the stream ``seed + [0, path_idx]`` exactly
+    as the simulator does (cartel set first, then the first m entries of a
+    fresh permutation per slot), enumerates every subset of pre-horizon
+    cartel bundles as a withholding set, and prices each delay-achieving
+    subset with its own slot loop and the s = 1 bounty g**T * j * B / kappa.
+    A path violates the theorem when its payoff maximizers do not all
+    withhold exactly delta + 1 bundles.
+    """
+    assert instance.s == 1
+    marked = cartel_lane_count(instance.n, beta)
+    n, m = instance.n, instance.m
+    kappa, t_star, delta = instance.kappa, instance.t_star, instance.delta
+    f = econ.proposer_fee(1)
+    g = econ.gamma
+    key = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    with_delay = skipped = violations = 0
+    for path_idx in range(paths):
+        rng = np.random.default_rng(key + [0, path_idx])
+        cartel_set = {int(l) for l in rng.permutation(n)[:marked] + 1}
+        slot_lanes = []
+
+        def lanes_of(t):
+            while len(slot_lanes) < t:
+                slot_lanes.append(sorted(int(l) for l in rng.permutation(n)[:m] + 1))
+            return slot_lanes[t - 1]
+
+        positions = [
+            (t, lane) for t in range(1, t_star + 1) for lane in lanes_of(t) if lane in cartel_set
+        ]
+        c = len(positions)
+        if c <= delta:
+            continue
+        if 1 << c > pattern_limit:
+            skipped += 1
+            continue
+        with_delay += 1
+        best = -math.inf
+        best_sizes: set[int] = set()
+        for mask in range(1 << c):
+            withheld = {positions[i] for i in range(c) if mask >> i & 1}
+            if len(withheld) <= delta:
+                continue
+            owners = []
+            fee = 0.0
+            included = 0
+            t = 0
+            while included < kappa:
+                t += 1
+                x_t = 0
+                for lane in lanes_of(t):
+                    is_cartel = lane in cartel_set
+                    if t <= t_star and is_cartel and (t, lane) in withheld:
+                        continue
+                    owners.append("cartel" if is_cartel else "honest")
+                    included += 1
+                    x_t += is_cartel
+                fee += g ** (t - 1) * f * x_t
+            j = owners[:kappa].count("cartel")
+            payoff = fee + g**t * j * econ.bounty / kappa + econ.mev_exposure * g**t_star
+            if payoff > best + 1e-12:
+                best, best_sizes = payoff, {len(withheld)}
+            elif abs(payoff - best) <= 1e-12:
+                best_sizes.add(len(withheld))
+        if best_sizes != {delta + 1}:
+            violations += 1
+    return with_delay, skipped, violations
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,9 @@ from pivotk.simulator import (
     verify_pathwise_theorems,
 )
 
+from conftest import reference_sabotage_report
+
+PATHS = 8  # sample paths per oracle cross-check run
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
 ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
 
@@ -209,6 +212,17 @@ class TestPayoffs:
         assert payoff_of_trace(trace, econ0).bounty_revenue == 0.0
         assert payoff_of_trace(trace, ECON, mechanism_mode="none").bounty_revenue == 0.0
 
+    def test_single_symbol_bounty_is_the_closed_form(self):
+        # For s = 1 the pivotal payment is g**T * j * B / kappa.
+        policies = [FullInclude(), FullWithhold(), StationaryW(0.4), MinimalSabotage()]
+        for kappa in (5, 9, 12):
+            inst = SystemInstance.from_kappa(20, 5, kappa)
+            for seed in range(25):
+                trace = run_trace(inst, 0.25, policies[seed % 4], seed=seed)
+                T, j = trace.inclusion_time, trace.pivotal_cartel_count
+                expected = ECON.gamma**T * j * ECON.bounty / kappa
+                assert abs(payoff_of_trace(trace, ECON).bounty_revenue - expected) <= 1e-12
+
     def test_total_is_sum_of_parts(self):
         trace = run_trace(SMALL, 0.25, MinimalSabotage(), seed=6)
         p = payoff_of_trace(trace, ECON)
@@ -264,6 +278,42 @@ class TestTheoremBattery:
         )
         assert not report.assumption_static_fees
         assert report.paths_checked == 0
+
+    def test_sabotage_oracle_can_fail_without_a_proposer_fee(self):
+        """The theorem's premise is a positive proposer fee.
+
+        With fee 0 an included cartel bundle earns nothing before decoding, so
+        withholding more than delta + 1 can cost the cartel nothing and tie the
+        minimal deviation: the oracle must then report violations.
+        """
+        inst = SystemInstance.from_kappa(10, 3, 6)
+        econ = EconParams.normalized(fee=0.0, alpha_v=30.0, gamma=0.9, bounty=12.0)
+        report = minimal_sabotage_exhaustive(inst, 0.3, econ, paths=25, seed=[20260809, 13])
+        assert report.violations == 6
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "n,m,kappa",
+        [(10, 2, k) for k in range(2, 7)]
+        + [(10, 3, k) for k in range(3, 10)]
+        + [(12, 4, k) for k in range(4, 9)],
+    )
+    def test_sabotage_matches_reference_enumerator(self, n, m, kappa):
+        inst = SystemInstance.from_kappa(n, m, kappa)
+        econs = [
+            EconParams.normalized(fee=1.0, alpha_v=30.0, gamma=0.9, bounty=12.0),
+            EconParams.normalized(fee=0.5, alpha_v=4.0, gamma=0.99, bounty=40.0),
+            EconParams.normalized(fee=0.0, alpha_v=30.0, gamma=0.9, bounty=12.0),
+        ]
+        for beta in (0.25, 0.3, 0.5):
+            if (beta * n) % 1:
+                continue  # the cartel must be a whole number of lanes
+            for econ in econs:
+                for seed in range(12):
+                    key = [seed, n, m, kappa]
+                    report = minimal_sabotage_exhaustive(inst, beta, econ, paths=PATHS, seed=key)
+                    got = (report.paths_with_delay_option, report.paths_skipped, report.violations)
+                    assert got == reference_sabotage_report(inst, beta, econ, PATHS, key)
 
     def test_sabotage_rejects_oversized_instances(self):
         big = SystemInstance.from_kappa(100, 20, 30)
