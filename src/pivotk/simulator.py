@@ -48,11 +48,11 @@ __all__ = [
     "PathwiseReport",
     "verify_pathwise_theorems",
     "trace_to_json",
-    "trace_from_json",
     "trace_from_json_with_econ",
 ]
 
 HORIZON_CAP_FACTOR = 64  # traces never run past this many horizons
+PATTERN_LIMIT = 1 << 16  # the sabotage oracle skips paths with more withholding sets
 
 _CONTACT_STREAM = 0
 _POLICY_STREAM = 1
@@ -255,15 +255,15 @@ def _seed_list(seed) -> list[int]:
     return [int(seed)]
 
 
-def _lane_path(n: int, m: int, marked: int, rng: np.random.Generator):
-    """The cartel's lane set and an endless iterator over each slot's contacts.
+def _lane_path(n: int, m: int, marked: int, rng: np.random.Generator, slots: int):
+    """The cartel's lane set and a lazy iterator over the first ``slots`` slots' contacts.
 
     Lanes are numbered 1..n.  The cartel set is drawn first; each slot then
     contacts the first m entries of a fresh permutation, yielded sorted.
     """
     cartel_set = frozenset(int(l) for l in rng.permutation(n)[:marked] + 1)
-    slots = (sorted(int(l) for l in rng.permutation(n)[:m] + 1) for _ in itertools.count())
-    return cartel_set, slots
+    lanes = (sorted(int(l) for l in rng.permutation(n)[:m] + 1) for _ in range(slots))
+    return cartel_set, lanes
 
 
 def _contact_matrix(
@@ -291,11 +291,28 @@ def run_trace(
     key = _seed_list(seed)
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
     policy_rng = np.random.default_rng(key + [_POLICY_STREAM])
+    cartel_set, slot_lanes = _lane_path(
+        instance.n, instance.m, marked, contact_rng, HORIZON_CAP_FACTOR * instance.t_star
+    )
+    return _replay(
+        instance, cartel_set, slot_lanes, policy, policy_rng, key[0] if len(key) == 1 else key
+    )
 
+
+def _replay(
+    instance: SystemInstance,
+    cartel_set: frozenset,
+    slot_lanes,
+    policy: AdversaryPolicy,
+    policy_rng,
+    seed,
+) -> Trace:
+    """Run one path's slots through the policy's decisions to a finished trace.
+
+    ``slot_lanes`` yields each slot's sorted contacted lanes; a path that runs
+    out of slots before decoding ends as a truncated trace.
+    """
     kappa, t_star = instance.kappa, instance.t_star
-    cap = HORIZON_CAP_FACTOR * t_star
-    cartel_set, slot_lanes = _lane_path(instance.n, instance.m, marked, contact_rng)
-
     slots: list[SlotRecord] = []
     records: list[BundleRecord] = []
     included_total = 0
@@ -304,10 +321,7 @@ def run_trace(
     inclusion_time: int | None = None
     truncated = False
 
-    t = 0
-    while True:
-        t += 1
-        lanes = next(slot_lanes)
+    for t, lanes in enumerate(slot_lanes, start=1):
         cartel = [l for l in lanes if l in cartel_set]
         honest = [l for l in lanes if l not in cartel_set]
         flags = policy.include_flags(t, len(cartel), withheld_so_far, instance, policy_rng)
@@ -330,9 +344,8 @@ def run_trace(
             inclusion_time = t
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
-        if t >= cap:
-            truncated = inclusion_time is None
-            break
+    else:
+        truncated = inclusion_time is None
 
     order = tuple(resolve_order(records))
     j_kappa = (
@@ -351,9 +364,9 @@ def run_trace(
 
     return Trace(
         instance=instance,
-        cartel_lanes=marked,
+        cartel_lanes=len(cartel_set),
         policy_config=policy.to_config(),
-        seed=key[0] if len(key) == 1 else key,
+        seed=seed,
         slots=tuple(slots),
         inclusion_order=order,
         inclusion_time=inclusion_time,
@@ -398,18 +411,14 @@ class PayoffBreakdown:
     total: float
 
 
-def payoff_of_trace(
-    trace: Trace, econ: EconParams, mechanism_mode: str = "pivotal"
-) -> PayoffBreakdown:
+def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     """Cartel payoff of a finished trace.
 
     Fees: gamma^(t-1) * f per included cartel bundle, up to the inclusion
     slot.  Bounty: the cartel's exact share of the pivotal allocation,
     discounted to the inclusion slot; zero if decoding never happened or the
-    mechanism is disabled.  MEV option: alpha*v*gamma^t* on delayed paths.
+    bounty is 0.  MEV option: alpha*v*gamma^t* on delayed paths.
     """
-    if mechanism_mode not in ("pivotal", "none"):
-        raise ValueError(f"unknown mechanism mode {mechanism_mode!r}")
     inst = trace.instance
     f = econ.proposer_fee(inst.s)
     g = econ.gamma
@@ -424,8 +433,7 @@ def payoff_of_trace(
 
     bounty = 0.0
     if (
-        mechanism_mode == "pivotal"
-        and econ.bounty > 0
+        econ.bounty > 0
         and trace.inclusion_time is not None
         and len(trace.inclusion_order) >= inst.kappa
     ):
@@ -513,11 +521,6 @@ def trace_from_json_with_econ(
     return trace, payoff, econ
 
 
-def trace_from_json(line: str) -> tuple[Trace, PayoffBreakdown | None]:
-    trace, payoff, _ = trace_from_json_with_econ(line)
-    return trace, payoff
-
-
 # --- theorem verification --------------------------------------------------
 
 
@@ -529,64 +532,63 @@ class SabotageReport:
     paths_with_delay_option: int
     paths_skipped: int
     violations: int
-    assumption_static_fees: bool
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
 
+@dataclass(frozen=True)
+class _WithholdPattern(AdversaryPolicy):
+    """Include flags per slot, in lane order, for the first slots; include the rest."""
+
+    flags: tuple[tuple[bool, ...], ...]
+    name = "withhold_pattern"
+
+    def include_flags(self, t, contacts, withheld_so_far, instance, rng):
+        return self.flags[t - 1] if t <= len(self.flags) else (True,) * contacts
+
+
 def minimal_sabotage_exhaustive(
-    instance: SystemInstance,
-    beta,
-    econ: EconParams,
-    paths: int,
-    seed,
-    assume_static_fees: bool = True,
-    pattern_limit: int = 1 << 16,
+    instance: SystemInstance, beta, econ: EconParams, paths: int, seed
 ) -> SabotageReport:
     """Enumerate every withholding pattern on sampled paths.
 
     For each sampled contact path, all subsets of pre-horizon cartel bundles
-    are tried as withholding sets.  Among the delay-achieving subsets, every
-    payoff maximizer must withhold exactly slack+1 bundles.  Only meaningful
-    under nonnegative net marginal inclusion payoff; when that assumption is
-    dropped the enumeration is skipped and reported as not applicable.
+    are tried as withholding sets.  Each delay-achieving subset is replayed
+    like :func:`run_trace` and priced by :func:`payoff_of_trace`; every payoff
+    maximizer must withhold exactly slack+1 bundles.  The theorem's premise
+    is a positive proposer fee: at fee 0 extra withholding can cost nothing,
+    and the oracle reports the resulting ties as violations.  Paths with more
+    than ``PATTERN_LIMIT`` subsets are skipped and counted.
     """
+    if paths < 1:
+        raise ValueError("need at least one path")
     if instance.t_star * instance.m > 18:
         raise ValueError("exhaustive enumeration is limited to t* * m <= 18")
     if instance.s != 1:
         raise ValueError("enumeration assumes single-symbol bundles (s = 1)")
-    if not assume_static_fees:
-        return SabotageReport(0, 0, 0, 0, assumption_static_fees=False)
 
     marked = cartel_lane_count(instance.n, beta)
-    kappa, t_star, delta = instance.kappa, instance.t_star, instance.delta
-    f = econ.proposer_fee(instance.s)
-    g = econ.gamma
-    cap = HORIZON_CAP_FACTOR * t_star
-
+    t_star, delta = instance.t_star, instance.delta
     key = _seed_list(seed)
     with_delay = 0
     skipped = 0
     violations = 0
 
     for path_idx in range(paths):
-        rng = np.random.default_rng(key + [_CONTACT_STREAM, path_idx])
-        cartel_set, lanes = _lane_path(instance.n, instance.m, marked, rng)
-        slot_lanes = list(itertools.islice(lanes, cap))
-
-        # pre-horizon cartel bundle positions, in resolution order
-        positions = [
-            (t, lane)
-            for t in range(1, t_star + 1)
-            for lane in slot_lanes[t - 1]
-            if lane in cartel_set
-        ]
-        c = len(positions)
+        path_key = key + [_CONTACT_STREAM, path_idx]
+        rng = np.random.default_rng(path_key)
+        # At most the t*m pre-horizon contacts are withheld and t*m >= kappa,
+        # so the t* slots after the horizon reach decoding: T <= 2t*, and a
+        # replay stops by slot 2t*+1.
+        cartel_set, lanes = _lane_path(instance.n, instance.m, marked, rng, 2 * t_star + 1)
+        slot_lanes = list(lanes)
+        counts = [sum(lane in cartel_set for lane in slot) for slot in slot_lanes[:t_star]]
+        c = sum(counts)
         if c <= delta:
             continue  # no delay-achieving pattern exists on this path
-        if 1 << c > pattern_limit:
+        if 1 << c > PATTERN_LIMIT:
             skipped += 1
             continue
         with_delay += 1
@@ -594,37 +596,16 @@ def minimal_sabotage_exhaustive(
         best_payoff = -math.inf
         best_cardinalities: set[int] = set()
         for mask in range(1 << c):
-            withheld = {positions[i] for i in range(c) if mask >> i & 1}
-            w_count = len(withheld)
+            w_count = bin(mask).count("1")
             if w_count <= delta:
                 continue  # not delay-achieving
-
-            owners: list[str] = []
-            fee = 0.0
-            included = 0
-            inclusion_time = None
-            for t in range(1, cap + 1):
-                x_t = 0
-                for lane in slot_lanes[t - 1]:
-                    is_cartel = lane in cartel_set
-                    if t <= t_star and is_cartel and (t, lane) in withheld:
-                        continue
-                    if included < kappa:
-                        owners.append("cartel" if is_cartel else "honest")
-                    included += 1
-                    if is_cartel:
-                        x_t += 1
-                fee += g ** (t - 1) * f * x_t
-                if included >= kappa:
-                    inclusion_time = t
-                    break
-            if inclusion_time is None:
-                raise RuntimeError("path too short to realize inclusion")
-
-            j = cartel_prefix_count(owners, kappa)
-            bounty = g**inclusion_time * j * econ.bounty / kappa
-            mev = econ.mev_exposure * g**t_star
-            payoff = fee + bounty + mev
+            flags, rest = [], mask
+            for count in counts:
+                flags.append(tuple(not rest >> i & 1 for i in range(count)))
+                rest >>= count
+            policy = _WithholdPattern(tuple(flags))
+            trace = _replay(instance, cartel_set, slot_lanes, policy, None, path_key)
+            payoff = payoff_of_trace(trace, econ).total
 
             if payoff > best_payoff + 1e-12:
                 best_payoff = payoff
@@ -640,7 +621,6 @@ def minimal_sabotage_exhaustive(
         paths_with_delay_option=with_delay,
         paths_skipped=skipped,
         violations=violations,
-        assumption_static_fees=True,
     )
 
 
@@ -675,18 +655,14 @@ def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
 
 @dataclass(frozen=True)
 class PathwiseReport:
-    """Outcome of the pathwise theorem battery."""
+    """Outcome of the pathwise dominance check."""
 
     dominance_paths: int
     dominance_violations: int
-    sabotage: SabotageReport | None
 
     @property
     def passed(self) -> bool:
-        ok = self.dominance_violations == 0
-        if self.sabotage is not None:
-            ok = ok and self.sabotage.passed
-        return ok
+        return self.dominance_violations == 0
 
 
 def verify_pathwise_theorems(
@@ -695,18 +671,17 @@ def verify_pathwise_theorems(
     trials: int,
     seed,
     policies: Sequence[AdversaryPolicy] | None = None,
-    sabotage_econ: EconParams | None = None,
-    sabotage_paths: int = 25,
-    assume_static_fees: bool = True,
 ) -> PathwiseReport:
-    """Check the pathwise dominance and minimal sabotage on one instance.
+    """Check the pathwise dominance on one instance.
 
-    Dominance: on shared contact paths, no policy's delay indicator may
-    exceed full withholding's, with zero violations allowed.  The sabotage
-    enumeration runs only when the instance is small enough and an econ is
-    supplied.  Prefix monotonicity does not depend on the instance; it is
-    checked on its own by :func:`prefix_monotonicity_exhaustive`.
+    On shared contact paths, no policy's delay indicator may exceed full
+    withholding's, with zero violations allowed.  Minimal sabotage and prefix
+    monotonicity are checked on their own by
+    :func:`minimal_sabotage_exhaustive` and
+    :func:`prefix_monotonicity_exhaustive`.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if policies is None:
         policies = [
             FullInclude(),
@@ -728,19 +703,4 @@ def verify_pathwise_theorems(
         delayed = withheld > instance.delta
         violations += int((delayed & ~baseline).sum())
 
-    sabotage = None
-    if sabotage_econ is not None and instance.t_star * instance.m <= 18:
-        sabotage = minimal_sabotage_exhaustive(
-            instance,
-            beta,
-            sabotage_econ,
-            paths=sabotage_paths,
-            seed=key + [2],
-            assume_static_fees=assume_static_fees,
-        )
-
-    return PathwiseReport(
-        dominance_paths=trials,
-        dominance_violations=violations,
-        sabotage=sabotage,
-    )
+    return PathwiseReport(dominance_paths=trials, dominance_violations=violations)

@@ -141,9 +141,7 @@ def test_c06_minimal_sabotage_exhaustive():
     for m, kappa in grid:
         inst = SystemInstance.from_kappa(10, m, kappa)
         assert inst.t_star * inst.m <= 18
-        report = minimal_sabotage_exhaustive(
-            inst, 0.3, econ, paths=30, seed=[SEED, m, kappa], assume_static_fees=True
-        )
+        report = minimal_sabotage_exhaustive(inst, 0.3, econ, paths=30, seed=[SEED, m, kappa])
         assert report.violations == 0, f"violation on m={m}, kappa={kappa}"
         checked_paths += report.paths_with_delay_option
     assert checked_paths > 100  # the grid must actually exercise delay-capable paths

@@ -210,7 +210,6 @@ class TestPayoffs:
         trace = run_trace(SMALL, 0.25, FullInclude(), seed=2)
         econ0 = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=0.0)
         assert payoff_of_trace(trace, econ0).bounty_revenue == 0.0
-        assert payoff_of_trace(trace, ECON, mechanism_mode="none").bounty_revenue == 0.0
 
     def test_single_symbol_bounty_is_the_closed_form(self):
         # For s = 1 the pivotal payment is g**T * j * B / kappa.
@@ -256,28 +255,18 @@ class TestTheoremBattery:
     def test_dominance_and_sabotage_on_reference_instance(self):
         inst = SystemInstance.from_kappa(10, 3, 6)  # t*=2, delta=0, t*m=6
         econ = EconParams.normalized(fee=1.0, alpha_v=30.0, gamma=0.9, bounty=12.0)
-        report = verify_pathwise_theorems(
-            inst, 0.3, trials=4000, seed=17, sabotage_econ=econ, sabotage_paths=20
-        )
+        report = verify_pathwise_theorems(inst, 0.3, trials=4000, seed=17)
         assert report.dominance_violations == 0
-        assert report.sabotage is not None
-        assert report.sabotage.passed
-        assert report.sabotage.paths_with_delay_option > 0
         assert report.passed
+        sabotage = minimal_sabotage_exhaustive(inst, 0.3, econ, paths=20, seed=[17, 2])
+        assert sabotage.passed
+        assert sabotage.paths_with_delay_option > 0
 
     def test_sabotage_with_positive_slack(self):
         inst = SystemInstance.from_kappa(10, 3, 5)  # t*=2, delta=1
         econ = EconParams.normalized(fee=1.0, alpha_v=30.0, gamma=0.9, bounty=12.0)
         report = minimal_sabotage_exhaustive(inst, 0.3, econ, paths=30, seed=23)
         assert report.passed
-
-    def test_sabotage_skipped_without_static_fee_assumption(self):
-        inst = SystemInstance.from_kappa(10, 3, 6)
-        report = minimal_sabotage_exhaustive(
-            inst, 0.3, ECON, paths=5, seed=1, assume_static_fees=False
-        )
-        assert not report.assumption_static_fees
-        assert report.paths_checked == 0
 
     def test_sabotage_oracle_can_fail_without_a_proposer_fee(self):
         """The theorem's premise is a positive proposer fee.
@@ -314,6 +303,13 @@ class TestTheoremBattery:
                     report = minimal_sabotage_exhaustive(inst, beta, econ, paths=PATHS, seed=key)
                     got = (report.paths_with_delay_option, report.paths_skipped, report.violations)
                     assert got == reference_sabotage_report(inst, beta, econ, PATHS, key)
+
+    def test_empty_runs_rejected(self):
+        inst = SystemInstance.from_kappa(10, 3, 6)
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_pathwise_theorems(inst, 0.3, trials=0, seed=1)
+        with pytest.raises(ValueError, match="at least one path"):
+            minimal_sabotage_exhaustive(inst, 0.3, ECON, paths=0, seed=1)
 
     def test_sabotage_rejects_oversized_instances(self):
         big = SystemInstance.from_kappa(100, 20, 30)
