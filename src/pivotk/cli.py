@@ -556,6 +556,8 @@ def cmd_advise(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.traces < 1:
+        raise ConfigError("--traces must be a positive integer")
     cfg = _load_config(args)
     try:
         policy = simulator.policy_from_spec(args.policy)
@@ -595,6 +597,8 @@ def cmd_replay(args) -> int:
             # All four stored floats, total included, must recur exactly.
             if simulator.payoff_of_trace(trace, econ) != stored:
                 mismatches += 1
+    if total == 0:
+        raise ConfigError(f"{args.input}: no trace lines to check")
     sys.stdout.write(
         json.dumps({"traces": total, "mismatches": mismatches}) + "\n"
     )

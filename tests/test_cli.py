@@ -392,6 +392,25 @@ class TestSimulateReplay:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {out_path}:2: {reason}")
 
+    @pytest.mark.parametrize("traces", ["0", "-3"])
+    def test_simulate_rejects_nonpositive_traces(self, capsys, tmp_path, traces):
+        out_path = tmp_path / "traces.jsonl"
+        code = main(["simulate", "--traces", traces, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "config error: --traces must be a positive integer\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n"], ids=["empty", "newline", "blank"])
+    def test_replay_rejects_file_without_traces(self, capsys, tmp_path, text):
+        out_path = tmp_path / "traces.jsonl"
+        out_path.write_text(text)
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {out_path}: no trace lines to check\n"
+
     def test_replay_rejects_line_without_payoff(self, capsys, tmp_path):
         trace = run_trace(SystemInstance.from_kappa(10, 3, 6), 0.2, FullWithhold(), seed=1)
         out_path = tmp_path / "traces.jsonl"
