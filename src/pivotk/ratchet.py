@@ -8,7 +8,6 @@ shrinks the cartel's effective fraction slot over slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,27 +23,10 @@ from .probability import (
 )
 
 __all__ = [
-    "RatchetState",
     "q_rat_first_slot",
-    "beta_shrink",
     "ratchet_multi_slot_delay",
     "honest_miss_delay_bound",
 ]
-
-
-@dataclass(frozen=True)
-class RatchetState:
-    """Eligible-pool bookkeeping after some lanes have been flagged."""
-
-    eligible_count: int
-    flagged_count: int
-    cartel_remaining: int
-
-    @property
-    def effective_beta(self) -> float:
-        if self.eligible_count <= 0:
-            return 0.0
-        return self.cartel_remaining / self.eligible_count
 
 
 def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> Prob:
@@ -56,18 +38,6 @@ def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> Prob:
     """
     law = cartel_contact_law(n, beta, schedule.first_slot_contacts)
     return hypergeom_tail_ge(law, schedule.delta_rec + 1)
-
-
-def beta_shrink(n: int, beta, flagged: int) -> float:
-    """Effective cartel fraction after ``flagged`` cartel lanes are excluded."""
-    marked = cartel_lane_count(n, beta)
-    if flagged < 0:
-        raise ValueError("flagged count must be nonnegative")
-    if flagged > marked:
-        raise ValueError(
-            f"cannot flag {flagged} cartel lanes; only {marked} exist"
-        )
-    return (marked - flagged) / (n - flagged)
 
 
 def ratchet_multi_slot_delay(

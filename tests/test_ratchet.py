@@ -1,4 +1,4 @@
-"""Adaptive-sender ratchet: first-slot tails, pool shrinkage, honest misses."""
+"""Adaptive-sender ratchet: first-slot tails, multi-slot spreads, honest misses."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from pivotk.delay import exact_q0
 from pivotk.geometry import ContactSchedule, SystemInstance
 from pivotk.probability import DiscreteDistribution, HypergeomLaw
 from pivotk.ratchet import (
-    RatchetState,
-    beta_shrink,
     honest_miss_delay_bound,
     q_rat_first_slot,
     ratchet_multi_slot_delay,
@@ -76,29 +74,6 @@ class TestFirstSlotTail:
             assert float(q_rat_first_slot(schedule, 100, beta)) == pytest.approx(
                 float(exact_q0(inst, beta)), rel=1e-12
             )
-
-
-class TestBetaShrink:
-    def test_no_flags(self):
-        assert beta_shrink(100, 0.2, 0) == pytest.approx(0.2)
-
-    def test_five_flags(self):
-        assert beta_shrink(100, 0.2, 5) == pytest.approx(15 / 95)
-
-    def test_cartel_exhausted(self):
-        assert beta_shrink(100, 0.2, 20) == 0.0
-
-    def test_overflag_rejected(self):
-        with pytest.raises(ValueError):
-            beta_shrink(100, 0.2, 21)
-
-    def test_strictly_decreasing(self):
-        values = [beta_shrink(100, 0.2, f) for f in range(21)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_state_effective_beta(self):
-        state = RatchetState(eligible_count=95, flagged_count=5, cartel_remaining=15)
-        assert state.effective_beta == pytest.approx(15 / 95)
 
 
 class TestMultiSlotRatchet:
