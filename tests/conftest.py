@@ -91,7 +91,7 @@ def exact_ratchet_tail_gt(
     return sum((p for w, p in law.items() if w > threshold), Fraction(0))
 
 
-def reference_sabotage_report(instance, beta, econ, paths, seed, pattern_limit=1 << 16):
+def reference_sabotage_report(instance, beta, econ, paths, seed):
     """(paths_with_delay_option, paths_skipped, violations) by a standalone enumerator.
 
     Draws each path's lanes from the stream ``seed + [0, path_idx]`` exactly
@@ -126,7 +126,7 @@ def reference_sabotage_report(instance, beta, econ, paths, seed, pattern_limit=1
         c = len(positions)
         if c <= delta:
             continue
-        if 1 << c > pattern_limit:
+        if c > 16:  # more than 2**16 withholding sets
             skipped += 1
             continue
         with_delay += 1
