@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
+from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums
 
 
 def exact_hypergeom_pmf(population: int, successes: int, draws: int, k: int) -> Fraction:
@@ -89,6 +90,54 @@ def exact_ratchet_tail_gt(
                     nxt[step] = nxt.get(step, Fraction(0)) + p * q
         law = nxt
     return sum((p for w, p in law.items() if w > threshold), Fraction(0))
+
+
+def reference_distribution_of_T0(instance, beta) -> tuple[DiscreteDistribution, float]:
+    """(law, residual_mass) of the inclusion slot by the original scalar DP.
+
+    This is the pre-vectorization ``incentives.distribution_of_T0`` kept
+    verbatim (automatic cap only): a triple loop over cap x kappa x support
+    that reruns from slot 1 each time the cap doubles.  The production pass
+    must reproduce every float of it bit for bit.
+    """
+    slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
+    h_lo = instance.m - slot.support_max
+    h_pmf = slot.masses[::-1]
+    kappa, t_star = instance.kappa, instance.t_star
+
+    def run(cap: int) -> tuple[list[float], float]:
+        alive = [0.0] * kappa  # index u: P[sum of honest so far = u, T not yet hit]
+        alive[0] = 1.0
+        hit: list[float] = []
+        for _ in range(cap):
+            nxt = [0.0] * kappa
+            reached = 0.0
+            for u, pu in enumerate(alive):
+                if pu == 0.0:
+                    continue
+                for i, ph in enumerate(h_pmf):
+                    if ph == 0.0:
+                        continue
+                    v = u + h_lo + i
+                    if v >= kappa:
+                        reached += pu * ph
+                    else:
+                        nxt[v] += pu * ph
+            hit.append(reached)
+            alive = nxt
+        return hit, math.fsum(alive)
+
+    cap = max(t_star + 8, 2 * t_star)
+    while True:
+        hit, residual = run(cap)
+        if residual < 1e-12:
+            break
+        if cap > 65536 * instance.t_star:
+            raise ValueError("inclusion-time law does not concentrate; check parameters")
+        cap *= 2
+
+    assert all(p == 0.0 for p in hit[: t_star - 1])
+    return DiscreteDistribution(t_star, tuple(hit[t_star - 1 :]), strict=False), residual
 
 
 def reference_sabotage_report(instance, beta, econ, paths, seed):

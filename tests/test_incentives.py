@@ -30,6 +30,8 @@ from pivotk.incentives import (
     sender_ir_bound,
 )
 
+from conftest import reference_distribution_of_T0
+
 PAPER_ECON = EconParams.normalized(fee=1.0, alpha_v=100.0, gamma=0.99)
 
 
@@ -250,7 +252,36 @@ class TestPhiThreshold:
         assert math.isfinite(value) and value > 0
 
 
+def _random_t0_instance(seed: int) -> tuple[SystemInstance, float]:
+    """A seeded instance with n in [5, 1000], s in {1, 2, 3}, t* in 1..4."""
+    rng = random.Random(f"T0-bits:{seed}")
+    n = int(round(5 * 200 ** rng.random()))
+    m = rng.randint(1, n)
+    s = rng.choice((1, 2, 3))
+    cartel = 0 if seed % 8 == 0 else rng.randint(1, n // 2)
+    t_star = rng.randint(1, 4)
+    kappa = rng.randint((t_star - 1) * m + 1, t_star * m)
+    return SystemInstance(n=n, m=m, s=s, K=kappa * s - rng.randint(0, s - 1)), cartel / n
+
+
+_T0_BIT_CASES = [_random_t0_instance(seed) for seed in range(96)] + [
+    # kappa below one slot's minimum honest count (20 - 4 = 16): T = 1 surely.
+    (SystemInstance.from_kappa(20, 20, 12), 0.2),
+    (SystemInstance.from_kappa(100, 20, 40), 0.2),  # knife edge, t* = 2
+    (SystemInstance.from_kappa(10_000, 2_000, 980), 0.2),  # bench's n = 10 000, t* = 1 op
+]
+
+
 class TestInclusionTimeLaw:
+    @pytest.mark.parametrize("case", range(len(_T0_BIT_CASES)))
+    def test_bit_identical_to_reference_dp(self, case):
+        inst, beta = _T0_BIT_CASES[case]
+        ref_law, ref_residual = reference_distribution_of_T0(inst, beta)
+        got = distribution_of_T0(inst, beta)
+        assert [p.hex() for p in got.law.masses] == [p.hex() for p in ref_law.masses]
+        assert got.residual_mass.hex() == ref_residual.hex()
+        assert (got.law.offset, got.law.support_max) == (ref_law.offset, ref_law.support_max)
+
     def test_no_cartel_point_mass(self, table_instances):
         law = distribution_of_T0(table_instances[30], 0.0)
         assert law.law.pmf(table_instances[30].t_star) == pytest.approx(1.0)
