@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .geometry import SystemInstance, cartel_lane_count
 from .probability import DiscreteDistribution, cartel_contact_law, contact_sums
 
@@ -427,13 +429,12 @@ def sender_ir_bound(
 class InclusionTimeLaw:
     """Law of the inclusion slot under full withholding, truncated at a cap.
 
-    ``law`` carries mass for T in [t*, horizon_cap]; ``residual_mass`` is
-    P[T > horizon_cap], kept separate and required to be under 1e-9.
+    ``law`` carries mass for T in [t*, law.support_max]; ``residual_mass`` is
+    P[T > law.support_max], kept separate and below 1e-12.
     """
 
     law: DiscreteDistribution
     residual_mass: float
-    horizon_cap: int
 
     @property
     def t_star(self) -> int:
@@ -444,87 +445,55 @@ class InclusionTimeLaw:
         return 1.0 - self.law.pmf(self.t_star)
 
     def expected_discount(self, gamma: float) -> float:
-        """E[gamma^T] over the represented mass (residual adds < 1e-9 * gamma^cap)."""
+        """E[gamma^T] over the represented mass (residual adds < 1e-12 * gamma^cap)."""
         return self.law.expected_power(gamma)
 
 
-_RESIDUAL_LIMIT = 1e-9
-_AUTO_RESIDUAL_TARGET = 1e-12
-
-
-def distribution_of_T0(
-    instance: SystemInstance, beta, horizon_cap: int | None = None
-) -> InclusionTimeLaw:
-    """Exact inclusion-time law under full withholding, by honest-count DP.
+def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
+    """Exact inclusion-time law under full withholding, by one forward pass.
 
     Only honest contacts accumulate on-chain; the state is the honest bundle
-    count so far, and inclusion fires at the first slot reaching kappa.  With
-    an explicit cap the truncated mass must come in under 1e-9, otherwise the
-    error names a cap that suffices; the default cap is grown automatically
-    until the residual is negligible.
+    count so far, and inclusion fires at the first slot reaching kappa.  Each
+    slot is stepped once.  The residual P[T > t] is tested at the caps
+    max(t*+8, 2t*), 2x that, 4x that, ..., and the law ends at the first cap
+    whose residual is below 1e-12.
     """
     # A slot's honest contact count is m - A, so its PMF is the cartel slot
     # PMF read backwards, starting at m minus the cartel's support maximum.
     slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
     h_lo = instance.m - slot.support_max
-    h_pmf = slot.masses[::-1]
+    h_pmf = np.array(slot.masses[::-1])
     kappa, t_star = instance.kappa, instance.t_star
 
-    if horizon_cap is not None and horizon_cap < t_star:
-        raise ValueError(f"horizon cap {horizon_cap} is below the horizon {t_star}")
-
-    def run(cap: int) -> tuple[list[float], float]:
-        alive = [0.0] * kappa  # index u: P[sum of honest so far = u, T not yet hit]
-        alive[0] = 1.0
-        hit: list[float] = []
-        for _ in range(cap):
-            nxt = [0.0] * kappa
-            reached = 0.0
-            for u, pu in enumerate(alive):
-                if pu == 0.0:
-                    continue
-                for i, ph in enumerate(h_pmf):
-                    if ph == 0.0:
-                        continue
-                    v = u + h_lo + i
-                    if v >= kappa:
-                        reached += pu * ph
-                    else:
-                        nxt[v] += pu * ph
-            hit.append(reached)
-            alive = nxt
-        return hit, math.fsum(alive)
-
-    if horizon_cap is None:
-        cap = max(t_star + 8, 2 * t_star)
-        while True:
-            hit, residual = run(cap)
-            if residual < _AUTO_RESIDUAL_TARGET:
+    alive = np.zeros(kappa)  # index u: P[sum of honest so far = u, T not yet hit]
+    alive[0] = 1.0
+    hit: list[float] = []
+    cap = max(t_star + 8, 2 * t_star)
+    while True:
+        nxt = np.zeros(kappa)
+        over = [np.zeros(1)]
+        for u in np.flatnonzero(alive).tolist():
+            row = alive[u] * h_pmf
+            lo = u + h_lo
+            split = max(0, kappa - lo)  # row entries that stay below kappa
+            nxt[lo : lo + min(split, row.size)] += row[:split]
+            over.append(row[split:])
+        # The mass reaching kappa is summed strictly in (u, i) order, as the
+        # scalar recursion adds it; np.sum would add pairwise.
+        hit.append(float(np.add.accumulate(np.concatenate(over))[-1]))
+        alive = nxt
+        if len(hit) == cap:
+            residual = math.fsum(alive.tolist())
+            if residual < 1e-12:
                 break
-            if cap > 65536 * instance.t_star:
-                raise ValueError(
-                    "inclusion-time law does not concentrate; check parameters"
-                )
+            if cap > 65536 * t_star:
+                raise ValueError("inclusion-time law does not concentrate; check parameters")
             cap *= 2
-    else:
-        cap = horizon_cap
-        hit, residual = run(cap)
-        if residual >= _RESIDUAL_LIMIT:
-            probe = cap
-            while True:
-                probe *= 2
-                _, probe_res = run(probe)
-                if probe_res < _RESIDUAL_LIMIT or probe > 65536 * instance.t_star:
-                    break
-            raise ValueError(
-                f"horizon cap {cap} leaves residual mass {residual:.3e}; "
-                f"a cap of {probe} suffices"
-            )
 
     # Mass cannot appear before t*: fewer than kappa bundles exist until then.
     assert all(p == 0.0 for p in hit[: t_star - 1])
     law = DiscreteDistribution(t_star, tuple(hit[t_star - 1 :]), strict=False)
-    return InclusionTimeLaw(law=law, residual_mass=residual, horizon_cap=cap)
+    return InclusionTimeLaw(law=law, residual_mass=residual)
 
 
 def bounty_proxies(

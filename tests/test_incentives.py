@@ -303,9 +303,10 @@ class TestInclusionTimeLaw:
         law = distribution_of_T0(table_instances[100], beta)
         assert law.residual_mass < 1e-9
 
-    def test_cap_too_small_names_sufficient_cap(self, table_instances, beta):
-        with pytest.raises(ValueError, match="suffices"):
-            distribution_of_T0(table_instances[100], beta, horizon_cap=6)
+    def test_full_cartel_does_not_concentrate(self):
+        # Every lane is cartel, so no honest bundle ever arrives.
+        with pytest.raises(ValueError, match="does not concentrate"):
+            distribution_of_T0(SystemInstance.from_kappa(5, 2, 3), 1.0)
 
     def test_ir_bound_composition(self, table_instances, beta):
         inst = table_instances[30]
