@@ -272,12 +272,7 @@ def cmd_sweep_ratchet(args) -> int:
 
 def cmd_sweep_race(args) -> int:
     cfg = _load_config(args)
-    race = intra_slot.RaceModel.exponential(
-        cfg.race.slot_duration,
-        cfg.race.seal_deadline,
-        cfg.race.reaction_time,
-        cfg.race.rate,
-    )
+    race = cfg.race.model()
     m = cfg.instance.m
     rho_bar, _, _ = intra_slot.worst_case_rho(race, m)
     lines = ["kappa,r,q_micro,g_inc_upper,g_inc_floor"]

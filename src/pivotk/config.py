@@ -8,6 +8,7 @@ from typing import Any, Mapping
 
 from .geometry import SystemInstance, cartel_lane_count
 from .incentives import EconParams
+from .intra_slot import RaceModel
 
 __all__ = ["AnalysisConfig", "ConfigError", "DEFAULT_CONFIG"]
 
@@ -27,6 +28,12 @@ class RaceConfig:
     seal_deadline: float = 1.0
     reaction_time: float = 0.1
     rate: float = 4.0
+
+    def model(self) -> RaceModel:
+        """The exponential-arrival race model; raises ValueError on bad timings."""
+        return RaceModel.exponential(
+            self.slot_duration, self.seal_deadline, self.reaction_time, self.rate
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -166,6 +173,10 @@ class AnalysisConfig:
             reaction_time=float(race_obj.get("reaction_time", 0.1)),
             rate=float(race_obj.get("rate", 4.0)),
         )
+        try:
+            race.model()
+        except ValueError as exc:
+            raise ConfigError(f"race: {exc}") from exc
 
         usd = float(obj.get("usd_per_fee_unit", 0.10))
         _require(usd > 0, "usd_per_fee_unit must be positive")

@@ -182,6 +182,27 @@ class TestConfigHandling:
         assert "beta = 12/100" in captured.err
 
     @pytest.mark.parametrize(
+        "race, names",
+        [
+            ({"slot_duration": 0}, "slot_duration"),
+            ({"seal_deadline": 2.0}, "seal_deadline"),
+            ({"reaction_time": -0.1}, "reaction_time"),
+            ({"rate": 0}, "rate"),
+        ],
+        ids=["slot_duration", "seal_deadline", "reaction_time", "rate"],
+    )
+    @pytest.mark.parametrize("command", ["sweep-race", "table-main"])
+    def test_bad_race_timing_rejected(self, capsys, tmp_path, race, names, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"race": race}))
+        code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: race: ")
+        assert names in captured.err
+
+    @pytest.mark.parametrize(
         "spec", ["stationary_w", "stationary_w:1.5", "ratchet_spread:-1", "scripted:a", "bogus"]
     )
     def test_bad_policy_spec_rejected(self, capsys, spec):
