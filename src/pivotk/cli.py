@@ -237,11 +237,22 @@ def _even_spread(delta: int, t_star: int) -> tuple[int, ...]:
 
 
 def cmd_sweep_ratchet(args) -> int:
+    epsilon = args.epsilon
+    if not 0.0 <= epsilon < 1.0:
+        raise ConfigError(f"--epsilon must lie in [0, 1), got {epsilon!r}")
     cfg = _load_config(args)
     trials = cfg.trials
     lines = ["kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon"]
-    epsilon = args.epsilon
     n, m = cfg.instance.n, cfg.instance.m
+    marked = cartel_lane_count(n, cfg.beta)
+    # Withholding a whole first slot leaves n - min(m, marked) eligible lanes;
+    # the ratchet needs m of them for every later slot (t* >= 2: kappa > m).
+    if cfg.sweep_max > m and n - min(m, marked) < m:
+        raise ConfigError(
+            f"sweep-ratchet: n={n} lanes, m={m} per slot and a cartel of {marked} "
+            f"lanes let first-slot withholding leave {n - min(m, marked)} < m "
+            f"eligible lanes; use n >= {m + min(m, marked)} or kappa_max <= {m}"
+        )
     first_slot_law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
     for row in delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)):
         if row.t_star < 2:

@@ -251,6 +251,52 @@ class TestSweep:
         assert len(lines) == 6  # every kappa in range has t* >= 2
 
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "1", "-0.1", "nan"])
+    def test_ratchet_sweep_rejects_bad_epsilon(self, capsys, epsilon):
+        code = main(["sweep-ratchet", "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "[0, 1)" in captured.err
+
+    def test_ratchet_sweep_rejects_pool_below_m(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "instance": {"n": 30, "m": 20},
+                    "beta": 0.5,
+                    "sweep": {"kappa_min": 21, "kappa_max": 25},
+                    "mc": {"trials": 50},
+                }
+            )
+        )
+        code = main(["sweep-ratchet", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "n=30" in captured.err and "m=20" in captured.err
+        assert "cartel of 15 lanes" in captured.err
+
+    def test_ratchet_sweep_single_slot_kappas_need_no_pool(self, capsys, tmp_path):
+        # With kappa <= m no row has t* >= 2, so no slot draws from a shrunk pool.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "instance": {"n": 30, "m": 20},
+                    "beta": 0.5,
+                    "sweep": {"kappa_min": 1, "kappa_max": 20},
+                }
+            )
+        )
+        code, out = run_cli(capsys, "sweep-ratchet", "--config", str(cfg_path))
+        assert code == EXIT_OK
+        assert out == "kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon\n"
+
+
 class TestVerifyCommand:
     def test_quick_battery_passes(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
