@@ -493,6 +493,11 @@ def cmd_verify(args) -> int:
 def cmd_advise(args) -> int:
     cfg = _load_config(args, need_cartel=True)
     inst = cfg.instance
+    if cfg.econ.bundle_price(inst.s) <= 0:
+        raise ConfigError(
+            "advise prices the fee share per bundle and needs a positive "
+            "econ.bundle_price (in normalized mode it defaults to econ.fee)"
+        )
     schedule = ContactSchedule.static(inst)
     q0 = float(delay.exact_q0(inst, cfg.beta))
     q_rat = float(ratchet.q_rat_first_slot(schedule, inst.n, cfg.beta))

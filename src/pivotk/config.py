@@ -122,17 +122,17 @@ class AnalysisConfig:
                     forbidden not in econ_obj,
                     f"econ: normalized mode excludes byte-model field {forbidden!r}",
                 )
+            fee = float(econ_obj.get("fee", 1.0))
+            _require(fee >= 0, "econ.fee must be nonnegative")
+            bundle_price = float(econ_obj.get("bundle_price", fee))
+            _require(bundle_price >= 0, "econ.bundle_price must be nonnegative")
             econ = EconParams.normalized(
-                fee=float(econ_obj.get("fee", 1.0)),
+                fee=fee,
                 alpha_v=float(econ_obj.get("alpha_v", 100.0)),
                 gamma=gamma,
                 bounty=bounty,
                 alpha=float(econ_obj.get("alpha", 1.0)),
-                bundle_price=(
-                    float(econ_obj["bundle_price"])
-                    if "bundle_price" in econ_obj
-                    else None
-                ),
+                bundle_price=bundle_price,
             )
         elif mode == "bytes":
             econ = EconParams.byte_model(

@@ -181,6 +181,36 @@ class TestConfigHandling:
         assert captured.err.startswith("config error: ")
         assert "beta = 12/100" in captured.err
 
+    @pytest.mark.parametrize("econ", [{"fee": -1.0}, {"bundle_price": -0.5}])
+    @pytest.mark.parametrize("command", ["table-main", "simulate", "advise"])
+    def test_negative_fee_rejected(self, capsys, tmp_path, econ, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": econ}))
+        code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: econ.")
+        assert "must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("econ", [{"fee": 0.0}, {"bundle_price": 0.0}])
+    def test_advise_needs_positive_bundle_price(self, capsys, tmp_path, econ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": econ}))
+        code = main(["advise", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "positive econ.bundle_price" in captured.err
+
+    def test_zero_fee_accepted_outside_advise(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": {"fee": 0.0}, "table_kappas": [30]}))
+        code, out = run_cli(capsys, "table-main", "--config", str(cfg_path), "--format", "csv")
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 2
+
     @pytest.mark.parametrize(
         "race, names",
         [
