@@ -92,6 +92,33 @@ def exact_ratchet_tail_gt(
     return sum((p for w, p in law.items() if w > threshold), Fraction(0))
 
 
+def exact_distribution_of_T0(instance, beta, slots: int) -> tuple[list[Fraction], Fraction]:
+    """(P[T = t] for t = 1..slots, P[T > slots]) by exact rational DP.
+
+    T is the inclusion slot under full withholding: slot t adds m - A_t
+    honest bundles, A_t ~ Hypergeom(n, beta*n, m) independently, and T is the
+    first slot whose running honest count reaches kappa.  The state is that
+    count, kept only while it is below kappa.
+    """
+    n, m, kappa = instance.n, instance.m, instance.kappa
+    marked = cartel_lane_count(n, beta)
+    honest = {m - a: exact_hypergeom_pmf(n, marked, m, a) for a in range(min(m, marked) + 1)}
+    alive = {0: Fraction(1)}
+    hit = []
+    for _ in range(slots):
+        nxt: dict[int, Fraction] = {}
+        reached = Fraction(0)
+        for u, pu in alive.items():
+            for h, ph in honest.items():
+                if u + h >= kappa:
+                    reached += pu * ph
+                elif ph:
+                    nxt[u + h] = nxt.get(u + h, Fraction(0)) + pu * ph
+        hit.append(reached)
+        alive = nxt
+    return hit, sum(alive.values(), Fraction(0))
+
+
 def reference_distribution_of_T0(instance, beta) -> tuple[DiscreteDistribution, float]:
     """(law, residual_mass) of the inclusion slot by the original scalar DP.
 

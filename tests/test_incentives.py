@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from pivotk.incentives import (
     sender_ir_bound,
 )
 
-from conftest import reference_distribution_of_T0
+from conftest import exact_distribution_of_T0, reference_distribution_of_T0
 
 PAPER_ECON = EconParams.normalized(fee=1.0, alpha_v=100.0, gamma=0.99)
 
@@ -281,6 +282,24 @@ class TestInclusionTimeLaw:
         assert [p.hex() for p in got.law.masses] == [p.hex() for p in ref_law.masses]
         assert got.residual_mass.hex() == ref_residual.hex()
         assert (got.law.offset, got.law.support_max) == (ref_law.offset, ref_law.support_max)
+
+    @pytest.mark.parametrize("t_star, delta", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 0)])
+    @pytest.mark.parametrize("share", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_matches_exact_rational_oracle(self, n, share, t_star, delta):
+        m = n // 2
+        inst = SystemInstance.from_kappa(n, m, t_star * m - delta)
+        got = distribution_of_T0(inst, share)
+        slots = got.law.support_max
+        exact, residual = exact_distribution_of_T0(inst, share, slots)
+        assert sum(exact) + residual == 1
+        tol = slots * 1e-12
+        for t, p in enumerate(exact, start=1):
+            assert abs(got.law.pmf(t) - p) <= tol, t
+        gamma = 0.99
+        exact_discount = sum(Fraction(gamma) ** t * p for t, p in enumerate(exact, start=1))
+        assert abs(got.expected_discount(gamma) - exact_discount) <= tol
+        assert abs(got.residual_mass - residual) <= tol
 
     def test_no_cartel_point_mass(self, table_instances):
         law = distribution_of_T0(table_instances[30], 0.0)
