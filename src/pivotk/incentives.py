@@ -471,17 +471,19 @@ def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
     cap = max(t_star + 8, 2 * t_star)
     while True:
         nxt = np.zeros(kappa)
-        over = [np.zeros(1)]  # seeds the running sum with 0.0; never empty
+        reached = 0.0
         for u in np.flatnonzero(alive).tolist():
             row = alive[u] * h_pmf
             lo = u + h_lo
             split = max(0, kappa - lo)  # row entries that stay below kappa
             nxt[lo : lo + min(split, row.size)] += row[:split]
-            over.append(row[split:])
-        # The mass reaching kappa is summed strictly in (u, i) order, the order
-        # of the scalar recursion in the tests' reference, so every float
-        # matches it; np.sum would add pairwise.
-        hit.append(float(np.add.accumulate(np.concatenate(over))[-1]))
+            if split < row.size:
+                # The mass reaching kappa is summed strictly in (u, i) order,
+                # the order of the scalar recursion in the tests' reference,
+                # so every float matches it; np.sum would add pairwise.
+                row[split] += reached
+                reached = float(np.add.accumulate(row[split:])[-1])
+        hit.append(reached)
         alive = nxt
         if len(hit) == cap:
             residual = math.fsum(alive.tolist())
