@@ -8,7 +8,7 @@ bounds, within-slot race bounds, and a pathwise Monte-Carlo verifier.
 from .config import AnalysisConfig
 from .geometry import ContactSchedule, SystemInstance
 from .incentives import EconParams
-from .probability import DiscreteDistribution, HypergeomLaw, Prob
+from .probability import DiscreteDistribution, HypergeomLaw
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "DiscreteDistribution",
     "EconParams",
     "HypergeomLaw",
-    "Prob",
     "SystemInstance",
     "__version__",
 ]

@@ -43,11 +43,10 @@ def _load_config(args, need_cartel: bool = False) -> AnalysisConfig:
             f"{args.command} prices bounties per cartel lane and needs beta > 0; "
             "set \"beta\" in the config to the cartel's lane fraction"
         )
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_seed(args.seed)
-    if getattr(args, "trials", None) is not None:
+    overrides = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
+    if overrides:
         d = cfg.to_dict()
-        d["mc"]["trials"] = args.trials
+        d["mc"].update(overrides)
         cfg = AnalysisConfig.from_dict(d)
     return cfg
 
@@ -163,10 +162,8 @@ def cmd_table_coalition(args) -> int:
 
 def cmd_table_cost(args) -> int:
     cfg = _load_config(args, need_cartel=True)
-    inst = cfg.instance
-    schedule = ContactSchedule.static(inst)
-    q0 = float(delay.exact_q0(inst, cfg.beta))
-    q_rat = float(ratchet.q_rat_first_slot(schedule, inst.n, cfg.beta))
+    row = _sweep_by_kappa(cfg, [cfg.instance.kappa])[cfg.instance.kappa]
+    q0, q_rat = row.q0, row.q_rat
     ratio = q_rat / cfg.beta
     # USD columns derive from the probabilities at displayed precision, so a
     # reader can reproduce every cell from the printed delay table.
@@ -290,8 +287,8 @@ def cmd_sweep_race(args) -> int:
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, m, kappa)
         upper = intra_slot.g_inc_upper(inst, cfg.beta, rho_bar, cfg.econ.gamma)
-        tail = float(upper.feasibility_tail)
-        rho_floor = float(intra_slot.rho_deadline(inst.r, inst.r, race))
+        tail = upper.feasibility_tail
+        rho_floor = intra_slot.rho_deadline(inst.r, inst.r, race)
         floor = intra_slot.g_inc_floor(inst, rho_floor, tail, cfg.econ.gamma)
         lines.append(f"{kappa},{inst.r},{tail!r},{upper.value!r},{floor!r}")
     _emit(args, "\n".join(lines) + "\n")
@@ -456,7 +453,7 @@ def _suite_knife_edge(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> 
         if kappa % cfg.instance.m != 0:
             continue
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        closed = float(delay.knife_edge_q0(inst, cfg.beta))
+        closed = delay.knife_edge_q0(inst, cfg.beta)
         if abs(closed - sweep[kappa].q0) > 1e-12:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}
@@ -498,10 +495,8 @@ def cmd_advise(args) -> int:
             "advise prices the fee share per bundle and needs a positive "
             "econ.bundle_price (in normalized mode it defaults to econ.fee)"
         )
-    schedule = ContactSchedule.static(inst)
-    q0 = float(delay.exact_q0(inst, cfg.beta))
-    q_rat = float(ratchet.q_rat_first_slot(schedule, inst.n, cfg.beta))
-    q_mic = float(intra_slot.q_micro(inst, cfg.beta))
+    row = _sweep_by_kappa(cfg, [inst.kappa])[inst.kappa]
+    q0, q_rat, q_mic = row.q0, row.q_rat, row.q_micro
     b_static, b_ratchet = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat)
     phi_star = incentives.phi_threshold(inst, cfg.beta, cfg.econ, q0)
     t0 = incentives.distribution_of_T0(inst, cfg.beta)
@@ -578,7 +573,7 @@ def cmd_simulate(args) -> int:
     for i in range(args.traces):
         trace = simulator.run_trace(cfg.instance, cfg.beta, policy, [cfg.seed, i])
         payoff = simulator.payoff_of_trace(trace, cfg.econ)
-        lines.append(simulator.trace_to_json(trace, payoff, econ=cfg.econ))
+        lines.append(simulator.trace_to_json(trace, payoff, cfg.econ))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -600,11 +595,6 @@ def cmd_replay(args) -> int:
                 raise ConfigError(f"{args.input}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{args.input}:{lineno}: {exc}") from exc
-            if stored is None or econ is None:
-                raise ConfigError(
-                    f"{args.input}:{lineno}: no stored payoff and econ to check "
-                    "(write traces with pivotk simulate)"
-                )
             # All four stored floats, total included, must recur exactly.
             if simulator.payoff_of_trace(trace, econ) != stored:
                 mismatches += 1

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .geometry import SystemInstance, cartel_lane_count
 from .incentives import EconParams
 from .intra_slot import RaceModel
 
-__all__ = ["AnalysisConfig", "ConfigError", "DEFAULT_CONFIG"]
+__all__ = ["AnalysisConfig", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -106,48 +106,9 @@ class AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"beta: {exc}") from exc
 
-        econ_obj = dict(obj.get("econ", {}))
-        mode = econ_obj.get("mode", "normalized")
-        gamma = float(econ_obj.get("gamma", 0.99))
-        bounty = float(econ_obj.get("bounty", 0.0))
-        if mode == "normalized":
-            for forbidden in (
-                "header_bytes",
-                "metadata_bytes",
-                "symbol_bytes",
-                "per_byte_price",
-                "proposer_share",
-            ):
-                _require(
-                    forbidden not in econ_obj,
-                    f"econ: normalized mode excludes byte-model field {forbidden!r}",
-                )
-            fee = float(econ_obj.get("fee", 1.0))
-            _require(fee >= 0, "econ.fee must be nonnegative")
-            bundle_price = float(econ_obj.get("bundle_price", fee))
-            _require(bundle_price >= 0, "econ.bundle_price must be nonnegative")
-            econ = EconParams.normalized(
-                fee=fee,
-                alpha_v=float(econ_obj.get("alpha_v", 100.0)),
-                gamma=gamma,
-                bounty=bounty,
-                alpha=float(econ_obj.get("alpha", 1.0)),
-                bundle_price=bundle_price,
-            )
-        elif mode == "bytes":
-            econ = EconParams.byte_model(
-                header_bytes=int(econ_obj["header_bytes"]),
-                metadata_bytes=int(econ_obj["metadata_bytes"]),
-                symbol_bytes=int(econ_obj["symbol_bytes"]),
-                per_byte_price=float(econ_obj["per_byte_price"]),
-                proposer_share=float(econ_obj["proposer_share"]),
-                alpha=float(econ_obj["alpha"]),
-                value=float(econ_obj["value"]),
-                gamma=gamma,
-                bounty=bounty,
-            )
-        else:
-            raise ConfigError(f"econ.mode must be 'normalized' or 'bytes', got {mode!r}")
+        econ = EconParams.from_config(
+            {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **dict(obj.get("econ", {}))}
+        )
 
         sweep_obj = dict(obj.get("sweep", {}))
         sweep_min = int(sweep_obj.get("kappa_min", 1))
@@ -158,6 +119,7 @@ class AnalysisConfig:
         trials = int(mc_obj.get("trials", 10_000))
         seed = int(mc_obj.get("seed", 20260809))
         _require(trials >= 1, "mc.trials must be positive")
+        _require(seed >= 0, f"mc.seed must be nonnegative, got {seed}")
 
         kappas = tuple(int(k) for k in obj.get("table_kappas", (10, 20, 30, 50, 100)))
         _require(len(kappas) > 0, "table_kappas must be nonempty")
@@ -224,11 +186,3 @@ class AnalysisConfig:
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: top-level value must be an object")
         return cls.from_dict(obj)
-
-    def with_seed(self, seed: int) -> "AnalysisConfig":
-        d = self.to_dict()
-        d["mc"]["seed"] = int(seed)
-        return AnalysisConfig.from_dict(d)
-
-
-DEFAULT_CONFIG = AnalysisConfig.default

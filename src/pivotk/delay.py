@@ -16,7 +16,6 @@ from typing import Iterable
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .intra_slot import q_micro
 from .probability import (
-    Prob,
     cartel_contact_law,
     chernoff_tail_bound,
     contact_sums,
@@ -37,17 +36,17 @@ __all__ = [
 ]
 
 
-def exact_q0(instance: SystemInstance, beta) -> Prob:
+def exact_q0(instance: SystemInstance, beta) -> float:
     """P[delay] under full withholding: the cumulative contact law past the slack.
 
     Computed from the exact convolution of t* single-slot draws, then a strict
     tail at the slack: P[S > delta].
     """
     law = cartel_contact_law(instance.n, beta, instance.m)
-    return Prob(contact_sums(law, instance.t_star)[-1].tail_gt(instance.delta))
+    return contact_sums(law, instance.t_star)[-1].tail_gt(instance.delta)
 
 
-def knife_edge_q0(instance: SystemInstance, beta) -> Prob:
+def knife_edge_q0(instance: SystemInstance, beta) -> float:
     """Closed form at zero slack: one cartel contact anywhere forces delay.
 
     1 - P[A = 0]^t*, with P[A = 0] the no-contact probability of a single
@@ -57,13 +56,13 @@ def knife_edge_q0(instance: SystemInstance, beta) -> Prob:
         raise ValueError("closed form applies only when the slack is zero")
     marked = cartel_lane_count(instance.n, beta)
     if marked == 0:
-        return Prob(0.0)
+        return 0.0
     log_p0 = log_comb(instance.n - marked, instance.m) - log_comb(
         instance.n, instance.m
     )
     if log_p0 == float("-inf"):
-        return Prob(1.0, 0.0)
-    return Prob(-math.expm1(instance.t_star * log_p0))
+        return 1.0
+    return -math.expm1(instance.t_star * log_p0)
 
 
 class DelayRegime(Enum):
@@ -186,8 +185,8 @@ def sawtooth_sweep(
             t_star=inst.t_star,
             delta=inst.delta,
             q0=sums[inst.t_star - 1].tail_gt(inst.delta),
-            q_rat=float(q_rat_first_slot(ContactSchedule.static(inst), n, beta)),
-            q_micro=float(q_micro(inst, beta)),
+            q_rat=q_rat_first_slot(ContactSchedule.static(inst), n, beta),
+            q_micro=q_micro(inst, beta),
             knife_edge=inst.knife_edge,
         )
         for inst in instances

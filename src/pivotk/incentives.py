@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,16 @@ __all__ = [
     "KnapsackResult",
     "knapsack_select",
 ]
+
+
+# The byte model's size and price fields; normalized mode takes none of them.
+_BYTE_FIELDS = (
+    "header_bytes",
+    "metadata_bytes",
+    "symbol_bytes",
+    "per_byte_price",
+    "proposer_share",
+)
 
 
 @dataclass(frozen=True)
@@ -74,13 +84,7 @@ class EconParams:
             raise ValueError("transaction value must be positive")
         if self.bounty < 0:
             raise ValueError("bounty must be nonnegative")
-        byte_fields = (
-            self.header_bytes,
-            self.metadata_bytes,
-            self.symbol_bytes,
-            self.per_byte_price,
-            self.proposer_share,
-        )
+        byte_fields = [getattr(self, name) for name in _BYTE_FIELDS]
         if self.fee_unit is None:
             if any(f is None for f in byte_fields):
                 raise ValueError("byte model requires all size and price fields")
@@ -181,18 +185,37 @@ class EconParams:
         }
 
     @classmethod
-    def from_config(cls, obj: dict) -> "EconParams":
+    def from_config(cls, obj: Mapping[str, Any]) -> "EconParams":
+        """Parse and validate an econ block, the schema :meth:`to_config` writes.
+
+        The one parser for config files and replayed trace lines.  A missing
+        field raises KeyError; a malformed or out-of-range one raises
+        TypeError or ValueError.
+        """
+        if not isinstance(obj, Mapping):
+            raise TypeError(f"econ must be an object, got {type(obj).__name__}")
         mode = obj.get("mode", "normalized")
+        gamma = float(obj["gamma"])
+        bounty = float(obj.get("bounty", 0.0))
         if mode == "normalized":
+            for name in _BYTE_FIELDS:
+                if name in obj:
+                    raise ValueError(
+                        f"econ: normalized mode excludes byte-model field {name!r}"
+                    )
+            fee = float(obj["fee"])
+            if not fee >= 0:
+                raise ValueError("econ.fee must be nonnegative")
+            bundle_price = float(obj.get("bundle_price", fee))
+            if not bundle_price >= 0:
+                raise ValueError("econ.bundle_price must be nonnegative")
             return cls.normalized(
-                fee=float(obj["fee"]),
+                fee=fee,
                 alpha_v=float(obj["alpha_v"]),
-                gamma=float(obj["gamma"]),
-                bounty=float(obj.get("bounty", 0.0)),
+                gamma=gamma,
+                bounty=bounty,
                 alpha=float(obj.get("alpha", 1.0)),
-                bundle_price=(
-                    float(obj["bundle_price"]) if obj.get("bundle_price") is not None else None
-                ),
+                bundle_price=bundle_price,
             )
         if mode == "bytes":
             return cls.byte_model(
@@ -203,10 +226,10 @@ class EconParams:
                 proposer_share=float(obj["proposer_share"]),
                 alpha=float(obj["alpha"]),
                 value=float(obj["value"]),
-                gamma=float(obj["gamma"]),
-                bounty=float(obj.get("bounty", 0.0)),
+                gamma=gamma,
+                bounty=bounty,
             )
-        raise ValueError(f"unknown econ mode {mode!r}")
+        raise ValueError(f"econ.mode must be 'normalized' or 'bytes', got {mode!r}")
 
 
 def _beta_fraction(instance: SystemInstance, beta) -> float:

@@ -13,7 +13,6 @@ from typing import Callable
 
 from .geometry import SystemInstance, cartel_lane_count
 from .probability import (
-    Prob,
     binomial_tail_ge,
     cartel_contact_law,
     hypergeom_tail_ge,
@@ -120,7 +119,7 @@ class RaceModel:
         return cls(slot_duration, seal_deadline, reaction_time, cdf)
 
 
-def q_micro(instance: SystemInstance, beta) -> Prob:
+def q_micro(instance: SystemInstance, beta) -> float:
     """Feasibility tail of the within-slot race under full inclusion.
 
     The cartel needs all of the last ``r = m - delta`` bundles of the final
@@ -130,7 +129,7 @@ def q_micro(instance: SystemInstance, beta) -> Prob:
     return hypergeom_tail_ge(law, instance.r)
 
 
-def rho_deadline(a: int, r: int, race: RaceModel) -> Prob:
+def rho_deadline(a: int, r: int, race: RaceModel) -> float:
     """P[the r-th of a cartel bundles is actionable before sealing].
 
     Each of the ``a`` received bundles independently beats the deadline with
@@ -154,7 +153,7 @@ def worst_case_rho(race: RaceModel, m: int) -> tuple[float, int, int]:
     best = (0.0, m, 1)
     for r in range(1, m + 1):
         for a in range(r, m + 1):
-            v = float(rho_deadline(a, r, race))
+            v = rho_deadline(a, r, race)
             if v > best[0]:
                 best = (v, a, r)
     return best
@@ -171,7 +170,7 @@ class WithinSlotUpper:
     """
 
     value: float
-    feasibility_tail: Prob
+    feasibility_tail: float
     kl_alternative: float | None
     knife_edge_exact: float | None
     knife_edge_beta_power: float | None
@@ -185,7 +184,7 @@ def g_inc_upper(
         raise ValueError("rho_bar must lie in [0, 1]")
     marked = cartel_lane_count(instance.n, beta)
     tail = q_micro(instance, beta)
-    value = rho_bar * gamma ** (instance.t_star - 1) * float(tail)
+    value = rho_bar * gamma ** (instance.t_star - 1) * tail
 
     beta_frac = marked / instance.n
     ratio = instance.r / instance.m

@@ -15,7 +15,6 @@ import numpy as np
 from .geometry import cartel_lane_count
 
 __all__ = [
-    "Prob",
     "HypergeomLaw",
     "DiscreteDistribution",
     "hypergeom_pmf",
@@ -59,14 +58,6 @@ def _grow_log_fact(n: int) -> None:
         hi, lo = _two_sum(s, lo)
         _LOG_FACT_HI.append(hi)
         _LOG_FACT_LO.append(lo)
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) from the compensated table."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    _grow_log_fact(n)
-    return _LOG_FACT_HI[n] + _LOG_FACT_LO[n]
 
 
 def log_comb(n: int, k: int) -> float:
@@ -115,27 +106,6 @@ def _log_hypergeom_row(law: "HypergeomLaw", lo: int, hi: int) -> np.ndarray:
         + _log_comb_row(law.population - law.successes, law.draws - ks)
         - log_comb(law.population, law.draws)
     )
-
-
-class Prob(float):
-    """A probability that carries its natural log alongside the linear value.
-
-    Tail masses in this model span twenty-plus orders of magnitude; the linear
-    float underflows to 0.0 below ~1e-308 while ``log`` stays finite, so both
-    representations are kept.  Instances behave as plain floats in arithmetic.
-    """
-
-    log: float
-
-    def __new__(cls, value: float, log: float | None = None) -> "Prob":
-        self = super().__new__(cls, value)
-        if log is None:
-            log = math.log(value) if value > 0.0 else NEG_INF
-        self.log = log
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Prob({float(self)!r}, log={self.log!r})"
 
 
 def _logsumexp(terms: Sequence[float]) -> float:
@@ -202,14 +172,13 @@ def hypergeom_pmf(law: HypergeomLaw, k: int) -> float:
     return math.exp(lp) if lp != NEG_INF else 0.0
 
 
-def hypergeom_tail_ge(law: HypergeomLaw, r: int) -> Prob:
+def hypergeom_tail_ge(law: HypergeomLaw, r: int) -> float:
     """P[A >= r], summed exactly over the support in log space."""
     if r <= law.support_min:
-        return Prob(1.0, 0.0)
+        return 1.0
     if r > law.support_max:
-        return Prob(0.0, NEG_INF)
-    ls = _logsumexp(_log_hypergeom_row(law, r, law.support_max).tolist())
-    return Prob(math.exp(ls), ls)
+        return 0.0
+    return math.exp(_logsumexp(_log_hypergeom_row(law, r, law.support_max).tolist()))
 
 
 @dataclass(frozen=True)
@@ -375,18 +344,17 @@ def binomial_pmf_vector(n: int, p: float) -> DiscreteDistribution:
     return DiscreteDistribution(0, masses)
 
 
-def binomial_tail_ge(n: int, p: float, r: int) -> Prob:
+def binomial_tail_ge(n: int, p: float, r: int) -> float:
     """P[Bin(n, p) >= r], exact summation in log space."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if r <= 0:
-        return Prob(1.0, 0.0)
+        return 1.0
     if r > n:
-        return Prob(0.0, NEG_INF)
-    ls = _logsumexp([log_binomial_pmf(n, p, k) for k in range(r, n + 1)])
-    return Prob(math.exp(ls), ls)
+        return 0.0
+    return math.exp(_logsumexp([log_binomial_pmf(n, p, k) for k in range(r, n + 1)]))
 
 
 @dataclass(frozen=True)

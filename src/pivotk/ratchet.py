@@ -16,7 +16,6 @@ from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .probability import (
     DiscreteDistribution,
     MCEstimate,
-    Prob,
     binomial_pmf_vector,
     cartel_contact_law,
     hypergeom_tail_ge,
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> Prob:
+def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> float:
     """Delay probability when withholding is confined to slot one.
 
     Flagged lanes never see another ticket, so the attack must beat the

@@ -447,11 +447,7 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
 # --- serialization ---------------------------------------------------------
 
 
-def trace_to_json(
-    trace: Trace,
-    payoff: PayoffBreakdown | None = None,
-    econ: EconParams | None = None,
-) -> str:
+def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> str:
     """One trace as a single JSON line, replayable and diffable.
 
     Embedding the econ block alongside the payoff makes the line
@@ -474,22 +470,23 @@ def trace_to_json(
         "pivotal_cartel_count": trace.pivotal_cartel_count,
         "delayed": trace.delayed,
         "truncated": trace.truncated,
-    }
-    if payoff is not None:
-        obj["payoff"] = {
+        "payoff": {
             "fee_revenue": payoff.fee_revenue,
             "bounty_revenue": payoff.bounty_revenue,
             "mev_option": payoff.mev_option,
             "total": payoff.total,
-        }
-    if econ is not None:
-        obj["econ"] = econ.to_config()
+        },
+        "econ": econ.to_config(),
+    }
     return json.dumps(obj, separators=(",", ":"))
 
 
-def trace_from_json_with_econ(
-    line: str,
-) -> tuple[Trace, PayoffBreakdown | None, EconParams | None]:
+def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconParams]:
+    """Read back a :func:`trace_to_json` line with its stored payoff and econ.
+
+    Raises KeyError for a missing field and ValueError for a bad value or a
+    line without the payoff and econ blocks a replay checks.
+    """
     obj = json.loads(line)
     if not isinstance(obj, dict) or obj.get("format") != 1:
         raise ValueError("not a trace record of format 1")
@@ -511,14 +508,13 @@ def trace_from_json_with_econ(
         delayed=bool(obj["delayed"]),
         truncated=bool(obj["truncated"]),
     )
-    payoff = None
-    if "payoff" in obj:
-        p = obj["payoff"]
-        payoff = PayoffBreakdown(
-            p["fee_revenue"], p["bounty_revenue"], p["mev_option"], p["total"]
+    if "payoff" not in obj or "econ" not in obj:
+        raise ValueError(
+            "no stored payoff and econ to check (write traces with pivotk simulate)"
         )
-    econ = EconParams.from_config(obj["econ"]) if "econ" in obj else None
-    return trace, payoff, econ
+    p = obj["payoff"]
+    payoff = PayoffBreakdown(p["fee_revenue"], p["bounty_revenue"], p["mev_option"], p["total"])
+    return trace, payoff, EconParams.from_config(obj["econ"])
 
 
 # --- theorem verification --------------------------------------------------

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
-from pivotk.geometry import SystemInstance
-from pivotk.simulator import FullWithhold, run_trace, trace_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -192,6 +191,26 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("config error: econ.")
         assert "must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["simulate", "--seed", "-3"], None),
+            (["verify", "--seed", "-3"], None),
+            (["sweep-ratchet"], {"mc": {"seed": -1}}),
+        ],
+        ids=["simulate", "verify", "sweep-ratchet"],
+    )
+    def test_negative_seed_rejected(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: mc.seed must be nonnegative")
 
     @pytest.mark.parametrize("econ", [{"fee": 0.0}, {"bundle_price": 0.0}])
     def test_advise_needs_positive_bundle_price(self, capsys, tmp_path, econ):
@@ -509,18 +528,65 @@ class TestSimulateReplay:
         assert captured.err == f"config error: {out_path}: no trace lines to check\n"
 
     def test_replay_rejects_line_without_payoff(self, capsys, tmp_path):
-        trace = run_trace(SystemInstance.from_kappa(10, 3, 6), 0.2, FullWithhold(), seed=1)
         out_path = tmp_path / "traces.jsonl"
         run_cli(capsys, "simulate", "--traces", "1", "--out", str(out_path))
-        out_path.write_text(out_path.read_text() + trace_to_json(trace) + "\n")
+        good = out_path.read_text()
+        for dropped in (["payoff"], ["econ"], ["payoff", "econ"]):
+            line = json.loads(good)
+            for key in dropped:
+                del line[key]
+            out_path.write_text(good + json.dumps(line) + "\n")
+            code = main(["replay", "--input", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"config error: {out_path}:2: no stored payoff and econ to check "
+                "(write traces with pivotk simulate)"
+            )
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ({"fee": -1.0}, "econ.fee must be nonnegative"),
+            ({"bundle_price": -0.5}, "econ.bundle_price must be nonnegative"),
+            ({"header_bytes": 5}, "econ: normalized mode excludes byte-model field 'header_bytes'"),
+            ({"mode": "byte"}, "econ.mode must be 'normalized' or 'bytes', got 'byte'"),
+        ],
+        ids=["fee", "bundle_price", "byte-field", "mode"],
+    )
+    def test_replay_rejects_what_config_rejects(self, capsys, tmp_path, edit, reason):
+        out_path = tmp_path / "traces.jsonl"
+        run_cli(capsys, "simulate", "--traces", "1", "--out", str(out_path))
+        line = json.loads(out_path.read_text())
+        line["econ"].update(edit)
+        out_path.write_text(json.dumps(line) + "\n")
         code = main(["replay", "--input", str(out_path)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"config error: {out_path}:2: no stored payoff and econ to check "
-            "(write traces with pivotk simulate)"
-        )
+        assert captured.err == f"config error: {out_path}:1: {reason}\n"
+        with pytest.raises(ConfigError, match=re.escape(reason)):
+            AnalysisConfig.from_dict({"econ": line["econ"]})
+
+    @pytest.mark.parametrize(
+        "econ, reason",
+        [
+            ({"fee": 1.0, "gamma": 0.99}, "missing field 'alpha_v'"),
+            ([1.0, 100.0, 0.99], "econ must be an object, got list"),
+        ],
+        ids=["missing-field", "not-an-object"],
+    )
+    def test_replay_names_bad_econ_block(self, capsys, tmp_path, econ, reason):
+        out_path = tmp_path / "traces.jsonl"
+        run_cli(capsys, "simulate", "--traces", "1", "--out", str(out_path))
+        line = json.loads(out_path.read_text())
+        line["econ"] = econ
+        out_path.write_text(json.dumps(line) + "\n")
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"config error: {out_path}:1: {reason}\n"
 
     def test_replay_detects_tampered_total(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
