@@ -22,6 +22,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+_JSON_TYPES = {list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
+
+
+def _block(obj: Mapping[str, Any], name: str) -> Mapping[str, Any]:
+    """The config block ``name``, which must be a JSON object; absent is empty."""
+    block = obj.get(name, {})
+    if not isinstance(block, Mapping):
+        kind = "null" if block is None else _JSON_TYPES.get(type(block), type(block).__name__)
+        raise ConfigError(f"{name}: must be a JSON object, got {kind}")
+    return block
+
+
 @dataclass(frozen=True)
 class RaceConfig:
     slot_duration: float = 1.0
@@ -76,7 +88,7 @@ class AnalysisConfig:
 
     @classmethod
     def _parse(cls, obj: Mapping[str, Any]) -> "AnalysisConfig":
-        inst_obj = dict(obj.get("instance", {}))
+        inst_obj = _block(obj, "instance")
         n = int(inst_obj.get("n", 100))
         m = int(inst_obj.get("m", 20))
         s = int(inst_obj.get("s", 1))
@@ -107,15 +119,15 @@ class AnalysisConfig:
             raise ConfigError(f"beta: {exc}") from exc
 
         econ = EconParams.from_config(
-            {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **dict(obj.get("econ", {}))}
+            {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **_block(obj, "econ")}
         )
 
-        sweep_obj = dict(obj.get("sweep", {}))
+        sweep_obj = _block(obj, "sweep")
         sweep_min = int(sweep_obj.get("kappa_min", 1))
         sweep_max = int(sweep_obj.get("kappa_max", 120))
         _require(1 <= sweep_min <= sweep_max, "sweep: need 1 <= kappa_min <= kappa_max")
 
-        mc_obj = dict(obj.get("mc", {}))
+        mc_obj = _block(obj, "mc")
         trials = int(mc_obj.get("trials", 10_000))
         seed = int(mc_obj.get("seed", 20260809))
         _require(trials >= 1, "mc.trials must be positive")
@@ -128,7 +140,7 @@ class AnalysisConfig:
         tiers = tuple(float(t) for t in obj.get("mev_tiers_usd", (5.0, 50.0, 5000.0)))
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
 
-        race_obj = dict(obj.get("race", {}))
+        race_obj = _block(obj, "race")
         race = RaceConfig(
             slot_duration=float(race_obj.get("slot_duration", 1.0)),
             seal_deadline=float(race_obj.get("seal_deadline", 1.0)),

@@ -66,7 +66,7 @@ class SystemInstance:
     def __post_init__(self) -> None:
         for name in ("n", "m", "s", "K"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.m > self.n:
             raise ValueError(f"m={self.m} exceeds lane count n={self.n}")
@@ -106,7 +106,8 @@ class SystemInstance:
 
     @classmethod
     def from_config(cls, obj: Mapping) -> "SystemInstance":
-        return cls(n=int(obj["n"]), m=int(obj["m"]), s=int(obj["s"]), K=int(obj["K"]))
+        """The instance :meth:`to_config` wrote; each field must be a JSON integer."""
+        return cls(n=obj["n"], m=obj["m"], s=obj["s"], K=obj["K"])
 
 
 @dataclass(frozen=True)

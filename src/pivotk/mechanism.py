@@ -25,6 +25,7 @@ __all__ = [
     "PaymentEntry",
     "PivotalAllocation",
     "pivotal_allocation",
+    "pivotal_cartel_share",
     "WeightRule",
     "removal_floor",
     "MinimaxReport",
@@ -158,6 +159,26 @@ class PivotalAllocation:
         return json.dumps(rows)
 
 
+def _pivotal_payments(
+    K: int, s: int, budget: Fraction, included: int
+) -> tuple[int, int, Fraction, Fraction]:
+    """``(kappa, r_idx, full, last)`` of the pivotal rule for ``included`` bundles.
+
+    Each symbol index in the first K pays budget/K: a full bundle carries s
+    of them and earns ``full``, the final, possibly partial, bundle carries
+    r_idx and earns ``last``.  Raises :class:`DecodeNotReached` when fewer
+    than kappa bundles were included.
+    """
+    if K < 1 or s < 1:
+        raise ValueError("K and s must be positive")
+    kappa = -(-K // s)
+    r_idx = K - (kappa - 1) * s
+    if included < kappa:
+        raise DecodeNotReached(f"decode needs {kappa} bundles, only {included} included")
+    per_index = budget / K
+    return kappa, r_idx, per_index * s, per_index * r_idx
+
+
 def pivotal_allocation(
     ordered: Sequence[BundleRecord], K: int, s: int, B
 ) -> PivotalAllocation:
@@ -168,18 +189,9 @@ def pivotal_allocation(
     :class:`DecodeNotReached` when the list is shorter than the bundle
     threshold.
     """
-    if K < 1 or s < 1:
-        raise ValueError("K and s must be positive")
-    kappa = -(-K // s)
-    r_idx = K - (kappa - 1) * s
-    if len(ordered) < kappa:
-        raise DecodeNotReached(
-            f"decode needs {kappa} bundles, only {len(ordered)} included"
-        )
     budget = Fraction(B)
-    per_index = budget / K
     # Two exact payments, shared by every entry that earns them.
-    full, last = per_index * s, per_index * r_idx
+    kappa, r_idx, full, last = _pivotal_payments(K, s, budget, len(ordered))
     entries = [
         PaymentEntry(rank, rec.lane, rec.owner, s, full)
         for rank, rec in enumerate(ordered[: kappa - 1], start=1)
@@ -187,6 +199,20 @@ def pivotal_allocation(
     final = ordered[kappa - 1]
     entries.append(PaymentEntry(kappa, final.lane, final.owner, r_idx, last))
     return PivotalAllocation(tuple(entries), kappa, r_idx, budget)
+
+
+def pivotal_cartel_share(owners: Sequence[Owner], K: int, s: int, B) -> Fraction:
+    """The cartel's part of the pivotal allocation, counted from owners alone.
+
+    ``owners`` lists the included bundles' owners in resolution order.  The
+    result is ``pivotal_allocation(ordered, K, s, B).paid_to("cartel")``
+    without a payment entry: one full payment per cartel bundle among the
+    first kappa-1, plus the final payment if the kappa-th bundle is the
+    cartel's.
+    """
+    kappa, _, full, last = _pivotal_payments(K, s, Fraction(B), len(owners))
+    share = cartel_prefix_count(owners, kappa - 1) * full
+    return share + last if owners[kappa - 1] == "cartel" else share
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,7 @@ import numpy as np
 
 from .geometry import SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .mechanism import (
-    BundleRecord,
-    cartel_prefix_count,
-    pivotal_allocation,
-    resolve_order,
-)
+from .mechanism import Owner, cartel_prefix_count, pivotal_cartel_share
 from .probability import MCEstimate
 
 __all__ = [
@@ -228,16 +223,25 @@ class SlotRecord:
     included_cartel: int
 
 
+InclusionRow = tuple[int, int, Owner]  # (slot, lane, owner) of one included bundle
+
+
 @dataclass(frozen=True)
 class Trace:
-    """One sample path: contacts, decisions, resolution order, and outcome."""
+    """One sample path: contacts, decisions, resolution order, and outcome.
+
+    ``inclusion_order`` holds one ``(slot, lane, owner)`` row per included
+    bundle in resolution order: slots ascend, lanes ascend within a slot, and
+    no ``(slot, lane)`` cell holds two bundles, so :func:`resolve_order` would
+    return the rows as they are.
+    """
 
     instance: SystemInstance
     cartel_lanes: int
     policy_config: dict
     seed: int
     slots: tuple[SlotRecord, ...]
-    inclusion_order: tuple[BundleRecord, ...]
+    inclusion_order: tuple[InclusionRow, ...]
     inclusion_time: int | None
     withheld_at_horizon: int
     pivotal_cartel_count: int | None
@@ -310,11 +314,13 @@ def _replay(
     """Run one path's slots through the policy's decisions to a finished trace.
 
     ``slot_lanes`` yields each slot's sorted contacted lanes; a path that runs
-    out of slots before decoding ends as a truncated trace.
+    out of slots before decoding ends as a truncated trace.  Walking each
+    slot's lanes in order appends the included bundles already in resolution
+    order: every ticket ``(0, slot, lane)`` has a cell of its own.
     """
     kappa, t_star = instance.kappa, instance.t_star
     slots: list[SlotRecord] = []
-    records: list[BundleRecord] = []
+    rows: list[InclusionRow] = []
     included_total = 0
     withheld_so_far = 0
     withheld_at_horizon = 0
@@ -323,7 +329,6 @@ def _replay(
 
     for t, lanes in enumerate(slot_lanes, start=1):
         cartel = [l for l in lanes if l in cartel_set]
-        honest = [l for l in lanes if l not in cartel_set]
         flags = policy.include_flags(t, len(cartel), withheld_so_far, instance, policy_rng)
         if len(flags) != len(cartel):
             raise ValueError("policy returned wrong number of decisions")
@@ -332,13 +337,15 @@ def _replay(
         if t == t_star:
             withheld_at_horizon = withheld_so_far
 
-        for lane in honest:
-            records.append(BundleRecord(t, lane, (0, t, lane), "honest"))
-        for lane, inc in zip(cartel, flags):
-            if inc:
-                records.append(BundleRecord(t, lane, (0, t, lane), "cartel"))
-        slots.append(SlotRecord(len(cartel), len(honest), x))
-        included_total += len(honest) + x
+        decisions = iter(flags)  # one per cartel lane, in lane order
+        for lane in lanes:
+            if lane not in cartel_set:
+                rows.append((t, lane, "honest"))
+            elif next(decisions):
+                rows.append((t, lane, "cartel"))
+        honest = len(lanes) - len(cartel)
+        slots.append(SlotRecord(len(cartel), honest, x))
+        included_total += honest + x
 
         if inclusion_time is None and included_total >= kappa:
             inclusion_time = t
@@ -347,10 +354,9 @@ def _replay(
     else:
         truncated = inclusion_time is None
 
-    order = tuple(resolve_order(records))
     j_kappa = (
-        cartel_prefix_count([r.owner for r in order], kappa)
-        if len(order) >= kappa
+        cartel_prefix_count([owner for _, _, owner in rows[:kappa]], kappa)
+        if len(rows) >= kappa
         else None
     )
     delayed = withheld_at_horizon > instance.delta
@@ -368,7 +374,7 @@ def _replay(
         policy_config=policy.to_config(),
         seed=seed,
         slots=tuple(slots),
-        inclusion_order=order,
+        inclusion_order=tuple(rows),
         inclusion_time=inclusion_time,
         withheld_at_horizon=withheld_at_horizon,
         pivotal_cartel_count=j_kappa,
@@ -415,9 +421,10 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     """Cartel payoff of a finished trace.
 
     Fees: gamma^(t-1) * f per included cartel bundle, up to the inclusion
-    slot.  Bounty: the cartel's exact share of the pivotal allocation,
-    discounted to the inclusion slot; zero if decoding never happened or the
-    bounty is 0.  MEV option: alpha*v*gamma^t* on delayed paths.
+    slot.  Bounty: the cartel's exact share of the pivotal allocation
+    (:func:`pivotal_cartel_share`), discounted to the inclusion slot; zero if
+    decoding never happened or the bounty is 0.  MEV option: alpha*v*gamma^t*
+    on delayed paths.
     """
     inst = trace.instance
     f = econ.proposer_fee(inst.s)
@@ -432,19 +439,19 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     )
 
     bounty = 0.0
-    if (
-        econ.bounty > 0
-        and trace.inclusion_time is not None
-        and len(trace.inclusion_order) >= inst.kappa
-    ):
-        alloc = pivotal_allocation(trace.inclusion_order, inst.K, inst.s, econ.bounty)
-        bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
+    order = trace.inclusion_order
+    if econ.bounty > 0 and trace.inclusion_time is not None and len(order) >= inst.kappa:
+        owners = [owner for _, _, owner in order[: inst.kappa]]
+        share = pivotal_cartel_share(owners, inst.K, inst.s, econ.bounty)
+        bounty = g**trace.inclusion_time * float(share)
 
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
 
 
 # --- serialization ---------------------------------------------------------
+
+_PAYOFF_FIELDS = ("fee_revenue", "bounty_revenue", "mev_option", "total")
 
 
 def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> str:
@@ -464,57 +471,140 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
             [s.contacts_cartel, s.contacts_honest, s.included_cartel]
             for s in trace.slots
         ],
-        "inclusion_order": [[r.slot, r.lane, r.owner] for r in trace.inclusion_order],
+        "inclusion_order": trace.inclusion_order,  # rows are written as arrays
         "inclusion_time": trace.inclusion_time,
         "withheld_at_horizon": trace.withheld_at_horizon,
         "pivotal_cartel_count": trace.pivotal_cartel_count,
         "delayed": trace.delayed,
         "truncated": trace.truncated,
-        "payoff": {
-            "fee_revenue": payoff.fee_revenue,
-            "bounty_revenue": payoff.bounty_revenue,
-            "mev_option": payoff.mev_option,
-            "total": payoff.total,
-        },
+        "payoff": {field: getattr(payoff, field) for field in _PAYOFF_FIELDS},
         "econ": econ.to_config(),
     }
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _int_field(value, field: str, lo: int, hi: int | None = None, nullable: bool = False):
+    """``value`` if it is an integer in [lo, hi] (or None when ``nullable``).
+
+    JSON booleans are not integers here.
+    """
+    if value is None and nullable:
+        return value
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        want = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+        raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
+    return value
+
+
 def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconParams]:
     """Read back a :func:`trace_to_json` line with its stored payoff and econ.
 
-    Raises KeyError for a missing field and ValueError for a bad value or a
-    line without the payoff and econ blocks a replay checks.
+    This is the one schema of a trace line: every field must have the type
+    and range :func:`trace_to_json` writes, and the ``inclusion_order`` rows
+    must be in resolution order.  Raises KeyError for a missing field and
+    ValueError, naming the field, for a bad value or for a line without the
+    payoff and econ blocks a replay checks.
     """
     obj = json.loads(line)
-    if not isinstance(obj, dict) or obj.get("format") != 1:
+    if not isinstance(obj, dict) or obj.get("format") != 1 or type(obj["format"]) is not int:
         raise ValueError("not a trace record of format 1")
-    instance = SystemInstance.from_config(obj["instance"])
-    order = tuple(
-        BundleRecord(slot, lane, (0, slot, lane), owner)
-        for slot, lane, owner in obj["inclusion_order"]
-    )
+
+    inst_obj = obj["instance"]
+    if not isinstance(inst_obj, dict):
+        raise ValueError(f"instance must be an object, got {inst_obj!r}")
+    try:
+        instance = SystemInstance.from_config(inst_obj)
+    except ValueError as exc:
+        raise ValueError(f"instance: {exc}") from exc
+    n, m = instance.n, instance.m
+    cartel_lanes = _int_field(obj["cartel_lanes"], "cartel_lanes", 0, n)
+
+    policy = obj["policy"]
+    try:
+        canonical = isinstance(policy, dict) and policy_from_config(policy).to_config() == policy
+    except (KeyError, TypeError, ValueError):
+        canonical = False
+    if not canonical:
+        raise ValueError(f"policy must be a policy block as simulate writes it, got {policy!r}")
+
+    seed = obj["seed"]
+    if not (
+        (type(seed) is int and seed >= 0)
+        or (type(seed) is list and len(seed) > 1 and all(type(x) is int and x >= 0 for x in seed))
+    ):
+        raise ValueError(f"seed must be an integer >= 0 or a list of two or more, got {seed!r}")
+
+    raw_slots = obj["slots"]
+    if type(raw_slots) is not list or not raw_slots:
+        raise ValueError(f"slots must be a nonempty array, got {raw_slots!r}")
+    for t, row in enumerate(raw_slots, start=1):
+        if not (
+            type(row) is list and len(row) == 3 and all(type(v) is int for v in row)
+            and 0 <= row[2] <= row[0] <= cartel_lanes and row[1] >= 0 and row[0] + row[1] == m
+        ):
+            raise ValueError(
+                f"slots row {t} must be [cartel contacts, honest contacts, included cartel] "
+                f"with contacts summing to m={m}, got {row!r}"
+            )
+    horizon = len(raw_slots)
+
+    raw_order = obj["inclusion_order"]
+    if type(raw_order) is not list:
+        raise ValueError(f"inclusion_order must be an array, got {raw_order!r}")
+    order = []
+    last_slot = last_lane = 0
+    for i, row in enumerate(raw_order, start=1):
+        if type(row) is not list or len(row) != 3:
+            raise ValueError(f"inclusion_order row {i} must be [slot, lane, owner], got {row!r}")
+        slot, lane, owner = row
+        if not (
+            type(slot) is int and 1 <= slot <= horizon
+            and type(lane) is int and 1 <= lane <= n
+            and owner in ("honest", "cartel")
+        ):
+            raise ValueError(
+                f"inclusion_order row {i} must be [slot in [1, {horizon}], lane in [1, {n}], "
+                f"'honest' or 'cartel'], got {row!r}"
+            )
+        if slot < last_slot or (slot == last_slot and lane <= last_lane):
+            raise ValueError(
+                f"inclusion_order row {i} {row!r} must come after "
+                f"[{last_slot}, {last_lane}]: rows ascend in (slot, lane)"
+            )
+        last_slot, last_lane = slot, lane
+        order.append((slot, lane, owner))
+
+    for field in ("delayed", "truncated"):
+        if type(obj[field]) is not bool:
+            raise ValueError(f"{field} must be true or false, got {obj[field]!r}")
     trace = Trace(
         instance=instance,
-        cartel_lanes=int(obj["cartel_lanes"]),
-        policy_config=obj["policy"],
-        seed=obj["seed"],
-        slots=tuple(SlotRecord(a, h, x) for a, h, x in obj["slots"]),
-        inclusion_order=order,
-        inclusion_time=obj["inclusion_time"],
-        withheld_at_horizon=int(obj["withheld_at_horizon"]),
-        pivotal_cartel_count=obj["pivotal_cartel_count"],
-        delayed=bool(obj["delayed"]),
-        truncated=bool(obj["truncated"]),
+        cartel_lanes=cartel_lanes,
+        policy_config=policy,
+        seed=seed,
+        slots=tuple(SlotRecord(*row) for row in raw_slots),
+        inclusion_order=tuple(order),
+        inclusion_time=_int_field(obj["inclusion_time"], "inclusion_time", 1, horizon, True),
+        withheld_at_horizon=_int_field(obj["withheld_at_horizon"], "withheld_at_horizon", 0),
+        pivotal_cartel_count=_int_field(
+            obj["pivotal_cartel_count"], "pivotal_cartel_count", 0, instance.kappa, True
+        ),
+        delayed=obj["delayed"],
+        truncated=obj["truncated"],
     )
+
     if "payoff" not in obj or "econ" not in obj:
         raise ValueError(
             "no stored payoff and econ to check (write traces with pivotk simulate)"
         )
     p = obj["payoff"]
-    payoff = PayoffBreakdown(p["fee_revenue"], p["bounty_revenue"], p["mev_option"], p["total"])
-    return trace, payoff, EconParams.from_config(obj["econ"])
+    if not isinstance(p, dict):
+        raise ValueError(f"payoff must be an object, got {p!r}")
+    values = [p[field] for field in _PAYOFF_FIELDS]
+    for field, value in zip(_PAYOFF_FIELDS, values):
+        if type(value) is not float:
+            raise ValueError(f"payoff.{field} must be a float, got {value!r}")
+    return trace, PayoffBreakdown(*values), EconParams.from_config(obj["econ"])
 
 
 # --- theorem verification --------------------------------------------------

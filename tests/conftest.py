@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
+from pivotk.mechanism import BundleRecord, pivotal_allocation, resolve_order
 from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums
+from pivotk.simulator import PayoffBreakdown
 
 
 def exact_hypergeom_pmf(population: int, successes: int, draws: int, k: int) -> Fraction:
@@ -236,6 +238,35 @@ def reference_sabotage_report(instance, beta, econ, paths, seed):
         if best_sizes != {delta + 1}:
             violations += 1
     return with_delay, skipped, violations
+
+
+def reference_payoff_of_trace(trace, econ) -> PayoffBreakdown:
+    """Cartel payoff by the entry-sum rule ``payoff_of_trace`` replaced.
+
+    The trace's rows become ``BundleRecord``s, ``resolve_order`` settles them
+    and the bounty is ``pivotal_allocation(...).paid_to("cartel")``, a sum
+    over per-bundle payment entries.  Fees and the MEV option are computed as
+    in ``payoff_of_trace``, so every field must agree with it exactly.
+    """
+    inst = trace.instance
+    f = econ.proposer_fee(inst.s)
+    g = econ.gamma
+    horizon = trace.inclusion_time if trace.inclusion_time is not None else len(trace.slots)
+    fee = math.fsum(
+        g ** (t - 1) * f * rec.included_cartel
+        for t, rec in enumerate(trace.slots, start=1)
+        if t <= horizon
+    )
+    order = resolve_order(
+        BundleRecord(slot, lane, (0, slot, lane), owner)
+        for slot, lane, owner in trace.inclusion_order
+    )
+    bounty = 0.0
+    if econ.bounty > 0 and trace.inclusion_time is not None and len(order) >= inst.kappa:
+        alloc = pivotal_allocation(order, inst.K, inst.s, econ.bounty)
+        bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
+    mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
+    return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,21 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("config error: mc.seed must be nonnegative")
 
+    @pytest.mark.parametrize("block", ["instance", "econ", "sweep", "mc", "race"])
+    @pytest.mark.parametrize(
+        "value, kind",
+        [([["fee", 2.0]], "array"), ("x", "string"), (None, "null"), (3, "number"), (True, "boolean")],
+        ids=["pairs", "string", "null", "number", "boolean"],
+    )
+    def test_config_blocks_must_be_objects(self, capsys, tmp_path, block, value, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({block: value}))
+        code = main(["table-main", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {block}: must be a JSON object, got {kind}\n"
+
     @pytest.mark.parametrize("econ", [{"fee": 0.0}, {"bundle_price": 0.0}])
     def test_advise_needs_positive_bundle_price(self, capsys, tmp_path, econ):
         cfg_path = tmp_path / "cfg.json"
@@ -459,6 +474,19 @@ SIMULATE_POLICIES = [
 SIMULATE_SEEDS = [1, 2, 3]
 
 
+def replay_edited_golden(capsys, tmp_path, edit) -> tuple[int, str]:
+    """Replay the first golden trace line (n = 20, kappa 12, four slots)
+    after ``edit`` changed its decoded object; returns (exit code, stderr)."""
+    line = json.loads((GOLDEN / "simulate.jsonl").read_text().splitlines()[0])
+    edit(line)
+    out_path = tmp_path / "traces.jsonl"
+    out_path.write_text(json.dumps(line) + "\n")
+    code = main(["replay", "--input", str(out_path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 class TestSimulateReplay:
     def test_simulate_matches_golden(self, capsys, tmp_path):
         # every policy at every seed, concatenated in (policy, seed) order
@@ -587,6 +615,87 @@ class TestSimulateReplay:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.err == f"config error: {out_path}:1: {reason}\n"
+
+    def test_replay_of_golden_traces_matches(self, capsys):
+        code, out = run_cli(capsys, "replay", "--input", str(GOLDEN / "simulate.jsonl"))
+        assert code == EXIT_OK
+        assert json.loads(out) == {"traces": 72, "mismatches": 0}
+
+    def test_replay_rejects_swapped_rows(self, capsys, tmp_path):
+        def swap(line):
+            rows = line["inclusion_order"]
+            rows[0], rows[1] = rows[1], rows[0]
+
+        code, err = replay_edited_golden(capsys, tmp_path, swap)
+        assert code == EXIT_CONFIG
+        assert err == (
+            f"config error: {tmp_path / 'traces.jsonl'}:1: inclusion_order row 2 "
+            "[1, 1, 'honest'] must come after [1, 8]: rows ascend in (slot, lane)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("inclusion_time", "x", "inclusion_time must be an integer in [1, 4] or null, got 'x'"),
+            ("inclusion_time", True, "inclusion_time must be an integer in [1, 4] or null, got True"),
+            ("inclusion_time", 5, "inclusion_time must be an integer in [1, 4] or null, got 5"),
+            ("pivotal_cartel_count", 13, "pivotal_cartel_count must be an integer in [0, 12] or null"),
+            ("pivotal_cartel_count", 2.0, "pivotal_cartel_count must be an integer in [0, 12] or null"),
+            ("withheld_at_horizon", -1, "withheld_at_horizon must be an integer >= 0, got -1"),
+            ("cartel_lanes", False, "cartel_lanes must be an integer in [0, 20], got False"),
+            ("seed", [1], "seed must be an integer >= 0 or a list of two or more, got [1]"),
+            ("seed", [1, "2"], "seed must be an integer >= 0 or a list of two or more"),
+            ("seed", -4, "seed must be an integer >= 0 or a list of two or more"),
+            ("delayed", 1, "delayed must be true or false, got 1"),
+            ("truncated", None, "truncated must be true or false, got None"),
+            ("policy", {"kind": "stationary_w", "w": "0.5"}, "policy must be a policy block"),
+            ("policy", "full_withhold", "policy must be a policy block"),
+            ("instance", {"n": 20, "m": 5, "s": True, "K": 12}, "instance: s must be a positive"),
+            ("instance", [20, 5, 1, 12], "instance must be an object"),
+            ("slots", [[0, 5]], "slots row 1 must be [cartel contacts, honest contacts, included"),
+            ("slots", [[1, 5, 0]], "slots row 1 must be"),
+            ("slots", [[1, 4, 2]], "slots row 1 must be"),
+            ("slots", [], "slots must be a nonempty array"),
+            ("inclusion_order", {}, "inclusion_order must be an array"),
+            ("payoff", [], "payoff must be an object"),
+        ],
+    )
+    def test_replay_checks_every_field(self, capsys, tmp_path, field, value, reason):
+        code, err = replay_edited_golden(capsys, tmp_path, lambda line: line.update({field: value}))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: {reason}")
+
+    @pytest.mark.parametrize(
+        "index, row, reason",
+        [
+            (0, [1, 1], "row 1 must be [slot, lane, owner]"),
+            (2, [1, 10, "mallory"], "row 3 must be [slot in [1, 4], lane in [1, 20], 'honest' or"),
+            (0, [0, 1, "honest"], "row 1 must be [slot in [1, 4]"),
+            (0, [5, 1, "honest"], "row 1 must be [slot in [1, 4]"),
+            (0, [1, 21, "honest"], "row 1 must be [slot in [1, 4]"),
+            (1, [1, True, "cartel"], "row 2 must be [slot in [1, 4]"),
+            (1, [1, 1, "cartel"], "row 2 [1, 1, 'cartel'] must come after [1, 1]"),
+        ],
+        ids=["short", "owner", "slot-0", "slot-past-end", "lane-past-n", "bool-lane", "same-cell"],
+    )
+    def test_replay_checks_inclusion_rows(self, capsys, tmp_path, index, row, reason):
+        def edit(line):
+            line["inclusion_order"][index] = row
+
+        code, err = replay_edited_golden(capsys, tmp_path, edit)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: inclusion_order {reason}")
+
+    @pytest.mark.parametrize("value", [0, "0.0", True, None])
+    def test_replay_needs_float_payoffs(self, capsys, tmp_path, value):
+        code, err = replay_edited_golden(
+            capsys, tmp_path, lambda line: line["payoff"].update(mev_option=value)
+        )
+        assert code == EXIT_CONFIG
+        assert err == (
+            f"config error: {tmp_path / 'traces.jsonl'}:1: "
+            f"payoff.mev_option must be a float, got {value!r}\n"
+        )
 
     def test_replay_detects_tampered_total(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"

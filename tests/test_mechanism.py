@@ -19,6 +19,7 @@ from pivotk.mechanism import (
     WeightRule,
     minimax_certificate,
     pivotal_allocation,
+    pivotal_cartel_share,
     removal_floor,
     resolve_order,
     ticket_hash_of,
@@ -268,6 +269,38 @@ class TestPivotalAllocation:
         alloc = pivotal_allocation(ordered, 3, 1, 9)
         assert alloc.paid_to("cartel") == 6
         assert alloc.paid_to("honest") == 3
+
+
+class TestCartelShare:
+    """``pivotal_cartel_share`` counts owners; ``paid_to`` sums the entries."""
+
+    @pytest.mark.parametrize("kind", [int, float, Fraction])
+    def test_matches_entry_sum(self, kind):
+        rng = random.Random(11)
+        for _ in range(400):
+            s = rng.randint(1, 6)
+            kappa = rng.randint(1, 20)
+            K = (kappa - 1) * s + rng.randint(1, s)  # partial final bundle when < s
+            raw = rng.randint(1, 10**6)
+            B = {int: raw, float: raw / 7, Fraction: Fraction(raw, 7)}[kind]
+            p = rng.random()
+            length = kappa + rng.randint(0, 3)
+            owners = ["cartel" if rng.random() < p else "honest" for _ in range(length)]
+            ordered = [rec(1, lane, owner=o) for lane, o in enumerate(owners, start=1)]
+            share = pivotal_cartel_share(owners, K, s, B)
+            assert share == pivotal_allocation(ordered, K, s, B).paid_to("cartel")
+
+    def test_partial_final_bundle(self):
+        # K = 10, s = 4: kappa 3, the final bundle carries r_idx = 2 indices.
+        assert pivotal_cartel_share(["cartel", "honest", "cartel"], 10, 4, 1) == Fraction(6, 10)
+        assert pivotal_cartel_share(["honest", "cartel", "honest", "cartel"], 10, 4, 1) == Fraction(2, 5)
+        assert pivotal_cartel_share(["honest"] * 3, 10, 4, 1) == 0
+
+    def test_decode_not_reached(self):
+        with pytest.raises(DecodeNotReached, match="decode needs 3 bundles, only 2 included"):
+            pivotal_cartel_share(["cartel", "cartel"], 3, 1, 5)
+        with pytest.raises(ValueError, match="K and s must be positive"):
+            pivotal_cartel_share(["cartel"], 1, 0, 5)
 
 
 class TestWeightRules:

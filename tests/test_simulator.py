@@ -10,6 +10,7 @@ import pytest
 from pivotk.delay import exact_q0
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import EconParams
+from pivotk.mechanism import BundleRecord, resolve_order
 from pivotk.simulator import (
     FullInclude,
     FullWithhold,
@@ -21,6 +22,7 @@ from pivotk.simulator import (
     minimal_sabotage_exhaustive,
     payoff_of_trace,
     policy_from_config,
+    policy_from_spec,
     prefix_monotonicity_exhaustive,
     run_trace,
     trace_from_json_with_econ,
@@ -28,7 +30,7 @@ from pivotk.simulator import (
     verify_pathwise_theorems,
 )
 
-from conftest import reference_sabotage_report
+from conftest import reference_payoff_of_trace, reference_sabotage_report
 
 PATHS = 8  # sample paths per oracle cross-check run
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
@@ -226,6 +228,53 @@ class TestPayoffs:
         trace = run_trace(SMALL, 0.25, MinimalSabotage(), seed=6)
         p = payoff_of_trace(trace, ECON)
         assert p.total == pytest.approx(p.fee_revenue + p.bounty_revenue + p.mev_option)
+
+
+SIX_POLICIES = [
+    "full_include",
+    "full_withhold",
+    "stationary_w:0.5",
+    "minimal_sabotage",
+    "ratchet_spread:2,1,1",
+    "scripted:1,0,2",
+]
+ROW_INSTANCES = {
+    20: SystemInstance.from_kappa(20, 5, 12),
+    100: SystemInstance.from_kappa(100, 20, 37),
+    1000: SystemInstance.from_kappa(1000, 200, 397),
+}
+
+
+class TestInclusionRows:
+    """``_replay`` writes its rows in resolution order; cross-checked against
+    ``resolve_order`` over the ``BundleRecord``s the rows stand for."""
+
+    @pytest.mark.parametrize("policy", SIX_POLICIES)
+    @pytest.mark.parametrize("n", list(ROW_INSTANCES))
+    def test_rows_are_the_resolution_order(self, policy, n):
+        inst = ROW_INSTANCES[n]
+        rng = np.random.default_rng(n)
+        for seed in range(4 if n == 1000 else 12):
+            trace = run_trace(inst, 0.2, policy_from_spec(policy), seed=[seed, n])
+            rows = list(trace.inclusion_order)
+            records = [BundleRecord(t, lane, (0, t, lane), owner) for t, lane, owner in rows]
+            shuffled = [records[i] for i in rng.permutation(len(records))]
+            resolved = resolve_order(shuffled)
+            assert [(r.slot, r.lane, r.owner) for r in resolved] == rows
+            included = sum(slot.contacts_honest + slot.included_cartel for slot in trace.slots)
+            assert len(rows) == included
+
+    @pytest.mark.parametrize(
+        "inst",
+        [SMALL, SystemInstance(n=20, m=5, s=3, K=35), SystemInstance(n=100, m=20, s=4, K=146)],
+        ids=["s1", "s3-partial", "s4-partial"],
+    )
+    def test_payoff_matches_entry_sum_reference(self, inst):
+        econ = EconParams.normalized(fee=0.5, alpha_v=40.0, gamma=0.97, bounty=37.3)
+        for seed in range(40):
+            policy = policy_from_spec(SIX_POLICIES[seed % len(SIX_POLICIES)])
+            trace = run_trace(inst, 0.25 if inst.n == 20 else 0.2, policy, seed=seed)
+            assert payoff_of_trace(trace, econ) == reference_payoff_of_trace(trace, econ)
 
 
 class TestSerialization:
