@@ -333,11 +333,7 @@ def _suite_conservation(cfg: AnalysisConfig, triples: int = 300) -> dict:
         K = (kappa - 1) * s + int(rng.integers(1, s + 1))
         B = int(rng.integers(1, 10_000))
         count = -(-K // s) + int(rng.integers(0, 5))
-        records = [
-            mechanism.BundleRecord(1, lane + 1, (0, 1, lane + 1), "honest")
-            for lane in range(count)
-        ]
-        alloc = mechanism.pivotal_allocation(records, K, s, B)
+        alloc = mechanism.pivotal_allocation(["honest"] * count, K, s, B)
         if alloc.total_paid != Fraction(B):
             failures += 1
     return {"passed": failures == 0, "triples": triples, "failures": failures}

@@ -1,218 +1,92 @@
-"""Pivotal-bundle bounty rule: resolution order, allocations, and rank weights.
+"""Pivotal-bundle bounty rule: allocations and rank weights.
 
-The bounty budget is split over the first kappa admissibly included bundles
-in the deterministic resolution order; later bundles are redundant for
-decoding and earn nothing.  Payments are exact rationals so that the budget
-conservation invariant holds to the last bit.
+The bounty budget is split over the first kappa included bundles in
+resolution order, ``(slot, lane)`` ascending, which is the order the
+simulator writes a trace's rows in and the order a replayed trace's rows are
+checked to have.  Later bundles are redundant for decoding and earn nothing.
+Payments are exact rationals so that the budget conservation invariant holds
+to the last bit.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 __all__ = [
     "Owner",
-    "BundleRecord",
     "DecodeNotReached",
-    "resolve_order",
-    "PaymentEntry",
     "PivotalAllocation",
     "pivotal_allocation",
-    "pivotal_cartel_share",
     "WeightRule",
     "removal_floor",
     "MinimaxReport",
     "minimax_certificate",
     "cartel_prefix_count",
-    "ticket_hash_of",
 ]
 
 Owner = Literal["honest", "cartel"]
-
-
-def ticket_hash_of(ticket_id) -> int:
-    """Deterministic 64-bit mix of an opaque ticket identifier.
-
-    Stands in for a cryptographic hash in the resolution order; all the order
-    needs is determinism across processes and collision-freeness in practice.
-    """
-    payload = repr(ticket_id).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-
-
-@dataclass(frozen=True)
-class BundleRecord:
-    """One bundle occurrence as seen by the settlement layer."""
-
-    slot: int
-    lane: int
-    ticket_id: object
-    owner: Owner
-    admissible: bool = True
-
-    @property
-    def ticket_hash(self) -> int:
-        return ticket_hash_of(self.ticket_id)
 
 
 class DecodeNotReached(Exception):
     """Raised when fewer bundles than the decode threshold were included."""
 
 
-def resolve_order(records: Iterable[BundleRecord]) -> list[BundleRecord]:
-    """Admissible records in deterministic resolution order.
-
-    The order is by ``(slot, lane)``, with the ticket hash breaking ties
-    inside a cell; a record alone in its cell is never hashed.
-    Non-admissible occurrences are ignored entirely, so stuffing the history
-    with copied or unticketed bundles cannot move anyone's rank.  Each ticket
-    is redeemable once: only its first admissible occurrence in the order
-    survives.  Distinct tickets that collide in the full sort key
-    ``(slot, lane, ticket_hash)`` are rejected rather than tie-broken
-    arbitrarily.
-    """
-    cells: dict[tuple, list[BundleRecord]] = {}
-    for rec in records:
-        if rec.admissible:
-            cells.setdefault((rec.slot, rec.lane), []).append(rec)
-    seen_tickets: set = set()
-    out = []
-    for cell in sorted(cells):
-        group = cells[cell]
-        # A record alone in its cell has no tie to break, so it goes unhashed.
-        keyed = (
-            sorted(((rec.ticket_hash, rec) for rec in group), key=itemgetter(0))
-            if len(group) > 1
-            else [(None, group[0])]
-        )
-        hashes: set = set()
-        for h, rec in keyed:
-            if rec.ticket_id in seen_tickets:
-                continue
-            if h in hashes:
-                raise ValueError(
-                    "distinct tickets collide in the resolution order at "
-                    f"{(rec.slot, rec.lane, h)}"
-                )
-            hashes.add(h)
-            seen_tickets.add(rec.ticket_id)
-            out.append(rec)
-    return out
-
-
-@dataclass(frozen=True)
-class PaymentEntry:
-    rank: int
-    lane: int
-    owner: Owner
-    index_count: int
-    payment: Fraction
-
-
-def _exact_sum(payments: Iterable[Fraction]) -> Fraction:
-    """Exact sum of rationals, accumulated in integers over their common
-    denominator rather than one Fraction addition per term."""
-    ratios = [p.as_integer_ratio() for p in payments]
-    scale = math.lcm(*(den for _, den in ratios))
-    return Fraction(sum(num * (scale // den) for num, den in ratios), scale)
-
-
 @dataclass(frozen=True)
 class PivotalAllocation:
-    """Per-bundle payments over the decoding prefix.
+    """Payments over the decoding prefix.
 
-    The first kappa-1 bundles each carry s fresh symbol indices; the final
-    prefix bundle contributes only the r_idx indices still missing, and is
-    paid pro rata.  Payments always sum to exactly the budget.
+    ``owners`` are the first kappa included bundles' owners in resolution
+    order.  Each of the first kappa-1 carries s fresh symbol indices and earns
+    ``full``; the final bundle contributes only the r_idx indices still
+    missing and earns ``last``, pro rata.  Payments sum to exactly the budget.
     """
 
-    entries: tuple[PaymentEntry, ...]
-    kappa: int
+    owners: tuple[Owner, ...]
     r_idx: int
+    full: Fraction
+    last: Fraction
     budget: Fraction
 
     @property
+    def kappa(self) -> int:
+        return len(self.owners)
+
+    @property
+    def payments(self) -> tuple[Fraction, ...]:
+        """The payment of each rank, 1 to kappa."""
+        return (self.full,) * (self.kappa - 1) + (self.last,)
+
+    @property
     def total_paid(self) -> Fraction:
-        return _exact_sum(e.payment for e in self.entries)
+        return self.full * (self.kappa - 1) + self.last
 
     def paid_to(self, owner: Owner) -> Fraction:
-        return _exact_sum(e.payment for e in self.entries if e.owner == owner)
-
-    def to_json_rows(self) -> str:
-        rows = [
-            {
-                "rank": e.rank,
-                "lane": e.lane,
-                "owner": e.owner,
-                "payment_numerator": e.payment.numerator,
-                "payment_denominator": e.payment.denominator,
-            }
-            for e in self.entries
-        ]
-        return json.dumps(rows)
+        share = self.owners[:-1].count(owner) * self.full
+        return share + self.last if self.owners[-1] == owner else share
 
 
-def _pivotal_payments(
-    K: int, s: int, budget: Fraction, included: int
-) -> tuple[int, int, Fraction, Fraction]:
-    """``(kappa, r_idx, full, last)`` of the pivotal rule for ``included`` bundles.
+def pivotal_allocation(owners: Sequence[Owner], K: int, s: int, B) -> PivotalAllocation:
+    """Split budget ``B`` over the decoding prefix of an inclusion list.
 
-    Each symbol index in the first K pays budget/K: a full bundle carries s
-    of them and earns ``full``, the final, possibly partial, bundle carries
-    r_idx and earns ``last``.  Raises :class:`DecodeNotReached` when fewer
-    than kappa bundles were included.
+    ``owners`` lists the included bundles' owners in resolution order.  Each
+    symbol index in the first K pays B/K; a full bundle therefore earns
+    s*B/K and the final, possibly partial, bundle earns r_idx*B/K.  Raises
+    :class:`DecodeNotReached` when the list is shorter than the bundle
+    threshold.
     """
     if K < 1 or s < 1:
         raise ValueError("K and s must be positive")
     kappa = -(-K // s)
     r_idx = K - (kappa - 1) * s
-    if included < kappa:
-        raise DecodeNotReached(f"decode needs {kappa} bundles, only {included} included")
-    per_index = budget / K
-    return kappa, r_idx, per_index * s, per_index * r_idx
-
-
-def pivotal_allocation(
-    ordered: Sequence[BundleRecord], K: int, s: int, B
-) -> PivotalAllocation:
-    """Split budget ``B`` over the decoding prefix of an ordered inclusion list.
-
-    Each symbol index in the first K pays B/K; a full bundle therefore earns
-    s*B/K and the final, possibly partial, bundle earns r_idx*B/K.  Raises
-    :class:`DecodeNotReached` when the list is shorter than the bundle
-    threshold.
-    """
+    if len(owners) < kappa:
+        raise DecodeNotReached(f"decode needs {kappa} bundles, only {len(owners)} included")
     budget = Fraction(B)
-    # Two exact payments, shared by every entry that earns them.
-    kappa, r_idx, full, last = _pivotal_payments(K, s, budget, len(ordered))
-    entries = [
-        PaymentEntry(rank, rec.lane, rec.owner, s, full)
-        for rank, rec in enumerate(ordered[: kappa - 1], start=1)
-    ]
-    final = ordered[kappa - 1]
-    entries.append(PaymentEntry(kappa, final.lane, final.owner, r_idx, last))
-    return PivotalAllocation(tuple(entries), kappa, r_idx, budget)
-
-
-def pivotal_cartel_share(owners: Sequence[Owner], K: int, s: int, B) -> Fraction:
-    """The cartel's part of the pivotal allocation, counted from owners alone.
-
-    ``owners`` lists the included bundles' owners in resolution order.  The
-    result is ``pivotal_allocation(ordered, K, s, B).paid_to("cartel")``
-    without a payment entry: one full payment per cartel bundle among the
-    first kappa-1, plus the final payment if the kappa-th bundle is the
-    cartel's.
-    """
-    kappa, _, full, last = _pivotal_payments(K, s, Fraction(B), len(owners))
-    share = cartel_prefix_count(owners, kappa - 1) * full
-    return share + last if owners[kappa - 1] == "cartel" else share
+    per_index = budget / K
+    return PivotalAllocation(tuple(owners[:kappa]), r_idx, per_index * s, per_index * r_idx, budget)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .mechanism import Owner, cartel_prefix_count, pivotal_cartel_share
+from .mechanism import Owner, cartel_prefix_count, pivotal_allocation
 from .probability import MCEstimate
 
 __all__ = [
@@ -232,8 +232,7 @@ class Trace:
 
     ``inclusion_order`` holds one ``(slot, lane, owner)`` row per included
     bundle in resolution order: slots ascend, lanes ascend within a slot, and
-    no ``(slot, lane)`` cell holds two bundles, so :func:`resolve_order` would
-    return the rows as they are.
+    no ``(slot, lane)`` cell holds two bundles.
     """
 
     instance: SystemInstance
@@ -422,7 +421,7 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
 
     Fees: gamma^(t-1) * f per included cartel bundle, up to the inclusion
     slot.  Bounty: the cartel's exact share of the pivotal allocation
-    (:func:`pivotal_cartel_share`), discounted to the inclusion slot; zero if
+    (:func:`pivotal_allocation`), discounted to the inclusion slot; zero if
     decoding never happened or the bounty is 0.  MEV option: alpha*v*gamma^t*
     on delayed paths.
     """
@@ -442,8 +441,8 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     order = trace.inclusion_order
     if econ.bounty > 0 and trace.inclusion_time is not None and len(order) >= inst.kappa:
         owners = [owner for _, _, owner in order[: inst.kappa]]
-        share = pivotal_cartel_share(owners, inst.K, inst.s, econ.bounty)
-        bounty = g**trace.inclusion_time * float(share)
+        alloc = pivotal_allocation(owners, inst.K, inst.s, econ.bounty)
+        bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
 
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
-from pivotk.mechanism import BundleRecord, pivotal_allocation, resolve_order
 from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums
 from pivotk.simulator import PayoffBreakdown
 
@@ -240,13 +239,26 @@ def reference_sabotage_report(instance, beta, econ, paths, seed):
     return with_delay, skipped, violations
 
 
-def reference_payoff_of_trace(trace, econ) -> PayoffBreakdown:
-    """Cartel payoff by the entry-sum rule ``payoff_of_trace`` replaced.
+def reference_resolution_order(rows):
+    """Inclusion rows ``(slot, lane, owner)`` in resolution order, by the full key.
 
-    The trace's rows become ``BundleRecord``s, ``resolve_order`` settles them
-    and the bounty is ``pivotal_allocation(...).paid_to("cartel")``, a sum
-    over per-bundle payment entries.  Fees and the MEV option are computed as
-    in ``payoff_of_trace``, so every field must agree with it exactly.
+    Sorts by ``(slot, lane)`` and keeps one bundle per cell, the first given.
+    """
+    cells = {}
+    for row in rows:
+        cells.setdefault((row[0], row[1]), row)
+    return [cells[cell] for cell in sorted(cells)]
+
+
+def reference_payoff_of_trace(trace, econ) -> PayoffBreakdown:
+    """Cartel payoff with the bounty summed rank by rank.
+
+    The trace's rows are put in resolution order by
+    :func:`reference_resolution_order`; each cartel rank among the first
+    kappa earns ``Fraction(B) / K`` per symbol index it carries, s for ranks
+    below kappa and r_idx for rank kappa.  Fees and the MEV option are
+    computed as in ``payoff_of_trace``, so every field must agree with it
+    exactly.
     """
     inst = trace.instance
     f = econ.proposer_fee(inst.s)
@@ -257,14 +269,15 @@ def reference_payoff_of_trace(trace, econ) -> PayoffBreakdown:
         for t, rec in enumerate(trace.slots, start=1)
         if t <= horizon
     )
-    order = resolve_order(
-        BundleRecord(slot, lane, (0, slot, lane), owner)
-        for slot, lane, owner in trace.inclusion_order
-    )
+    order = reference_resolution_order(trace.inclusion_order)
     bounty = 0.0
     if econ.bounty > 0 and trace.inclusion_time is not None and len(order) >= inst.kappa:
-        alloc = pivotal_allocation(order, inst.K, inst.s, econ.bounty)
-        bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
+        share = Fraction(0)
+        for rank, (_, _, owner) in enumerate(order[: inst.kappa], start=1):
+            index_count = inst.s if rank < inst.kappa else inst.r_idx
+            if owner == "cartel":
+                share += Fraction(econ.bounty) / inst.K * index_count
+        bounty = g**trace.inclusion_time * float(share)
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
 

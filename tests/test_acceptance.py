@@ -26,7 +26,6 @@ from pivotk.incentives import (
     knife_edge_bounty_threshold,
 )
 from pivotk.mechanism import (
-    BundleRecord,
     WeightRule,
     minimax_certificate,
     pivotal_allocation,
@@ -172,11 +171,8 @@ def test_c08_allocation_conservation():
         r_idx = rng.randint(1, s)
         K = (kappa - 1) * s + r_idx  # non-divisible whenever r_idx < s
         B = rng.randint(1, 10**9)
-        ordered = [
-            BundleRecord(1, lane, (0, 1, lane), "honest")
-            for lane in range(1, kappa + rng.randint(1, 3))
-        ]
-        alloc = pivotal_allocation(ordered, K, s, B)
+        owners = ["honest"] * (kappa + rng.randint(1, 3) - 1)
+        alloc = pivotal_allocation(owners, K, s, B)
         assert alloc.total_paid == Fraction(B)
         assert alloc.r_idx == r_idx
     _passed(8, "allocation conservation (1000 randomized triples)")

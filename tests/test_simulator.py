@@ -10,7 +10,6 @@ import pytest
 from pivotk.delay import exact_q0
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import EconParams
-from pivotk.mechanism import BundleRecord, resolve_order
 from pivotk.simulator import (
     FullInclude,
     FullWithhold,
@@ -30,7 +29,11 @@ from pivotk.simulator import (
     verify_pathwise_theorems,
 )
 
-from conftest import reference_payoff_of_trace, reference_sabotage_report
+from conftest import (
+    reference_payoff_of_trace,
+    reference_resolution_order,
+    reference_sabotage_report,
+)
 
 PATHS = 8  # sample paths per oracle cross-check run
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
@@ -247,7 +250,7 @@ ROW_INSTANCES = {
 
 class TestInclusionRows:
     """``_replay`` writes its rows in resolution order; cross-checked against
-    ``resolve_order`` over the ``BundleRecord``s the rows stand for."""
+    the full-key reference order of the same rows shuffled."""
 
     @pytest.mark.parametrize("policy", SIX_POLICIES)
     @pytest.mark.parametrize("n", list(ROW_INSTANCES))
@@ -257,10 +260,8 @@ class TestInclusionRows:
         for seed in range(4 if n == 1000 else 12):
             trace = run_trace(inst, 0.2, policy_from_spec(policy), seed=[seed, n])
             rows = list(trace.inclusion_order)
-            records = [BundleRecord(t, lane, (0, t, lane), owner) for t, lane, owner in rows]
-            shuffled = [records[i] for i in rng.permutation(len(records))]
-            resolved = resolve_order(shuffled)
-            assert [(r.slot, r.lane, r.owner) for r in resolved] == rows
+            shuffled = [rows[i] for i in rng.permutation(len(rows))]
+            assert reference_resolution_order(shuffled) == rows
             included = sum(slot.contacts_honest + slot.included_cartel for slot in trace.slots)
             assert len(rows) == included
 
