@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
-from .geometry import SystemInstance, cartel_lane_count
+from .geometry import SystemInstance, cartel_lane_count, json_field
 from .incentives import EconParams
 from .intra_slot import RaceModel
 
@@ -25,13 +25,24 @@ def _require(cond: bool, msg: str) -> None:
 _JSON_TYPES = {list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
 
 
+def _json_kind(value) -> str:
+    return "null" if value is None else _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _block(obj: Mapping[str, Any], name: str) -> Mapping[str, Any]:
     """The config block ``name``, which must be a JSON object; absent is empty."""
     block = obj.get(name, {})
     if not isinstance(block, Mapping):
-        kind = "null" if block is None else _JSON_TYPES.get(type(block), type(block).__name__)
-        raise ConfigError(f"{name}: must be a JSON object, got {kind}")
+        raise ConfigError(f"{name}: must be a JSON object, got {_json_kind(block)}")
     return block
+
+
+def _array(obj: Mapping[str, Any], name: str, default: list, kind: type = int) -> tuple:
+    """The array ``name`` of JSON integers (numbers for ``kind=float``); absent is ``default``."""
+    raw = obj.get(name, default)
+    if type(raw) is not list:
+        raise ConfigError(f"{name} must be an array, got {_json_kind(raw)}")
+    return tuple(json_field(v, f"{name}[{i}]", kind=kind) for i, v in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,9 @@ class AnalysisConfig:
     @classmethod
     def _parse(cls, obj: Mapping[str, Any]) -> "AnalysisConfig":
         inst_obj = _block(obj, "instance")
-        n = int(inst_obj.get("n", 100))
-        m = int(inst_obj.get("m", 20))
-        s = int(inst_obj.get("s", 1))
+        n = json_field(inst_obj.get("n", 100), "instance.n")
+        m = json_field(inst_obj.get("m", 20), "instance.m")
+        s = json_field(inst_obj.get("s", 1), "instance.s")
         has_K = "K" in inst_obj
         has_kappa = "kappa" in inst_obj
         _require(
@@ -99,11 +110,11 @@ class AnalysisConfig:
             "instance: give exactly one of 'K' or 'kappa', not both",
         )
         if has_kappa:
-            kappa = int(inst_obj["kappa"])
+            kappa = json_field(inst_obj["kappa"], "instance.kappa")
             _require(kappa > 0, "instance.kappa must be positive")
             K = kappa * s
         elif has_K:
-            K = int(inst_obj["K"])
+            K = json_field(inst_obj["K"], "instance.K")
         else:
             K = 30 * s  # default operating point
         try:
@@ -111,7 +122,7 @@ class AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"instance: {exc}") from exc
 
-        beta = float(obj.get("beta", 0.2))
+        beta = json_field(obj.get("beta", 0.2), "beta", kind=float)
         _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
         try:
             cartel_lane_count(instance.n, beta)
@@ -123,36 +134,36 @@ class AnalysisConfig:
         )
 
         sweep_obj = _block(obj, "sweep")
-        sweep_min = int(sweep_obj.get("kappa_min", 1))
-        sweep_max = int(sweep_obj.get("kappa_max", 120))
+        sweep_min = json_field(sweep_obj.get("kappa_min", 1), "sweep.kappa_min")
+        sweep_max = json_field(sweep_obj.get("kappa_max", 120), "sweep.kappa_max")
         _require(1 <= sweep_min <= sweep_max, "sweep: need 1 <= kappa_min <= kappa_max")
 
         mc_obj = _block(obj, "mc")
-        trials = int(mc_obj.get("trials", 10_000))
-        seed = int(mc_obj.get("seed", 20260809))
+        trials = json_field(mc_obj.get("trials", 10_000), "mc.trials")
+        seed = json_field(mc_obj.get("seed", 20260809), "mc.seed")
         _require(trials >= 1, "mc.trials must be positive")
         _require(seed >= 0, f"mc.seed must be nonnegative, got {seed}")
 
-        kappas = tuple(int(k) for k in obj.get("table_kappas", (10, 20, 30, 50, 100)))
+        kappas = _array(obj, "table_kappas", [10, 20, 30, 50, 100])
         _require(len(kappas) > 0, "table_kappas must be nonempty")
         _require(all(k > 0 for k in kappas), "table_kappas must be positive")
 
-        tiers = tuple(float(t) for t in obj.get("mev_tiers_usd", (5.0, 50.0, 5000.0)))
+        tiers = _array(obj, "mev_tiers_usd", [5.0, 50.0, 5000.0], kind=float)
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
 
         race_obj = _block(obj, "race")
         race = RaceConfig(
-            slot_duration=float(race_obj.get("slot_duration", 1.0)),
-            seal_deadline=float(race_obj.get("seal_deadline", 1.0)),
-            reaction_time=float(race_obj.get("reaction_time", 0.1)),
-            rate=float(race_obj.get("rate", 4.0)),
+            **{
+                f.name: json_field(race_obj.get(f.name, f.default), f"race.{f.name}", kind=float)
+                for f in fields(RaceConfig)
+            }
         )
         try:
             race.model()
         except ValueError as exc:
             raise ConfigError(f"race: {exc}") from exc
 
-        usd = float(obj.get("usd_per_fee_unit", 0.10))
+        usd = json_field(obj.get("usd_per_fee_unit", 0.10), "usd_per_fee_unit", kind=float)
         _require(usd > 0, "usd_per_fee_unit must be positive")
 
         return cls(

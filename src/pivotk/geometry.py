@@ -10,7 +10,29 @@ __all__ = [
     "SystemInstance",
     "ContactSchedule",
     "cartel_lane_count",
+    "json_field",
 ]
+
+
+def json_field(value, field: str, lo=None, hi=None, nullable: bool = False, kind: type = int):
+    """``value`` if it is a JSON integer (``kind=int``) or number (``kind=float``).
+
+    It must also lie in [lo, hi] where those bounds are given, or be None
+    when ``nullable``.  JSON booleans are neither integers nor numbers, and
+    an accepted number comes back as a float.  Raises ValueError naming
+    ``field``.
+    """
+    if value is None and nullable:
+        return value
+    got = float(value) if kind is float and type(value) is int else value
+    if type(got) is not kind or (lo is not None and got < lo) or (hi is not None and got > hi):
+        want = "an integer" if kind is int else "a number"
+        if hi is not None:
+            want += f" in [{lo}, {hi}]"
+        elif lo is not None:
+            want += f" >= {lo}"
+        raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
+    return got
 
 
 def cartel_lane_count(n: int, beta) -> int:

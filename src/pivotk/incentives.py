@@ -12,7 +12,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import SystemInstance, cartel_lane_count
+from .geometry import SystemInstance, cartel_lane_count, json_field
 from .probability import DiscreteDistribution, cartel_contact_law, contact_sums
 
 __all__ = [
@@ -194,38 +194,43 @@ class EconParams:
         """
         if not isinstance(obj, Mapping):
             raise TypeError(f"econ must be an object, got {type(obj).__name__}")
+
+        def field(name: str, default=None, kind: type = float):
+            value = obj[name] if default is None else obj.get(name, default)
+            return json_field(value, f"econ.{name}", kind=kind)
+
         mode = obj.get("mode", "normalized")
-        gamma = float(obj["gamma"])
-        bounty = float(obj.get("bounty", 0.0))
+        gamma = field("gamma")
+        bounty = field("bounty", 0.0)
         if mode == "normalized":
             for name in _BYTE_FIELDS:
                 if name in obj:
                     raise ValueError(
                         f"econ: normalized mode excludes byte-model field {name!r}"
                     )
-            fee = float(obj["fee"])
+            fee = field("fee")
             if not fee >= 0:
                 raise ValueError("econ.fee must be nonnegative")
-            bundle_price = float(obj.get("bundle_price", fee))
+            bundle_price = field("bundle_price", fee)
             if not bundle_price >= 0:
                 raise ValueError("econ.bundle_price must be nonnegative")
             return cls.normalized(
                 fee=fee,
-                alpha_v=float(obj["alpha_v"]),
+                alpha_v=field("alpha_v"),
                 gamma=gamma,
                 bounty=bounty,
-                alpha=float(obj.get("alpha", 1.0)),
+                alpha=field("alpha", 1.0),
                 bundle_price=bundle_price,
             )
         if mode == "bytes":
             return cls.byte_model(
-                header_bytes=int(obj["header_bytes"]),
-                metadata_bytes=int(obj["metadata_bytes"]),
-                symbol_bytes=int(obj["symbol_bytes"]),
-                per_byte_price=float(obj["per_byte_price"]),
-                proposer_share=float(obj["proposer_share"]),
-                alpha=float(obj["alpha"]),
-                value=float(obj["value"]),
+                header_bytes=field("header_bytes", kind=int),
+                metadata_bytes=field("metadata_bytes", kind=int),
+                symbol_bytes=field("symbol_bytes", kind=int),
+                per_byte_price=field("per_byte_price"),
+                proposer_share=field("proposer_share"),
+                alpha=field("alpha"),
+                value=field("value"),
                 gamma=gamma,
                 bounty=bounty,
             )
@@ -483,9 +488,14 @@ def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
     """
     # A slot's honest contact count is m - A, so its PMF is the cartel slot
     # PMF read backwards, starting at m minus the cartel's support maximum.
+    # Masses that underflowed to exact zeros lead the reversed row (933 of
+    # 2 001 at n = 10 000); the pass starts past them, since adding 0.0
+    # changes no float.
     slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
-    h_lo = instance.m - slot.support_max
     h_pmf = np.array(slot.masses[::-1])
+    skip = int(np.flatnonzero(h_pmf)[0])
+    h_pmf = h_pmf[skip:]
+    h_lo = instance.m - slot.support_max + skip
     kappa, t_star = instance.kappa, instance.t_star
 
     alive = np.zeros(kappa)  # index u: P[sum of honest so far = u, T not yet hit]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SystemInstance, cartel_lane_count
+from .geometry import SystemInstance, cartel_lane_count, json_field
 from .incentives import EconParams
 from .mechanism import Owner, cartel_prefix_count, pivotal_allocation
 from .probability import MCEstimate
@@ -302,6 +302,34 @@ def run_trace(
     )
 
 
+def _derived_fields(
+    instance: SystemInstance, slots: Sequence[SlotRecord], rows: Sequence[InclusionRow], inclusion_time
+) -> dict:
+    """The trace fields that follow from its slots, rows and inclusion slot.
+
+    W counts the cartel bundles withheld through slot t* (0 if the trace
+    stops before it), a trace is delayed when W exceeds the slack, truncated
+    when it never decoded, and the pivotal cartel count is the cartel's rows
+    among the first kappa.
+    """
+    kappa, t_star = instance.kappa, instance.t_star
+    withheld = (
+        sum(s.contacts_cartel - s.included_cartel for s in slots[:t_star])
+        if len(slots) >= t_star
+        else 0
+    )
+    return {
+        "withheld_at_horizon": withheld,
+        "pivotal_cartel_count": (
+            cartel_prefix_count([owner for _, _, owner in rows[:kappa]], kappa)
+            if len(rows) >= kappa
+            else None
+        ),
+        "delayed": withheld > instance.delta,
+        "truncated": inclusion_time is None,
+    }
+
+
 def _replay(
     instance: SystemInstance,
     cartel_set: frozenset,
@@ -322,9 +350,7 @@ def _replay(
     rows: list[InclusionRow] = []
     included_total = 0
     withheld_so_far = 0
-    withheld_at_horizon = 0
     inclusion_time: int | None = None
-    truncated = False
 
     for t, lanes in enumerate(slot_lanes, start=1):
         cartel = [l for l in lanes if l in cartel_set]
@@ -333,8 +359,6 @@ def _replay(
             raise ValueError("policy returned wrong number of decisions")
         x = sum(flags)
         withheld_so_far += len(cartel) - x
-        if t == t_star:
-            withheld_at_horizon = withheld_so_far
 
         decisions = iter(flags)  # one per cartel lane, in lane order
         for lane in lanes:
@@ -350,22 +374,14 @@ def _replay(
             inclusion_time = t
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
-    else:
-        truncated = inclusion_time is None
 
-    j_kappa = (
-        cartel_prefix_count([owner for _, _, owner in rows[:kappa]], kappa)
-        if len(rows) >= kappa
-        else None
-    )
-    delayed = withheld_at_horizon > instance.delta
-    if not truncated and inclusion_time is not None:
-        if (inclusion_time > t_star) != delayed:
-            raise RuntimeError(
-                "delay/deficit equivalence violated: "
-                f"T={inclusion_time}, t*={t_star}, W={withheld_at_horizon}, "
-                f"delta={instance.delta}"
-            )
+    derived = _derived_fields(instance, slots, rows, inclusion_time)
+    if inclusion_time is not None and (inclusion_time > t_star) != derived["delayed"]:
+        raise RuntimeError(
+            "delay/deficit equivalence violated: "
+            f"T={inclusion_time}, t*={t_star}, W={derived['withheld_at_horizon']}, "
+            f"delta={instance.delta}"
+        )
 
     return Trace(
         instance=instance,
@@ -375,10 +391,7 @@ def _replay(
         slots=tuple(slots),
         inclusion_order=tuple(rows),
         inclusion_time=inclusion_time,
-        withheld_at_horizon=withheld_at_horizon,
-        pivotal_cartel_count=j_kappa,
-        delayed=delayed,
-        truncated=truncated,
+        **derived,
     )
 
 
@@ -482,19 +495,6 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _int_field(value, field: str, lo: int, hi: int | None = None, nullable: bool = False):
-    """``value`` if it is an integer in [lo, hi] (or None when ``nullable``).
-
-    JSON booleans are not integers here.
-    """
-    if value is None and nullable:
-        return value
-    if type(value) is not int or value < lo or (hi is not None and value > hi):
-        want = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
-        raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
-    return value
-
-
 def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconParams]:
     """Read back a :func:`trace_to_json` line with its stored payoff and econ.
 
@@ -516,7 +516,7 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     except ValueError as exc:
         raise ValueError(f"instance: {exc}") from exc
     n, m = instance.n, instance.m
-    cartel_lanes = _int_field(obj["cartel_lanes"], "cartel_lanes", 0, n)
+    cartel_lanes = json_field(obj["cartel_lanes"], "cartel_lanes", 0, n)
 
     policy = obj["policy"]
     try:
@@ -552,6 +552,7 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         raise ValueError(f"inclusion_order must be an array, got {raw_order!r}")
     order = []
     last_slot = last_lane = 0
+    per_slot = [[0, 0] for _ in raw_slots]  # [rows, cartel rows] of each slot
     for i, row in enumerate(raw_order, start=1):
         if type(row) is not list or len(row) != 3:
             raise ValueError(f"inclusion_order row {i} must be [slot, lane, owner], got {row!r}")
@@ -572,6 +573,14 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
             )
         last_slot, last_lane = slot, lane
         order.append((slot, lane, owner))
+        per_slot[slot - 1][0] += 1
+        per_slot[slot - 1][1] += owner == "cartel"
+    for t, ((_, honest, included), (rows, cartel)) in enumerate(zip(raw_slots, per_slot), start=1):
+        if rows != honest + included or cartel != included:
+            raise ValueError(
+                f"inclusion_order must hold {honest + included} rows in slot {t}, "
+                f"{included} of them cartel, as slots row {t} gives; got {rows} with {cartel} cartel"
+            )
 
     for field in ("delayed", "truncated"):
         if type(obj[field]) is not bool:
@@ -583,14 +592,21 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         seed=seed,
         slots=tuple(SlotRecord(*row) for row in raw_slots),
         inclusion_order=tuple(order),
-        inclusion_time=_int_field(obj["inclusion_time"], "inclusion_time", 1, horizon, True),
-        withheld_at_horizon=_int_field(obj["withheld_at_horizon"], "withheld_at_horizon", 0),
-        pivotal_cartel_count=_int_field(
+        inclusion_time=json_field(obj["inclusion_time"], "inclusion_time", 1, horizon, True),
+        withheld_at_horizon=json_field(obj["withheld_at_horizon"], "withheld_at_horizon", 0),
+        pivotal_cartel_count=json_field(
             obj["pivotal_cartel_count"], "pivotal_cartel_count", 0, instance.kappa, True
         ),
         delayed=obj["delayed"],
         truncated=obj["truncated"],
     )
+    derived = _derived_fields(instance, trace.slots, trace.inclusion_order, trace.inclusion_time)
+    for field, value in derived.items():
+        if getattr(trace, field) != value:
+            raise ValueError(
+                f"{field} must be {json.dumps(value)} by the slots, inclusion_order and "
+                f"inclusion_time fields, got {json.dumps(obj[field])}"
+            )
 
     if "payoff" not in obj or "econ" not in obj:
         raise ValueError(

@@ -227,6 +227,58 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err == f"config error: {block}: must be a JSON object, got {kind}\n"
 
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            (
+                {
+                    "instance": {"n": 100.9, "m": "20", "kappa": True},
+                    "econ": {"fee": "2"},
+                    "table_kappas": [30.7],
+                    "mc": {"trials": 99.5},
+                },
+                "instance.n must be an integer, got 100.9",
+            ),
+            ({"instance": {"m": "20"}}, "instance.m must be an integer, got '20'"),
+            ({"instance": {"kappa": True}}, "instance.kappa must be an integer, got True"),
+            ({"instance": {"K": 30.0}}, "instance.K must be an integer, got 30.0"),
+            ({"econ": {"fee": "2"}}, "econ.fee must be a number, got '2'"),
+            ({"econ": {"gamma": False}}, "econ.gamma must be a number, got False"),
+            ({"table_kappas": [30.7]}, "table_kappas[0] must be an integer, got 30.7"),
+            ({"table_kappas": "30"}, "table_kappas must be an array, got string"),
+            ({"mev_tiers_usd": [5, "50"]}, "mev_tiers_usd[1] must be a number, got '50'"),
+            ({"mc": {"trials": 99.5}}, "mc.trials must be an integer, got 99.5"),
+            ({"mc": {"seed": "7"}}, "mc.seed must be an integer, got '7'"),
+            ({"sweep": {"kappa_max": 12.0}}, "sweep.kappa_max must be an integer, got 12.0"),
+            ({"race": {"rate": None}}, "race.rate must be a number, got None"),
+            ({"beta": "0.2"}, "beta must be a number, got '0.2'"),
+            ({"usd_per_fee_unit": True}, "usd_per_fee_unit must be a number, got True"),
+        ],
+        ids=[
+            "all-at-once", "m", "kappa", "K", "fee", "gamma", "table_kappas", "table_kappas-string",
+            "mev_tiers", "trials", "seed", "kappa_max", "race", "beta", "usd",
+        ],
+    )
+    def test_config_fields_are_typed(self, capsys, tmp_path, config, reason):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["table-main", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {reason}\n"
+
+    def test_integral_numbers_echo_as_floats(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"beta": 0, "econ": {"fee": 2, "gamma": 0.5}, "mev_tiers_usd": [5]})
+        )
+        code, out = run_cli(capsys, "sweep", "--config", str(cfg_path), "--format", "json")
+        assert code == EXIT_OK
+        echoed = json.loads(out)["config"]
+        assert (echoed["beta"], echoed["econ"]["fee"], echoed["mev_tiers_usd"]) == (0.0, 2.0, [5.0])
+        assert type(echoed["mc"]["trials"]) is int
+
     @pytest.mark.parametrize("econ", [{"fee": 0.0}, {"bundle_price": 0.0}])
     def test_advise_needs_positive_bundle_price(self, capsys, tmp_path, econ):
         cfg_path = tmp_path / "cfg.json"
@@ -683,6 +735,46 @@ class TestSimulateReplay:
             line["inclusion_order"][index] = row
 
         code, err = replay_edited_golden(capsys, tmp_path, edit)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: inclusion_order {reason}")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (
+                {"pivotal_cartel_count": 0, "withheld_at_horizon": 7},
+                "withheld_at_horizon must be 0 by the slots, inclusion_order and inclusion_time "
+                "fields, got 7",
+            ),
+            ({"pivotal_cartel_count": 0}, "pivotal_cartel_count must be 3 by the slots"),
+            ({"pivotal_cartel_count": None}, "pivotal_cartel_count must be 3 by the slots"),
+            ({"truncated": True}, "truncated must be false by the slots"),
+            ({"delayed": True}, "delayed must be false by the slots"),
+        ],
+        ids=["found-edit", "pivotal-count", "pivotal-null", "truncated", "delayed"],
+    )
+    def test_replay_checks_derived_fields(self, capsys, tmp_path, edit, reason):
+        code, err = replay_edited_golden(capsys, tmp_path, lambda line: line.update(edit))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: {reason}")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (
+                lambda rows: rows[1].__setitem__(2, "honest"),
+                "must hold 5 rows in slot 1, 2 of them cartel, as slots row 1 gives; "
+                "got 5 with 1 cartel",
+            ),
+            (lambda rows: rows.pop(), "must hold 5 rows in slot 4, 1 of them cartel"),
+            (lambda rows: rows.insert(4, [1, 12, "honest"]), "must hold 5 rows in slot 1, 2 of them"),
+        ],
+        ids=["owner", "dropped", "extra"],
+    )
+    def test_replay_checks_rows_per_slot(self, capsys, tmp_path, edit, reason):
+        code, err = replay_edited_golden(
+            capsys, tmp_path, lambda line: edit(line["inclusion_order"])
+        )
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: inclusion_order {reason}")
 

@@ -270,6 +270,8 @@ _T0_BIT_CASES = [_random_t0_instance(seed) for seed in range(96)] + [
     (SystemInstance.from_kappa(20, 20, 12), 0.2),
     (SystemInstance.from_kappa(100, 20, 40), 0.2),  # knife edge, t* = 2
     (SystemInstance.from_kappa(10_000, 2_000, 980), 0.2),  # bench's n = 10 000, t* = 1 op
+    # t* = 5 with 933 underflowed zero masses in the slot row.
+    (SystemInstance.from_kappa(10_000, 2_000, 9_000), 0.2),
 ]
 
 

@@ -17,6 +17,7 @@ from pivotk.simulator import (
     RatchetSpread,
     Scripted,
     StationaryW,
+    _replay,
     estimate_delay,
     minimal_sabotage_exhaustive,
     payoff_of_trace,
@@ -292,6 +293,21 @@ class TestSerialization:
             assert fresh.fee_revenue == stored.fee_revenue
             assert fresh.bounty_revenue == stored.bounty_revenue
             assert fresh.mev_option == stored.mev_option
+
+
+    @pytest.mark.parametrize("slots", [1, 3], ids=["before-horizon", "at-horizon"])
+    def test_truncated_trace_round_trips(self, slots):
+        # A path whose slots run out before decoding; lanes 1..5 are the cartel's.
+        path = [[1, 2, 7, 8, 9]] * slots
+        trace = _replay(SMALL, frozenset(range(1, 6)), iter(path), FullWithhold(), None, 0)
+        assert trace.truncated and trace.inclusion_time is None
+        assert trace.withheld_at_horizon == (2 * SMALL.t_star if slots >= SMALL.t_star else 0)
+        assert trace.pivotal_cartel_count is None
+        loaded, stored, _ = trace_from_json_with_econ(
+            trace_to_json(trace, payoff_of_trace(trace, ECON), ECON)
+        )
+        assert loaded == trace
+        assert payoff_of_trace(loaded, ECON) == stored
 
 
 class TestTheoremBattery:
