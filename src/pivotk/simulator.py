@@ -285,10 +285,10 @@ def run_trace(
     """Simulate one transaction to one slot past inclusion (or the cap).
 
     Contacts are drawn per slot by taking the first m entries of a lane
-    permutation, so specific lane identities are available for tickets.  The
-    cartel's lane set is itself drawn uniformly per trace: lane ids tie-break
-    the resolution order, so a fixed cartel block (say lanes 1..beta*n) would
-    systematically front-run the pivotal prefix.
+    permutation, so specific lane identities are recorded.  The cartel's lane
+    set is itself drawn uniformly per trace: lane ids order bundles within a
+    slot in the resolution order, so a fixed cartel block (say lanes
+    1..beta*n) would systematically front-run the pivotal prefix.
     """
     marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
@@ -303,7 +303,10 @@ def run_trace(
 
 
 def _derived_fields(
-    instance: SystemInstance, slots: Sequence[SlotRecord], rows: Sequence[InclusionRow], inclusion_time
+    instance: SystemInstance,
+    slots: Sequence[SlotRecord],
+    rows: Sequence[InclusionRow],
+    inclusion_time: int | None,
 ) -> dict:
     """The trace fields that follow from its slots, rows and inclusion slot.
 
@@ -343,7 +346,7 @@ def _replay(
     ``slot_lanes`` yields each slot's sorted contacted lanes; a path that runs
     out of slots before decoding ends as a truncated trace.  Walking each
     slot's lanes in order appends the included bundles already in resolution
-    order: every ticket ``(0, slot, lane)`` has a cell of its own.
+    order, one bundle per ``(slot, lane)`` cell.
     """
     kappa, t_star = instance.kappa, instance.t_star
     slots: list[SlotRecord] = []
@@ -499,8 +502,10 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     """Read back a :func:`trace_to_json` line with its stored payoff and econ.
 
     This is the one schema of a trace line: every field must have the type
-    and range :func:`trace_to_json` writes, and the ``inclusion_order`` rows
-    must be in resolution order.  Raises KeyError for a missing field and
+    and range :func:`trace_to_json` writes, the ``inclusion_order`` rows must
+    be in resolution order, and the fields a run derives from its slots and
+    rows (:func:`_derived_fields`, and each slot's row counts) must agree
+    with them.  Raises KeyError for a missing field and
     ValueError, naming the field, for a bad value or for a line without the
     payoff and econ blocks a replay checks.
     """
@@ -575,11 +580,11 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         order.append((slot, lane, owner))
         per_slot[slot - 1][0] += 1
         per_slot[slot - 1][1] += owner == "cartel"
-    for t, ((_, honest, included), (rows, cartel)) in enumerate(zip(raw_slots, per_slot), start=1):
-        if rows != honest + included or cartel != included:
+    for t, ((_, honest, x), (rows, cartel)) in enumerate(zip(raw_slots, per_slot), start=1):
+        if rows != honest + x or cartel != x:
             raise ValueError(
-                f"inclusion_order must hold {honest + included} rows in slot {t}, "
-                f"{included} of them cartel, as slots row {t} gives; got {rows} with {cartel} cartel"
+                f"inclusion_order must hold {honest + x} rows in slot {t}, {x} of them "
+                f"cartel, as slots row {t} gives; got {rows} with {cartel} cartel"
             )
 
     for field in ("delayed", "truncated"):
