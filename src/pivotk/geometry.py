@@ -22,17 +22,17 @@ def json_field(value, field: str, lo=None, hi=None, nullable: bool = False, kind
     an accepted number comes back as a float.  Raises ValueError naming
     ``field``.
     """
-    if value is None and nullable:
+    if type(value) is kind or (kind is float and type(value) is int):
+        if (lo is None or value >= lo) and (hi is None or value <= hi):
+            return kind(value)
+    elif value is None and nullable:
         return value
-    got = float(value) if kind is float and type(value) is int else value
-    if type(got) is not kind or (lo is not None and got < lo) or (hi is not None and got > hi):
-        want = "an integer" if kind is int else "a number"
-        if hi is not None:
-            want += f" in [{lo}, {hi}]"
-        elif lo is not None:
-            want += f" >= {lo}"
-        raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
-    return got
+    want = "an integer" if kind is int else "a number"
+    if hi is not None:
+        want += f" in [{lo}, {hi}]"
+    elif lo is not None:
+        want += f" >= {lo}"
+    raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
 
 
 def cartel_lane_count(n: int, beta) -> int:

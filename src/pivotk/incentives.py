@@ -194,43 +194,38 @@ class EconParams:
         """
         if not isinstance(obj, Mapping):
             raise TypeError(f"econ must be an object, got {type(obj).__name__}")
-
-        def field(name: str, default=None, kind: type = float):
-            value = obj[name] if default is None else obj.get(name, default)
-            return json_field(value, f"econ.{name}", kind=kind)
-
         mode = obj.get("mode", "normalized")
-        gamma = field("gamma")
-        bounty = field("bounty", 0.0)
+        gamma = json_field(obj["gamma"], "econ.gamma", kind=float)
+        bounty = json_field(obj.get("bounty", 0.0), "econ.bounty", kind=float)
         if mode == "normalized":
             for name in _BYTE_FIELDS:
                 if name in obj:
                     raise ValueError(
                         f"econ: normalized mode excludes byte-model field {name!r}"
                     )
-            fee = field("fee")
+            fee = json_field(obj["fee"], "econ.fee", kind=float)
             if not fee >= 0:
                 raise ValueError("econ.fee must be nonnegative")
-            bundle_price = field("bundle_price", fee)
+            bundle_price = json_field(obj.get("bundle_price", fee), "econ.bundle_price", kind=float)
             if not bundle_price >= 0:
                 raise ValueError("econ.bundle_price must be nonnegative")
             return cls.normalized(
                 fee=fee,
-                alpha_v=field("alpha_v"),
+                alpha_v=json_field(obj["alpha_v"], "econ.alpha_v", kind=float),
                 gamma=gamma,
                 bounty=bounty,
-                alpha=field("alpha", 1.0),
+                alpha=json_field(obj.get("alpha", 1.0), "econ.alpha", kind=float),
                 bundle_price=bundle_price,
             )
         if mode == "bytes":
             return cls.byte_model(
-                header_bytes=field("header_bytes", kind=int),
-                metadata_bytes=field("metadata_bytes", kind=int),
-                symbol_bytes=field("symbol_bytes", kind=int),
-                per_byte_price=field("per_byte_price"),
-                proposer_share=field("proposer_share"),
-                alpha=field("alpha"),
-                value=field("value"),
+                header_bytes=json_field(obj["header_bytes"], "econ.header_bytes"),
+                metadata_bytes=json_field(obj["metadata_bytes"], "econ.metadata_bytes"),
+                symbol_bytes=json_field(obj["symbol_bytes"], "econ.symbol_bytes"),
+                per_byte_price=json_field(obj["per_byte_price"], "econ.per_byte_price", kind=float),
+                proposer_share=json_field(obj["proposer_share"], "econ.proposer_share", kind=float),
+                alpha=json_field(obj["alpha"], "econ.alpha", kind=float),
+                value=json_field(obj["value"], "econ.value", kind=float),
                 gamma=gamma,
                 bounty=bounty,
             )

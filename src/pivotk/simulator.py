@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -305,28 +306,27 @@ def run_trace(
 def _derived_fields(
     instance: SystemInstance,
     slots: Sequence[SlotRecord],
-    rows: Sequence[InclusionRow],
+    pivotal_owners: Sequence[Owner],
     inclusion_time: int | None,
 ) -> dict:
     """The trace fields that follow from its slots, rows and inclusion slot.
 
-    W counts the cartel bundles withheld through slot t* (0 if the trace
-    stops before it), a trace is delayed when W exceeds the slack, truncated
-    when it never decoded, and the pivotal cartel count is the cartel's rows
-    among the first kappa.
+    ``pivotal_owners`` are the owners of the first kappa rows, or of all
+    rows when there are fewer.  W counts the cartel bundles withheld through
+    slot t* (0 if the trace stops before it), a trace is delayed when W
+    exceeds the slack, truncated when it never decoded, and the pivotal
+    cartel count is the cartel's rows among the first kappa.
     """
-    kappa, t_star = instance.kappa, instance.t_star
+    t_star = instance.t_star
     withheld = (
-        sum(s.contacts_cartel - s.included_cartel for s in slots[:t_star])
+        sum([s.contacts_cartel - s.included_cartel for s in slots[:t_star]])
         if len(slots) >= t_star
         else 0
     )
     return {
         "withheld_at_horizon": withheld,
         "pivotal_cartel_count": (
-            cartel_prefix_count([owner for _, _, owner in rows[:kappa]], kappa)
-            if len(rows) >= kappa
-            else None
+            pivotal_owners.count("cartel") if len(pivotal_owners) == instance.kappa else None
         ),
         "delayed": withheld > instance.delta,
         "truncated": inclusion_time is None,
@@ -378,7 +378,8 @@ def _replay(
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
 
-    derived = _derived_fields(instance, slots, rows, inclusion_time)
+    owners = [owner for _, _, owner in rows[:kappa]]
+    derived = _derived_fields(instance, slots, owners, inclusion_time)
     if inclusion_time is not None and (inclusion_time > t_star) != derived["delayed"]:
         raise RuntimeError(
             "delay/deficit equivalence violated: "
@@ -557,7 +558,6 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         raise ValueError(f"inclusion_order must be an array, got {raw_order!r}")
     order = []
     last_slot = last_lane = 0
-    per_slot = [[0, 0] for _ in raw_slots]  # [rows, cartel rows] of each slot
     for i, row in enumerate(raw_order, start=1):
         if type(row) is not list or len(row) != 3:
             raise ValueError(f"inclusion_order row {i} must be [slot, lane, owner], got {row!r}")
@@ -578,9 +578,13 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
             )
         last_slot, last_lane = slot, lane
         order.append((slot, lane, owner))
-        per_slot[slot - 1][0] += 1
-        per_slot[slot - 1][1] += owner == "cartel"
-    for t, ((_, honest, x), (rows, cartel)) in enumerate(zip(raw_slots, per_slot), start=1):
+    # The rows ascend, so slot t's rows run from the first row of slot >= t
+    # to the first of slot >= t+1.
+    owners = [owner for _, _, owner in order]
+    starts = [bisect_left(order, (t,)) for t in range(1, horizon + 2)]
+    for t, (_, honest, x) in enumerate(raw_slots, start=1):
+        rows = starts[t] - starts[t - 1]
+        cartel = owners[starts[t - 1] : starts[t]].count("cartel")
         if rows != honest + x or cartel != x:
             raise ValueError(
                 f"inclusion_order must hold {honest + x} rows in slot {t}, {x} of them "
@@ -605,7 +609,7 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         delayed=obj["delayed"],
         truncated=obj["truncated"],
     )
-    derived = _derived_fields(instance, trace.slots, trace.inclusion_order, trace.inclusion_time)
+    derived = _derived_fields(instance, trace.slots, owners[: instance.kappa], trace.inclusion_time)
     for field, value in derived.items():
         if getattr(trace, field) != value:
             raise ValueError(
