@@ -294,7 +294,6 @@ class TestSerialization:
             assert fresh.bounty_revenue == stored.bounty_revenue
             assert fresh.mev_option == stored.mev_option
 
-
     @pytest.mark.parametrize("slots", [1, 3], ids=["before-horizon", "at-horizon"])
     def test_truncated_trace_round_trips(self, slots):
         # A path whose slots run out before decoding; lanes 1..5 are the cartel's.
