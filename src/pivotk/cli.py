@@ -18,7 +18,7 @@ from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .probability import cartel_contact_law, contact_sums
+from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -280,9 +280,10 @@ def cmd_sweep_ratchet(args) -> int:
 
 def cmd_sweep_race(args) -> int:
     cfg = _load_config(args)
-    race = cfg.race.model()
-    m = cfg.instance.m
-    rho_bar, _, _ = intra_slot.worst_case_rho(race, m)
+    race, m = cfg.race, cfg.instance.m
+    # P[Bin(a, p) >= r] grows with a and shrinks with r: the sup over the
+    # feasible cells 1 <= r <= a <= m sits at (a, r) = (m, 1).
+    rho_bar = intra_slot.rho_deadline(m, 1, race)
     lines = ["kappa,r,q_micro,g_inc_upper,g_inc_floor"]
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, m, kappa)
@@ -383,9 +384,9 @@ def _suite_bound_dominance(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]
         inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
         q0 = sweep[kappa].q0
         theta0 = inst.delta / (inst.t_star * inst.m)
-        if theta0 > beta_frac:
-            report = delay.fluid_delay_report(inst, cfg.beta, 0.0)
-            if report.kl_bound is not None and report.exact_probability > report.kl_bound + 1e-12:
+        if 0.0 < beta_frac < 1.0 and theta0 > beta_frac:
+            bound = chernoff_tail_bound(inst.t_star, inst.m, theta0, beta_frac, "upper")
+            if q0 > bound + 1e-12:
                 failures.append(kappa)
         bound = delay.no_delay_upper(inst, cfg.beta)
         if (1.0 - q0) > bound + 1e-12:

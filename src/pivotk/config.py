@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
 from .geometry import SystemInstance, cartel_lane_count, json_field
@@ -46,28 +46,6 @@ def _array(obj: Mapping[str, Any], name: str, default: list, kind: type = int) -
 
 
 @dataclass(frozen=True)
-class RaceConfig:
-    slot_duration: float = 1.0
-    seal_deadline: float = 1.0
-    reaction_time: float = 0.1
-    rate: float = 4.0
-
-    def model(self) -> RaceModel:
-        """The exponential-arrival race model; raises ValueError on bad timings."""
-        return RaceModel.exponential(
-            self.slot_duration, self.seal_deadline, self.reaction_time, self.rate
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "slot_duration": self.slot_duration,
-            "seal_deadline": self.seal_deadline,
-            "reaction_time": self.reaction_time,
-            "rate": self.rate,
-        }
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Validated inputs for the table, sweep, verify, and advise commands."""
 
@@ -81,7 +59,7 @@ class AnalysisConfig:
     sweep_max: int
     trials: int
     seed: int
-    race: RaceConfig
+    race: RaceModel
     instance_given_as_kappa: bool
 
     @classmethod
@@ -152,14 +130,12 @@ class AnalysisConfig:
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
 
         race_obj = _block(obj, "race")
-        race = RaceConfig(
-            **{
-                f.name: json_field(race_obj.get(f.name, f.default), f"race.{f.name}", kind=float)
-                for f in fields(RaceConfig)
-            }
-        )
+        timings = {
+            f.name: json_field(race_obj.get(f.name, f.default), f"race.{f.name}", kind=float)
+            for f in fields(RaceModel)
+        }
         try:
-            race.model()
+            race = RaceModel(**timings)
         except ValueError as exc:
             raise ConfigError(f"race: {exc}") from exc
 
@@ -196,7 +172,7 @@ class AnalysisConfig:
             "mev_tiers_usd": list(self.mev_tiers_usd),
             "sweep": {"kappa_min": self.sweep_min, "kappa_max": self.sweep_max},
             "mc": {"trials": self.trials, "seed": self.seed},
-            "race": self.race.to_dict(),
+            "race": asdict(self.race),
         }
 
     @classmethod

@@ -19,7 +19,7 @@ from .probability import (
     cartel_contact_law,
     chernoff_tail_bound,
     contact_sums,
-    log_comb,
+    log_hypergeom_pmf,
 )
 from .ratchet import q_rat_first_slot
 
@@ -54,12 +54,10 @@ def knife_edge_q0(instance: SystemInstance, beta) -> float:
     """
     if instance.delta != 0:
         raise ValueError("closed form applies only when the slack is zero")
-    marked = cartel_lane_count(instance.n, beta)
-    if marked == 0:
+    law = cartel_contact_law(instance.n, beta, instance.m)
+    if law.successes == 0:
         return 0.0
-    log_p0 = log_comb(instance.n - marked, instance.m) - log_comb(
-        instance.n, instance.m
-    )
+    log_p0 = log_hypergeom_pmf(law, 0)
     if log_p0 == float("-inf"):
         return 1.0
     return -math.expm1(instance.t_star * log_p0)

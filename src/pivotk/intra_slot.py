@@ -9,22 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .geometry import SystemInstance, cartel_lane_count
+from .geometry import SystemInstance
 from .probability import (
     binomial_tail_ge,
     cartel_contact_law,
+    hypergeom_pmf,
     hypergeom_tail_ge,
     kl_divergence,
-    log_comb,
 )
 
 __all__ = [
     "RaceModel",
     "q_micro",
     "rho_deadline",
-    "worst_case_rho",
     "g_inc_upper",
     "g_inc_floor",
     "WithinSlotUpper",
@@ -33,90 +31,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RaceModel:
-    """Timing pipeline for a within-slot decode attempt.
+    """Timing pipeline for a within-slot decode attempt (the config's ``race`` block).
 
     A bundle arriving at time ``T_arr`` is actionable only if
     ``T_arr + reaction_time <= seal_deadline``: the cartel must decode and
-    propagate its action before the slot seals.  ``arrival_cdf`` maps a time in
-    ``[0, seal_deadline]`` to the probability a bundle has arrived by then.
+    propagate its action before the slot seals.  Arrivals are exponential at
+    ``rate``, conditioned on landing by the deadline.
     """
 
-    slot_duration: float
-    seal_deadline: float
-    reaction_time: float
-    arrival_cdf: Callable[[float], float]
+    slot_duration: float = 1.0
+    seal_deadline: float = 1.0
+    reaction_time: float = 0.1
+    rate: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.slot_duration <= 0:
+        if not self.rate > 0:
+            raise ValueError("rate must be positive")
+        if not self.slot_duration > 0:
             raise ValueError("slot_duration must be positive")
         if not 0 < self.seal_deadline <= self.slot_duration:
             raise ValueError("seal_deadline must lie in (0, slot_duration]")
-        if self.reaction_time < 0:
+        if not self.reaction_time >= 0:
             raise ValueError("reaction_time must be nonnegative")
 
     @property
     def p(self) -> float:
-        """Per-bundle probability of arriving early enough to act on."""
+        """Per-bundle probability of arriving early enough to act on.
+
+        (1 - e^(-rate c)) / (1 - e^(-rate d)) for the cutoff c = d - reaction
+        time before the deadline d; 0 when the reaction time uses up the window.
+        """
         cutoff = self.seal_deadline - self.reaction_time
         if cutoff <= 0:
             return 0.0
-        val = float(self.arrival_cdf(cutoff))
-        if not 0.0 <= val <= 1.0 + 1e-12:
-            raise ValueError(f"arrival CDF returned {val} outside [0, 1]")
-        return min(val, 1.0)
-
-    @classmethod
-    def exponential(
-        cls,
-        slot_duration: float,
-        seal_deadline: float,
-        reaction_time: float,
-        rate: float,
-        renormalize: bool = True,
-    ) -> "RaceModel":
-        """Exponential arrivals truncated to the sealing window.
-
-        With ``renormalize=True`` the CDF is conditioned on arrival within the
-        window (mass 1 at the deadline); with ``renormalize=False`` the raw
-        ``1 - exp(-rate*t)`` is used and late bundles simply never count.
-        """
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        total = 1.0 - math.exp(-rate * seal_deadline)
-
-        def cdf(t: float) -> float:
-            t = min(max(t, 0.0), seal_deadline)
-            raw = 1.0 - math.exp(-rate * t)
-            return raw / total if renormalize else raw
-
-        return cls(slot_duration, seal_deadline, reaction_time, cdf)
-
-    @classmethod
-    def piecewise_linear(
-        cls,
-        slot_duration: float,
-        seal_deadline: float,
-        reaction_time: float,
-        knots: list[tuple[float, float]],
-    ) -> "RaceModel":
-        """User-supplied CDF as (time, probability) knots, linearly interpolated."""
-        pts = sorted(knots)
-        if not pts:
-            raise ValueError("need at least one knot")
-        if any(p1 > p2 for (_, p1), (_, p2) in zip(pts, pts[1:])):
-            raise ValueError("CDF knots must be nondecreasing in probability")
-
-        def cdf(t: float) -> float:
-            if t <= pts[0][0]:
-                return pts[0][1] if t == pts[0][0] else 0.0
-            for (t1, p1), (t2, p2) in zip(pts, pts[1:]):
-                if t <= t2:
-                    if t2 == t1:
-                        return p2
-                    return p1 + (p2 - p1) * (t - t1) / (t2 - t1)
-            return pts[-1][1]
-
-        return cls(slot_duration, seal_deadline, reaction_time, cdf)
+        total = 1.0 - math.exp(-self.rate * self.seal_deadline)
+        return min((1.0 - math.exp(-self.rate * cutoff)) / total, 1.0)
 
 
 def q_micro(instance: SystemInstance, beta) -> float:
@@ -142,23 +91,6 @@ def rho_deadline(a: int, r: int, race: RaceModel) -> float:
     return binomial_tail_ge(a, race.p, r)
 
 
-def worst_case_rho(race: RaceModel, m: int) -> tuple[float, int, int]:
-    """Supremum of the race success probability over the feasible grid.
-
-    Scans a in [r, m], r in [1, m] and returns (value, a, r).  For monotone
-    arrival models the supremum sits at (a=m, r=1); the grid scan also covers
-    non-monotone user-supplied CDFs, for which the reported value is a
-    discrete-grid supremum only.
-    """
-    best = (0.0, m, 1)
-    for r in range(1, m + 1):
-        for a in range(r, m + 1):
-            v = rho_deadline(a, r, race)
-            if v > best[0]:
-                best = (v, a, r)
-    return best
-
-
 @dataclass(frozen=True)
 class WithinSlotUpper:
     """Upper bound on the discounted within-slot MEV weight.
@@ -182,11 +114,11 @@ def g_inc_upper(
     """Bound the within-slot MEV weight by feasibility times conditional success."""
     if not 0.0 <= rho_bar <= 1.0:
         raise ValueError("rho_bar must lie in [0, 1]")
-    marked = cartel_lane_count(instance.n, beta)
-    tail = q_micro(instance, beta)
+    law = cartel_contact_law(instance.n, beta, instance.m)
+    tail = hypergeom_tail_ge(law, instance.r)
     value = rho_bar * gamma ** (instance.t_star - 1) * tail
 
-    beta_frac = marked / instance.n
+    beta_frac = law.successes / instance.n
     ratio = instance.r / instance.m
     kl_alt = None
     if 0.0 < beta_frac < 1.0 and ratio > beta_frac:
@@ -194,8 +126,7 @@ def g_inc_upper(
 
     knife_exact = knife_power = None
     if instance.knife_edge:
-        lc = log_comb(marked, instance.m) - log_comb(instance.n, instance.m)
-        knife_exact = math.exp(lc) if lc != float("-inf") else 0.0
+        knife_exact = hypergeom_pmf(law, instance.m)
         knife_power = beta_frac**instance.m
 
     return WithinSlotUpper(value, tail, kl_alt, knife_exact, knife_power)

@@ -332,11 +332,13 @@ def log_binomial_pmf(n: int, p: float, k: int) -> float:
 
 
 def binomial_pmf_vector(n: int, p: float) -> DiscreteDistribution:
-    """The full Bin(n, p) law as a DiscreteDistribution on [0, n]."""
+    """The Bin(n, p) law on [0, n]; Bin(n, 0) is the point mass at 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
+    if p == 0.0:
+        return DiscreteDistribution(0, (1.0,))
     masses = tuple(
         math.exp(lp) if (lp := log_binomial_pmf(n, p, k)) != NEG_INF else 0.0
         for k in range(n + 1)

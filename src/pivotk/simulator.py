@@ -307,23 +307,38 @@ def _derived_fields(
     instance: SystemInstance,
     slots: Sequence[SlotRecord],
     pivotal_owners: Sequence[Owner],
-    inclusion_time: int | None,
 ) -> dict:
-    """The trace fields that follow from its slots, rows and inclusion slot.
+    """The trace fields that follow from its slots and rows.
 
     ``pivotal_owners`` are the owners of the first kappa rows, or of all
-    rows when there are fewer.  W counts the cartel bundles withheld through
-    slot t* (0 if the trace stops before it), a trace is delayed when W
-    exceeds the slack, truncated when it never decoded, and the pivotal
-    cartel count is the cartel's rows among the first kappa.
+    rows when there are fewer.  The inclusion time T is the first slot whose
+    included bundles bring the total to kappa (None if none does), and a
+    decoded trace ends by slot max(T, t*) + 1.  W counts the cartel bundles
+    withheld through slot t* (0 if the trace stops before it), a trace is
+    delayed when W exceeds the slack, truncated when it never decoded, and
+    the pivotal cartel count is the cartel's rows among the first kappa.
+    Raises ValueError, naming ``slots``, for a decoded trace that runs on.
     """
     t_star = instance.t_star
+    inclusion_time = None
+    included = 0
+    for t, s in enumerate(slots, start=1):
+        included += s.contacts_honest + s.included_cartel
+        if included >= instance.kappa:
+            inclusion_time = t
+            break
+    if inclusion_time is not None and len(slots) > max(inclusion_time, t_star) + 1:
+        raise ValueError(
+            f"slots must end by slot {max(inclusion_time, t_star) + 1}, one past the later of "
+            f"the inclusion slot {inclusion_time} and t*={t_star}; got {len(slots)} slots"
+        )
     withheld = (
         sum([s.contacts_cartel - s.included_cartel for s in slots[:t_star]])
         if len(slots) >= t_star
         else 0
     )
     return {
+        "inclusion_time": inclusion_time,
         "withheld_at_horizon": withheld,
         "pivotal_cartel_count": (
             pivotal_owners.count("cartel") if len(pivotal_owners) == instance.kappa else None
@@ -378,8 +393,7 @@ def _replay(
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
 
-    owners = [owner for _, _, owner in rows[:kappa]]
-    derived = _derived_fields(instance, slots, owners, inclusion_time)
+    derived = _derived_fields(instance, slots, [owner for _, _, owner in rows[:kappa]])
     if inclusion_time is not None and (inclusion_time > t_star) != derived["delayed"]:
         raise RuntimeError(
             "delay/deficit equivalence violated: "
@@ -394,7 +408,6 @@ def _replay(
         seed=seed,
         slots=tuple(slots),
         inclusion_order=tuple(rows),
-        inclusion_time=inclusion_time,
         **derived,
     )
 
@@ -609,12 +622,12 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         delayed=obj["delayed"],
         truncated=obj["truncated"],
     )
-    derived = _derived_fields(instance, trace.slots, owners[: instance.kappa], trace.inclusion_time)
+    derived = _derived_fields(instance, trace.slots, owners[: instance.kappa])
     for field, value in derived.items():
         if getattr(trace, field) != value:
             raise ValueError(
-                f"{field} must be {json.dumps(value)} by the slots, inclusion_order and "
-                f"inclusion_time fields, got {json.dumps(obj[field])}"
+                f"{field} must be {json.dumps(value)} by the slots and inclusion_order "
+                f"fields, got {json.dumps(obj[field])}"
             )
 
     if "payoff" not in obj or "econ" not in obj:

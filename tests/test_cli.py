@@ -34,6 +34,12 @@ class TestGoldenTables:
         [
             pytest.param("sweep.csv", ["sweep"], None, id="sweep"),
             pytest.param("sweep-race.csv", ["sweep-race"], None, id="sweep-race"),
+            pytest.param(
+                "sweep-race-n1000.csv",
+                ["sweep-race"],
+                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 150, "kappa_max": 450}},
+                id="sweep-race-n1000",
+            ),
             pytest.param("advise.json", ["advise", "--format", "json"], None, id="advise"),
             pytest.param("verify.json", ["verify", "--trials", "1000"], None, id="verify"),
             pytest.param(
@@ -304,8 +310,9 @@ class TestConfigHandling:
             ({"seal_deadline": 2.0}, "seal_deadline"),
             ({"reaction_time": -0.1}, "reaction_time"),
             ({"rate": 0}, "rate"),
+            ({"rate": float("nan")}, "rate must be positive"),
         ],
-        ids=["slot_duration", "seal_deadline", "reaction_time", "rate"],
+        ids=["slot_duration", "seal_deadline", "reaction_time", "rate", "rate-nan"],
     )
     @pytest.mark.parametrize("command", ["sweep-race", "table-main"])
     def test_bad_race_timing_rejected(self, capsys, tmp_path, race, names, command):
@@ -743,8 +750,7 @@ class TestSimulateReplay:
         [
             (
                 {"pivotal_cartel_count": 0, "withheld_at_horizon": 7},
-                "withheld_at_horizon must be 0 by the slots, inclusion_order and inclusion_time "
-                "fields, got 7",
+                "withheld_at_horizon must be 0 by the slots and inclusion_order fields, got 7",
             ),
             ({"pivotal_cartel_count": 0}, "pivotal_cartel_count must be 3 by the slots"),
             ({"pivotal_cartel_count": None}, "pivotal_cartel_count must be 3 by the slots"),
@@ -757,6 +763,47 @@ class TestSimulateReplay:
         code, err = replay_edited_golden(capsys, tmp_path, lambda line: line.update(edit))
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {tmp_path / 'traces.jsonl'}:1: {reason}")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (
+                # slots after the inclusion slot carry no fee, so only the
+                # end rule tells this line from one simulate writes
+                lambda line: (
+                    line["slots"].append([1, 4, 1]),
+                    line["inclusion_order"].extend(
+                        [[5, 1, "honest"], [5, 2, "cartel"], [5, 3, "honest"],
+                         [5, 4, "honest"], [5, 5, "honest"]]
+                    ),
+                ),
+                "slots must end by slot 4, one past the later of the inclusion slot 3 and "
+                "t*=3; got 5 slots",
+            ),
+            (
+                lambda line: line.update(inclusion_time=4),
+                "inclusion_time must be 3 by the slots and inclusion_order fields, got 4",
+            ),
+            (
+                lambda line: line.update(inclusion_time=None),
+                "inclusion_time must be 3 by the slots and inclusion_order fields, got null",
+            ),
+            (
+                # the first two slots hold 10 of the kappa = 12 rows
+                lambda line: line.update(
+                    slots=line["slots"][:2],
+                    inclusion_order=line["inclusion_order"][:10],
+                    inclusion_time=2,
+                ),
+                "inclusion_time must be null by the slots and inclusion_order fields, got 2",
+            ),
+        ],
+        ids=["runs-past-end", "late-inclusion", "null-inclusion", "never-decoded"],
+    )
+    def test_replay_checks_where_trace_ends(self, capsys, tmp_path, edit, reason):
+        code, err = replay_edited_golden(capsys, tmp_path, edit)
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {tmp_path / 'traces.jsonl'}:1: {reason}\n"
 
     @pytest.mark.parametrize(
         "edit, reason",

@@ -17,7 +17,7 @@ from pivotk.delay import (
 from pivotk.geometry import SystemInstance
 from pivotk.probability import kl_divergence
 
-from conftest import exact_convolved_tail_gt
+from conftest import exact_convolved_tail_gt, knife_edge_grid, reference_knife_edge_q0
 
 
 class TestExactQ0:
@@ -79,6 +79,14 @@ class TestKnifeEdgeClosedForm:
 
     def test_deep_horizon_strictly_below_one(self, table_instances, beta):
         assert float(knife_edge_q0(table_instances[100], beta)) < 1.0
+
+    def test_slot_law_value_is_the_hand_written_formula_bit_for_bit(self):
+        cases = 0
+        for inst, beta in knife_edge_grid():
+            got = knife_edge_q0(inst, beta)
+            assert got.hex() == reference_knife_edge_q0(inst, beta).hex(), (inst, beta)
+            cases += 1
+        assert cases > 300
 
 
 class TestFluidDelayReport:

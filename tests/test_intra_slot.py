@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -13,13 +15,37 @@ from pivotk.intra_slot import (
     g_inc_upper,
     q_micro,
     rho_deadline,
-    worst_case_rho,
 )
 from pivotk.probability import kl_divergence
 
+from conftest import knife_edge_grid, reference_knife_edge_exact
+
 
 def exp_race(seal=1.0, reaction=0.1, rate=4.0, slot=None):
-    return RaceModel.exponential(slot or seal, seal, reaction, rate)
+    return RaceModel(slot or seal, seal, reaction, rate)
+
+
+def renormalized_exponential_p(slot, seal, reaction, rate):
+    """The per-bundle probability as the callable-CDF race model computed it.
+
+    The arrival CDF was 1 - e^(-rate t) over its value at the deadline, with
+    t clamped into [0, seal], read at the cutoff seal - reaction and clamped
+    to at most 1.
+    """
+    total = 1.0 - math.exp(-rate * seal)
+
+    def cdf(t):
+        t = min(max(t, 0.0), seal)
+        return (1.0 - math.exp(-rate * t)) / total
+
+    cutoff = seal - reaction
+    return 0.0 if cutoff <= 0 else min(float(cdf(cutoff)), 1.0)
+
+
+def exact_binomial_tail_ge(a: int, p: Fraction, r: int) -> Fraction:
+    return sum(
+        (math.comb(a, k) * p**k * (1 - p) ** (a - k) for k in range(r, a + 1)), Fraction(0)
+    )
 
 
 class TestQMicro:
@@ -51,7 +77,7 @@ class TestRhoDeadline:
 
     def test_exponential_two_bundle_race(self):
         # long window: truncation mass is negligible, p = 1 - e^{-1}
-        race = RaceModel.exponential(40.0, 40.0, 39.0, 1.0)
+        race = RaceModel(40.0, 40.0, 39.0, 1.0)
         p = 1.0 - math.exp(-1.0)
         assert race.p == pytest.approx(p, rel=1e-12)
         assert float(rho_deadline(2, 1, race)) == pytest.approx(
@@ -79,26 +105,33 @@ class TestRhoDeadline:
             rho_deadline(3, 0, exp_race())
 
 
-class TestWorstCaseRho:
-    def test_monotone_model_attains_full_contacts_single_deficit(self):
-        race = exp_race()
-        value, _, r = worst_case_rho(race, 20)
-        assert r == 1
-        assert value == pytest.approx(float(rho_deadline(20, 1, race)), rel=1e-12)
+class TestRaceSupremum:
+    """``sweep-race`` takes rho_bar = rho_deadline(m, 1): the sup over 1 <= r <= a <= m."""
 
-    def test_tight_deadline_model_argmax(self):
-        race = exp_race(reaction=0.9, rate=0.5)  # p ~ 0.12: unique maximizer
-        value, a, r = worst_case_rho(race, 20)
-        assert (a, r) == (20, 1)
-        assert value == pytest.approx(float(rho_deadline(20, 1, race)), rel=1e-12)
+    P_GRID = [Fraction(0), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6),
+              Fraction(999, 1000), Fraction(1)]
 
-    def test_piecewise_linear_model(self):
-        race = RaceModel.piecewise_linear(
-            1.0, 1.0, 0.1, [(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)]
-        )
-        assert 0.0 < race.p < 1.0
-        value, _, _ = worst_case_rho(race, 5)
-        assert value <= 1.0
+    @pytest.mark.parametrize("p", P_GRID, ids=str)
+    def test_exact_argmax_is_full_contacts_single_deficit(self, p):
+        for m in range(1, 13):
+            values = {
+                (a, r): exact_binomial_tail_ge(a, p, r)
+                for r in range(1, m + 1)
+                for a in range(r, m + 1)
+            }
+            assert max(values.values()) == values[(m, 1)]
+            assert values[(m, 1)] == 1 - (1 - p) ** m
+
+    @pytest.mark.parametrize(
+        "race",
+        [exp_race(), exp_race(reaction=0.9, rate=0.5), exp_race(reaction=0.999, rate=0.01),
+         exp_race(reaction=0.0), exp_race(reaction=1.0)],
+        ids=["default", "tight", "tiny-p", "p-one", "p-zero"],
+    )
+    def test_rho_bar_matches_closed_form(self, race):
+        for m in (1, 2, 3, 20, 200, 1999, 2000):
+            closed = -math.expm1(m * math.log1p(-race.p)) if race.p < 1.0 else 1.0
+            assert abs(rho_deadline(m, 1, race) - closed) <= 1e-13
 
 
 class TestMevBounds:
@@ -124,13 +157,21 @@ class TestMevBounds:
         assert out.knife_edge_beta_power == pytest.approx(0.2**20, rel=1e-12)
         assert out.knife_edge_exact <= out.knife_edge_beta_power
 
+    def test_knife_edge_exact_is_the_hand_written_formula_bit_for_bit(self):
+        cases = 0
+        for inst, beta in knife_edge_grid():
+            got = g_inc_upper(inst, beta, 1.0, 0.99).knife_edge_exact
+            assert got.hex() == reference_knife_edge_exact(inst, beta).hex(), (inst, beta)
+            cases += 1
+        assert cases > 300
+
     def test_floor_zero_without_visibility(self, table_instances):
         assert g_inc_floor(table_instances[30], 0.5, 0.0, 0.99) == 0.0
 
     def test_sandwich(self, table_instances, beta):
         inst = table_instances[30]
         race = exp_race()
-        rho_bar, _, _ = worst_case_rho(race, inst.m)
+        rho_bar = rho_deadline(inst.m, 1, race)
         upper = g_inc_upper(inst, beta, rho_bar, 0.99)
         rho_floor = float(rho_deadline(inst.r, inst.r, race))
         floor = g_inc_floor(inst, rho_floor, float(upper.feasibility_tail), 0.99)
@@ -145,18 +186,32 @@ class TestMevBounds:
 
 
 class TestRaceModelValidation:
+    def test_defaults_are_the_config_defaults(self):
+        assert RaceModel() == RaceModel(1.0, 1.0, 0.1, 4.0)
+
     def test_bad_windows_rejected(self):
-        with pytest.raises(ValueError):
-            RaceModel.exponential(1.0, 1.5, 0.1, 2.0)  # seal after slot end
-        with pytest.raises(ValueError):
-            RaceModel.exponential(1.0, 0.0, 0.1, 2.0)
-        with pytest.raises(ValueError):
-            RaceModel.exponential(1.0, 1.0, -0.1, 2.0)
-        with pytest.raises(ValueError):
-            RaceModel.exponential(1.0, 1.0, 0.1, 0.0)
+        for timings, message in [
+            ((1.0, 1.5, 0.1, 2.0), "seal_deadline must lie in (0, slot_duration]"),  # after slot end
+            ((1.0, 0.0, 0.1, 2.0), "seal_deadline must lie in (0, slot_duration]"),
+            ((1.0, 1.0, -0.1, 2.0), "reaction_time must be nonnegative"),
+            ((1.0, 1.0, 0.1, 0.0), "rate must be positive"),
+            ((0.0, 1.0, 0.1, 2.0), "slot_duration must be positive"),
+            ((1.0, 1.0, 0.1, math.nan), "rate must be positive"),
+            ((1.0, 1.0, math.nan, 2.0), "reaction_time must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RaceModel(*timings)
 
     def test_renormalized_cdf_reaches_one_at_deadline(self):
-        race = RaceModel.exponential(1.0, 1.0, 0.0, 2.0, renormalize=True)
-        assert race.arrival_cdf(1.0) == pytest.approx(1.0, rel=1e-12)
-        raw = RaceModel.exponential(1.0, 1.0, 0.0, 2.0, renormalize=False)
-        assert raw.arrival_cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+        assert RaceModel(1.0, 1.0, 0.0, 2.0).p == pytest.approx(1.0, rel=1e-12)
+
+    def test_p_is_the_renormalized_exponential_bit_for_bit(self):
+        cases = 0
+        for slot, seal in ((1.0, 1.0), (2.0, 1.5), (12.0, 4.0), (40.0, 40.0), (1e-3, 1e-3)):
+            for frac in (0.0, 1e-9, 0.1, 0.25, 0.5, 0.9, 0.999999, 1.0, 1.2):
+                for rate in (1e-6, 0.01, 0.5, 1.0, 4.0, 37.5, 1e3):
+                    timings = (slot, seal, frac * seal, rate)
+                    got = RaceModel(*timings).p
+                    assert got.hex() == renormalized_exponential_p(*timings).hex(), timings
+                    cases += 1
+        assert cases == 315

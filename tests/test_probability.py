@@ -426,6 +426,23 @@ class TestBinomialTail:
         assert binomial_tail_ge(5, 0.0, 1) == 0.0
         assert binomial_tail_ge(5, 1.0, 5) == 1.0
 
+    def test_zero_p_is_a_point_mass(self):
+        assert binomial_pmf_vector(7, 0.0) == DiscreteDistribution(0, (1.0,))
+        assert binomial_pmf_vector(0, 0.0) == DiscreteDistribution(0, (1.0,))
+
+    @pytest.mark.parametrize("n, total", [(20, 20), (100, 60), (1000, 400)])
+    def test_zero_p_convolution_keeps_every_mass(self, n, total):
+        # The point mass gives back the law's masses bit for bit, as the
+        # padded vector (1, 0, ..., 0) did, and every tail with them.
+        law = contact_sums(cartel_contact_law(n, 0.2, n // 5), 1)[0]
+        point = law.convolve(binomial_pmf_vector(total, 0.0))
+        padded = law.convolve(DiscreteDistribution(0, (1.0,) + (0.0,) * total))
+        assert point.masses == law.masses
+        assert padded.masses[: len(law.masses)] == law.masses
+        assert not any(padded.masses[len(law.masses):])
+        for r in range(-1, law.support_max + 2):
+            assert point.tail_gt(r).hex() == padded.tail_gt(r).hex()
+
 
 class TestMCEstimate:
     @pytest.mark.parametrize("trials", [1, 200, 10_000])
