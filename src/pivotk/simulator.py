@@ -393,7 +393,8 @@ def _replay(
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
 
-    derived = _derived_fields(instance, slots, [owner for _, _, owner in rows[:kappa]])
+    owners = [owner for _, _, owner in rows[:kappa]]
+    derived = _derived_fields(instance, slots, owners)
     if inclusion_time is not None and (inclusion_time > t_star) != derived["delayed"]:
         raise RuntimeError(
             "delay/deficit equivalence violated: "

@@ -191,7 +191,8 @@ class TestRaceModelValidation:
 
     def test_bad_windows_rejected(self):
         for timings, message in [
-            ((1.0, 1.5, 0.1, 2.0), "seal_deadline must lie in (0, slot_duration]"),  # after slot end
+            # a seal after the slot's end, then a zero seal deadline
+            ((1.0, 1.5, 0.1, 2.0), "seal_deadline must lie in (0, slot_duration]"),
             ((1.0, 0.0, 0.1, 2.0), "seal_deadline must lie in (0, slot_duration]"),
             ((1.0, 1.0, -0.1, 2.0), "reaction_time must be nonnegative"),
             ((1.0, 1.0, 0.1, 0.0), "rate must be positive"),
