@@ -40,6 +40,18 @@ class TestGoldenTables:
                 {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 150, "kappa_max": 450}},
                 id="sweep-race-n1000",
             ),
+            pytest.param(
+                "table-main.json", ["table-main", "--format", "json"], None, id="table-main-json"
+            ),
+            pytest.param(
+                "table-coalition.json",
+                ["table-coalition", "--format", "json"],
+                None,
+                id="table-coalition-json",
+            ),
+            pytest.param(
+                "table-cost.json", ["table-cost", "--format", "json"], None, id="table-cost-json"
+            ),
             pytest.param("advise.json", ["advise", "--format", "json"], None, id="advise"),
             pytest.param("verify.json", ["verify", "--trials", "1000"], None, id="verify"),
             pytest.param(
@@ -58,6 +70,13 @@ class TestGoldenTables:
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_text()
+
+    def test_sweep_json_matches_golden(self, capsys):
+        # Compared after parsing: the golden keeps each row's keys in field
+        # order, and key order is the only difference the output may show.
+        code, out = run_cli(capsys, "sweep", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == json.loads((GOLDEN / "sweep.json").read_text())
 
     def test_main_table_reference_cells(self, capsys):
         _, out = run_cli(capsys, "table-main", "--format", "csv")
