@@ -59,15 +59,31 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render(args, cfg: AnalysisConfig, header, display_rows, raw_rows) -> str:
-    if args.format == "table":
-        return render_table(header, display_rows)
-    if args.format == "csv":
-        return render_csv(header, display_rows)
-    return (
-        json.dumps({"config": cfg.to_dict(), "rows": raw_rows}, indent=2, sort_keys=True)
-        + "\n"
-    )
+# A column is (header, key, formatter): the table or CSV header, the key of
+# the raw value in each row, and the function that turns that value into a cell.
+Column = tuple[str, str, Callable[[object], str]]
+
+
+def _cell(value) -> str:
+    """Sweep cell: ``repr`` for a number, ``true``/``false`` for a boolean."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def _columns(*keys: str) -> list[Column]:
+    """Sweep columns: each header is its row key and each cell is ``_cell``."""
+    return [(key, key, _cell) for key in keys]
+
+
+def _render(args, cfg: AnalysisConfig, columns: Sequence[Column], rows: list[dict]) -> str:
+    """Rows of raw values as a table, CSV, or the ``{"config", "rows"}`` JSON document."""
+    if args.format == "json":
+        doc = {"config": cfg.to_dict(), "rows": rows}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    header = [name for name, _, _ in columns]
+    cells = [[fmt(row[key]) for _, key, fmt in columns] for row in rows]
+    return (render_table if args.format == "table" else render_csv)(header, cells)
 
 
 def _sweep_by_kappa(cfg: AnalysisConfig, kappas) -> dict[int, delay.SweepRow]:
@@ -78,123 +94,106 @@ def _sweep_by_kappa(cfg: AnalysisConfig, kappas) -> dict[int, delay.SweepRow]:
 
 # --- table commands ---------------------------------------------------------
 
-
-def _main_table_rows(cfg: AnalysisConfig):
-    inst0 = cfg.instance
-    sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
-    display, raw = [], []
-    for kappa in cfg.table_kappas:
-        inst = SystemInstance.from_kappa(inst0.n, inst0.m, kappa)
-        q0, q_rat, q_micro = sweep[kappa].q0, sweep[kappa].q_rat, sweep[kappa].q_micro
-        b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat)
-        b_shown = displayed_fee_units(b_static)
-        usd = b_shown * cfg.usd_per_fee_unit
-        display.append(
-            [
-                str(kappa),
-                str(inst.t_star),
-                str(inst.delta),
-                format_probability(q0),
-                format_probability(q_rat),
-                format_probability(q_micro),
-                format_fee_units(b_static),
-                format_usd(usd),
-            ]
-        )
-        raw.append(
-            {
-                "kappa": kappa,
-                "t_star": inst.t_star,
-                "delta": inst.delta,
-                "q0": q0,
-                "q_rat": q_rat,
-                "q_micro": q_micro,
-                "b_static": b_static,
-                "b_static_usd": usd,
-            }
-        )
-    return display, raw
+_MAIN_COLUMNS: list[Column] = [
+    ("kappa", "kappa", str),
+    ("t_star", "t_star", str),
+    ("delta", "delta", str),
+    ("q0", "q0", format_probability),
+    ("q_rat", "q_rat", format_probability),
+    ("q_micro", "q_micro", format_probability),
+    ("B_static", "b_static", format_fee_units),
+    ("B_static_usd", "b_static_usd", format_usd),
+]
 
 
 def cmd_table_main(args) -> int:
     cfg = _load_config(args, need_cartel=True)
-    header = ["kappa", "t_star", "delta", "q0", "q_rat", "q_micro", "B_static", "B_static_usd"]
-    display, raw = _main_table_rows(cfg)
-    _emit(args, _render(args, cfg, header, display, raw))
+    sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
+    rows = []
+    for kappa in cfg.table_kappas:
+        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
+        row = sweep[kappa]
+        b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, row.q0, row.q_rat)
+        rows.append(
+            {
+                "kappa": kappa,
+                "t_star": row.t_star,
+                "delta": row.delta,
+                "q0": row.q0,
+                "q_rat": row.q_rat,
+                "q_micro": row.q_micro,
+                "b_static": b_static,
+                "b_static_usd": displayed_fee_units(b_static) * cfg.usd_per_fee_unit,
+            }
+        )
+    _emit(args, _render(args, cfg, _MAIN_COLUMNS, rows))
     return EXIT_OK
+
+
+_COALITION_COLUMNS: list[Column] = [
+    ("kappa", "kappa", str),
+    ("delta", "delta", str),
+    ("unilateral_safe", "unilateral_safe", lambda safe: "yes" if safe else "no"),
+    ("equal_share", "equal_share", "{:.1f}".format),
+    ("B_coal", "b_coal", lambda b: "n/a" if b is None else str(round(b))),
+    ("B_static", "b_static", format_fee_units),
+]
 
 
 def cmd_table_coalition(args) -> int:
     cfg = _load_config(args, need_cartel=True)
-    inst0 = cfg.instance
-    header = ["kappa", "delta", "unilateral_safe", "equal_share", "B_coal", "B_static"]
     sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
-    display, raw = [], []
+    rows = []
     for kappa in cfg.table_kappas:
-        inst = SystemInstance.from_kappa(inst0.n, inst0.m, kappa)
-        q0 = sweep[kappa].q0
-        share = incentives.equal_share(cfg.econ, inst)
-        b_coal = incentives.coalition_sufficient_bounty(inst, cfg.econ)
-        b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat=0.0)
-        display.append(
-            [
-                str(kappa),
-                str(inst.delta),
-                "yes" if inst.delta > 0 else "no",
-                f"{share:.1f}",
-                "n/a" if b_coal is None else str(round(b_coal)),
-                format_fee_units(b_static),
-            ]
+        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
+        b_static, _ = incentives.bounty_proxies(
+            inst, cfg.beta, cfg.econ, sweep[kappa].q0, q_rat=0.0
         )
-        raw.append(
+        rows.append(
             {
                 "kappa": kappa,
                 "delta": inst.delta,
                 "unilateral_safe": inst.delta > 0,
-                "equal_share": share,
-                "b_coal": b_coal,
+                "equal_share": incentives.equal_share(cfg.econ, inst),
+                "b_coal": incentives.coalition_sufficient_bounty(inst, cfg.econ),
                 "b_static": b_static,
             }
         )
-    _emit(args, _render(args, cfg, header, display, raw))
+    _emit(args, _render(args, cfg, _COALITION_COLUMNS, rows))
     return EXIT_OK
+
+
+_COST_COLUMNS: list[Column] = [
+    ("alpha_v_usd", "alpha_v_usd", format_usd_whole),
+    ("B_static_usd", "b_static_usd", format_usd_small),
+    ("B_ratchet_usd", "b_ratchet_usd", format_usd_small),
+    ("ratio", "ratio", format_percent),
+]
 
 
 def cmd_table_cost(args) -> int:
     cfg = _load_config(args, need_cartel=True)
     row = _sweep_by_kappa(cfg, [cfg.instance.kappa])[cfg.instance.kappa]
-    q0, q_rat = row.q0, row.q_rat
-    ratio = q_rat / cfg.beta
     # USD columns derive from the probabilities at displayed precision, so a
     # reader can reproduce every cell from the printed delay table.
-    q0_shown = float(format_probability(q0).replace("~1", "1"))
-    q_rat_shown = float(format_probability(q_rat).replace("~1", "1"))
-    header = ["alpha_v_usd", "B_static_usd", "B_ratchet_usd", "ratio"]
-    display, raw = [], []
-    for tier in cfg.mev_tiers_usd:
-        b_static = tier / cfg.beta * q0_shown
-        b_ratchet = tier / cfg.beta * q_rat_shown
-        display.append(
-            [
-                format_usd_whole(tier),
-                format_usd_small(b_static),
-                format_usd_small(b_ratchet),
-                format_percent(ratio),
-            ]
-        )
-        raw.append(
-            {
-                "alpha_v_usd": tier,
-                "b_static_usd": b_static,
-                "b_ratchet_usd": b_ratchet,
-                "ratio": ratio,
-            }
-        )
-    _emit(args, _render(args, cfg, header, display, raw))
+    q0_shown = float(format_probability(row.q0).replace("~1", "1"))
+    q_rat_shown = float(format_probability(row.q_rat).replace("~1", "1"))
+    rows = [
+        {
+            "alpha_v_usd": tier,
+            "b_static_usd": tier / cfg.beta * q0_shown,
+            "b_ratchet_usd": tier / cfg.beta * q_rat_shown,
+            "ratio": row.q_rat / cfg.beta,
+        }
+        for tier in cfg.mev_tiers_usd
+    ]
+    _emit(args, _render(args, cfg, _COST_COLUMNS, rows))
     return EXIT_OK
 
 
 # --- sweeps ------------------------------------------------------------------
+
+_SWEEP_COLUMNS = _columns("kappa", "t_star", "delta", "q0", "q_rat", "q_micro", "knife_edge")
 
 
 def cmd_sweep(args) -> int:
@@ -202,28 +201,7 @@ def cmd_sweep(args) -> int:
     rows = delay.sawtooth_sweep(
         cfg.instance.n, cfg.instance.m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)
     )
-    if args.format == "json":
-        raw = [
-            {
-                "kappa": r.kappa,
-                "t_star": r.t_star,
-                "delta": r.delta,
-                "q0": r.q0,
-                "q_rat": r.q_rat,
-                "q_micro": r.q_micro,
-                "knife_edge": r.knife_edge,
-            }
-            for r in rows
-        ]
-        _emit(args, json.dumps({"config": cfg.to_dict(), "rows": raw}, indent=2) + "\n")
-    elif args.format == "table":
-        header = delay.SWEEP_CSV_HEADER.split(",")
-        cells = [r.to_csv().split(",") for r in rows]
-        _emit(args, render_table(header, cells))
-    else:
-        lines = [delay.SWEEP_CSV_HEADER]
-        lines.extend(r.to_csv() for r in rows)
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _render(args, cfg, _SWEEP_COLUMNS, [vars(row) for row in rows]))
     return EXIT_OK
 
 
@@ -233,13 +211,17 @@ def _even_spread(delta: int, t_star: int) -> tuple[int, ...]:
     return tuple(base + (1 if i < extra else 0) for i in range(t_star))
 
 
+_SWEEP_RATCHET_COLUMNS = _columns(
+    "kappa", "q0", "q_rat", "q_rat_multi_mc", "ci_low", "ci_high", "epsilon"
+)
+
+
 def cmd_sweep_ratchet(args) -> int:
     epsilon = args.epsilon
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError(f"--epsilon must lie in [0, 1), got {epsilon!r}")
     cfg = _load_config(args)
-    trials = cfg.trials
-    lines = ["kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon"]
+    rows = []
     n, m = cfg.instance.n, cfg.instance.m
     marked = cartel_lane_count(n, cfg.beta)
     # Withholding a whole first slot leaves n - min(m, marked) eligible lanes;
@@ -265,17 +247,25 @@ def cmd_sweep_ratchet(args) -> int:
         ]
         worst = None
         for spread in spreads:
-            est = ratchet.ratchet_multi_slot_delay(
-                inst, cfg.beta, spread, trials, cfg.seed
-            )
+            est = ratchet.ratchet_multi_slot_delay(inst, cfg.beta, spread, cfg.trials, cfg.seed)
             if worst is None or est.frequency > worst.frequency:
                 worst = est
-        lines.append(
-            f"{row.kappa},{row.q0!r},{q_rat!r},{worst.frequency!r},"
-            f"{worst.ci_low!r},{worst.ci_high!r},{epsilon!r}"
+        rows.append(
+            {
+                "kappa": row.kappa,
+                "q0": row.q0,
+                "q_rat": q_rat,
+                "q_rat_multi_mc": worst.frequency,
+                "ci_low": worst.ci_low,
+                "ci_high": worst.ci_high,
+                "epsilon": epsilon,
+            }
         )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _render(args, cfg, _SWEEP_RATCHET_COLUMNS, rows))
     return EXIT_OK
+
+
+_SWEEP_RACE_COLUMNS = _columns("kappa", "r", "q_micro", "g_inc_upper", "g_inc_floor")
 
 
 def cmd_sweep_race(args) -> int:
@@ -284,15 +274,23 @@ def cmd_sweep_race(args) -> int:
     # P[Bin(a, p) >= r] grows with a and shrinks with r: the sup over the
     # feasible cells 1 <= r <= a <= m sits at (a, r) = (m, 1).
     rho_bar = intra_slot.rho_deadline(m, 1, race)
-    lines = ["kappa,r,q_micro,g_inc_upper,g_inc_floor"]
+    rows = []
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, m, kappa)
         upper = intra_slot.g_inc_upper(inst, cfg.beta, rho_bar, cfg.econ.gamma)
         tail = upper.feasibility_tail
         rho_floor = intra_slot.rho_deadline(inst.r, inst.r, race)
         floor = intra_slot.g_inc_floor(inst, rho_floor, tail, cfg.econ.gamma)
-        lines.append(f"{kappa},{inst.r},{tail!r},{upper.value!r},{floor!r}")
-    _emit(args, "\n".join(lines) + "\n")
+        rows.append(
+            {
+                "kappa": kappa,
+                "r": inst.r,
+                "q_micro": tail,
+                "g_inc_upper": upper.value,
+                "g_inc_floor": floor,
+            }
+        )
+    _emit(args, _render(args, cfg, _SWEEP_RACE_COLUMNS, rows))
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "no_delay_upper",
     "SweepRow",
     "sawtooth_sweep",
-    "SWEEP_CSV_HEADER",
 ]
 
 
@@ -140,9 +139,6 @@ def no_delay_upper(instance: SystemInstance, beta) -> float:
     return chernoff_tail_bound(instance.t_star, instance.m, frac, beta_frac, "lower")
 
 
-SWEEP_CSV_HEADER = "kappa,t_star,delta,q0,q_rat,q_micro,knife_edge"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     kappa: int
@@ -152,13 +148,6 @@ class SweepRow:
     q_rat: float
     q_micro: float
     knife_edge: bool
-
-    def to_csv(self) -> str:
-        flag = "true" if self.knife_edge else "false"
-        return (
-            f"{self.kappa},{self.t_star},{self.delta},"
-            f"{self.q0!r},{self.q_rat!r},{self.q_micro!r},{flag}"
-        )
 
 
 def sawtooth_sweep(

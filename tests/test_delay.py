@@ -196,4 +196,4 @@ class TestSawtoothSweep:
     def test_row_shape(self, beta):
         rows = sawtooth_sweep(100, 20, beta, [30])
         assert len(rows) == 1
-        assert rows[0].to_csv().startswith("30,2,10,")
+        assert (rows[0].kappa, rows[0].t_star, rows[0].delta) == (30, 2, 10)
