@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -111,7 +112,7 @@ def cmd_table_main(args) -> int:
     sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
     rows = []
     for kappa in cfg.table_kappas:
-        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
+        inst = replace(cfg.instance, K=kappa * cfg.instance.s)
         row = sweep[kappa]
         b_static, _ = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, row.q0, row.q_rat)
         rows.append(
@@ -145,7 +146,7 @@ def cmd_table_coalition(args) -> int:
     sweep = _sweep_by_kappa(cfg, cfg.table_kappas)
     rows = []
     for kappa in cfg.table_kappas:
-        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
+        inst = replace(cfg.instance, K=kappa * cfg.instance.s)
         b_static, _ = incentives.bounty_proxies(
             inst, cfg.beta, cfg.econ, sweep[kappa].q0, q_rat=0.0
         )

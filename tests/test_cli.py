@@ -10,6 +10,8 @@ import pytest
 
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
+from pivotk.geometry import SystemInstance
+from pivotk.incentives import coalition_sufficient_bounty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,6 +116,34 @@ class TestGoldenTables:
         assert abs(int(coal[2]) - 2610) <= 1
         assert abs(int(coal[3]) - 4302) <= 1
         assert unil == ["yes", "no", "yes", "yes", "no"]
+
+    def test_coalition_rows_price_bundles_at_config_s(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "instance": {"n": 100, "m": 20, "s": 3, "kappa": 30},
+                    "econ": {
+                        "mode": "bytes",
+                        "header_bytes": 100,
+                        "metadata_bytes": 20,
+                        "symbol_bytes": 200,
+                        "per_byte_price": 0.01,
+                        "proposer_share": 0.5,
+                        "alpha": 0.01,
+                        "value": 10000.0,
+                        "gamma": 0.99,
+                    },
+                }
+            )
+        )
+        _, out = run_cli(capsys, "table-coalition", "--config", str(cfg_path), "--format", "json")
+        (row,) = [r for r in json.loads(out)["rows"] if r["kappa"] == 30]
+        _, out = run_cli(capsys, "advise", "--config", str(cfg_path), "--format", "json")
+        advised = json.loads(out)["report"]["coalition_bounty"]
+        econ = AnalysisConfig.load(str(cfg_path)).econ
+        expected = coalition_sufficient_bounty(SystemInstance(100, 20, 3, 90), econ)
+        assert row["b_coal"] == advised == expected
 
     def test_cost_reference_cells(self, capsys):
         _, out = run_cli(capsys, "table-cost", "--format", "csv")
