@@ -97,10 +97,13 @@ def honest_miss_delay_bound(
 
     Honest misses add an independent Bin(M, epsilon) of lost bundles on top of
     the strategic withholding law, where M is the schedule's planned contact
-    total by the horizon: P[W + Bin(M, eps) > delta_rec].
+    total by the horizon: P[W + Bin(M, eps) > delta_rec].  Bin(M, 0) is the
+    point mass at 0, so at ``epsilon == 0`` this is the law's own tail.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
+    if epsilon == 0.0:
+        return withheld_law.tail_gt(schedule.delta_rec)
     total = schedule.total_by_horizon
     combined = withheld_law.convolve(binomial_pmf_vector(total, epsilon))
     return combined.tail_gt(schedule.delta_rec)

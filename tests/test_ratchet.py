@@ -9,7 +9,13 @@ import pytest
 from pivotk.cli import _even_spread
 from pivotk.delay import exact_q0
 from pivotk.geometry import ContactSchedule, SystemInstance
-from pivotk.probability import DiscreteDistribution, HypergeomLaw
+from pivotk.probability import (
+    DiscreteDistribution,
+    HypergeomLaw,
+    binomial_pmf_vector,
+    cartel_contact_law,
+    contact_sums,
+)
 from pivotk.ratchet import (
     honest_miss_delay_bound,
     q_rat_first_slot,
@@ -139,6 +145,25 @@ class TestHonestMissBound:
             assert bound == pytest.approx(
                 float(q_rat_first_slot(schedule, 100, beta)), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "n, kappas",
+        [
+            (20, range(1, 9)),
+            (100, range(1, 41)),
+            (1000, range(1, 401)),
+            (10_000, range(2001, 4001, 40)),  # 50 spread deltas
+        ],
+    )
+    def test_zero_rate_is_the_law_tail_bit_for_bit(self, n, kappas):
+        # kappa 1..2m runs delta_rec over every slack 0..m-1, at t* = 1 and 2.
+        m = n // 5
+        law = contact_sums(cartel_contact_law(n, 0.2, m), 1)[0]
+        for kappa in kappas:
+            schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
+            point = binomial_pmf_vector(schedule.total_by_horizon, 0.0)
+            convolved = law.convolve(point).tail_gt(schedule.delta_rec)
+            assert honest_miss_delay_bound(schedule, 0.0, law).hex() == convolved.hex()
 
     def test_nondecreasing_in_miss_rate(self, table_instances):
         schedule = ContactSchedule.static(table_instances[30])
