@@ -341,7 +341,9 @@ def _derived_fields(
         "inclusion_time": inclusion_time,
         "withheld_at_horizon": withheld,
         "pivotal_cartel_count": (
-            pivotal_owners.count("cartel") if len(pivotal_owners) == instance.kappa else None
+            cartel_prefix_count(pivotal_owners, instance.kappa)
+            if len(pivotal_owners) == instance.kappa
+            else None
         ),
         "delayed": withheld > instance.delta,
         "truncated": inclusion_time is None,
