@@ -154,6 +154,7 @@ class TestHonestMissBound:
             (1000, range(1, 401)),
             (10_000, range(2001, 4001, 40)),  # 50 spread deltas
         ],
+        ids=["n20", "n100", "n1000", "n10000"],
     )
     def test_zero_rate_is_the_law_tail_bit_for_bit(self, n, kappas):
         # kappa 1..2m runs delta_rec over every slack 0..m-1, at t* = 1 and 2.
