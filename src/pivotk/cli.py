@@ -486,11 +486,15 @@ def cmd_verify(args) -> int:
 def cmd_advise(args) -> int:
     cfg = _load_config(args, need_cartel=True)
     inst = cfg.instance
-    if cfg.econ.bundle_price(inst.s) <= 0:
-        raise ConfigError(
-            "advise prices the fee share per bundle and needs a positive "
-            "econ.bundle_price (in normalized mode it defaults to econ.fee)"
-        )
+    if cfg.econ.bundle_price_at(inst.s) <= 0:
+        if cfg.econ.mode == "normalized":
+            price = "econ.bundle_price (in normalized mode it defaults to econ.fee)"
+        else:
+            price = (
+                "bundle price econ.per_byte_price * (econ.header_bytes + "
+                "s * (econ.metadata_bytes + econ.symbol_bytes))"
+            )
+        raise ConfigError(f"advise prices the fee share per bundle and needs a positive {price}")
     row = _sweep_by_kappa(cfg, [inst.kappa])[inst.kappa]
     q0, q_rat, q_mic = row.q0, row.q_rat, row.q_micro
     b_static, b_ratchet = incentives.bounty_proxies(inst, cfg.beta, cfg.econ, q0, q_rat)

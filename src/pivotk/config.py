@@ -22,6 +22,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+# The econ block's defaults per mode; a normalized block's bundle_price
+# defaults to its fee.  Trace lines get none of them.
+_ECON_DEFAULTS = {
+    "normalized": {"fee": 1.0, "alpha_v": 100.0, "alpha": 1.0, "gamma": 0.99, "bounty": 0.0},
+    "bytes": {"gamma": 0.99, "bounty": 0.0},
+}
+
+
 _JSON_TYPES = {list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
 
 
@@ -107,9 +115,13 @@ class AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"beta: {exc}") from exc
 
-        econ = EconParams.from_config(
-            {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **_block(obj, "econ")}
-        )
+        econ_obj = _block(obj, "econ")
+        mode = econ_obj.get("mode", "normalized")
+        defaults = _ECON_DEFAULTS.get(mode, {}) if isinstance(mode, str) else {}
+        econ_obj = {"mode": mode, **defaults, **econ_obj}
+        if mode == "normalized":
+            econ_obj.setdefault("bundle_price", econ_obj["fee"])
+        econ = EconParams.from_config(econ_obj)
 
         sweep_obj = _block(obj, "sweep")
         sweep_min = json_field(sweep_obj.get("kappa_min", 1), "sweep.kappa_min")

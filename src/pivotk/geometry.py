@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -14,15 +15,21 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def json_field(value, field: str, lo=None, hi=None, nullable: bool = False, kind: type = int):
     """``value`` if it is a JSON integer (``kind=int``) or number (``kind=float``).
 
     It must also lie in [lo, hi] where those bounds are given, or be None
-    when ``nullable``.  JSON booleans are neither integers nor numbers, and
-    an accepted number comes back as a float.  Raises ValueError naming
-    ``field``.
+    when ``nullable``.  JSON booleans are neither integers nor numbers, a
+    number must be finite (Python's ``json`` reads ``NaN`` and ``Infinity``,
+    which JSON does not have), and an accepted number comes back as a float.
+    Raises ValueError naming ``field``.
     """
     if type(value) is kind or (kind is float and type(value) is int):
+        if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"{field} must be a finite number, got {value!r}")
         if (lo is None or value >= lo) and (hi is None or value <= hi):
             return kind(value)
     elif value is None and nullable:

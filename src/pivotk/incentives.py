@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -41,57 +41,94 @@ __all__ = [
 ]
 
 
-# The byte model's size and price fields; normalized mode takes none of them.
-_BYTE_FIELDS = (
-    "header_bytes",
-    "metadata_bytes",
-    "symbol_bytes",
-    "per_byte_price",
-    "proposer_share",
+# Each mode's econ keys, in the order to_config writes them.  A block holds its
+# mode's keys and none of the other mode's.  Byte sizes are JSON integers,
+# every other key a number.
+_ECON_KEYS = {
+    "normalized": ("fee", "alpha_v", "alpha", "gamma", "bounty", "bundle_price"),
+    "bytes": (
+        "header_bytes", "metadata_bytes", "symbol_bytes", "per_byte_price", "proposer_share",
+        "alpha", "value", "gamma", "bounty",
+    ),
+}
+# Every key once, in the order of EconParams' fields after ``mode``, with its
+# JSON kind and its name in messages.
+_ECON_FIELDS = tuple(
+    (key, int if key.endswith("_bytes") else float, f"econ.{key}")
+    for key in dict.fromkeys(_ECON_KEYS["normalized"] + _ECON_KEYS["bytes"])
 )
+# Per mode: what its messages call the other mode's keys, and those keys.
+_EXCLUDED = {
+    mode: (label, [key for key in _ECON_KEYS[other] if key not in _ECON_KEYS[mode]])
+    for mode, other, label in (
+        ("normalized", "bytes", "byte-model"),
+        ("bytes", "normalized", "normalized-mode"),
+    )
+}
+_NONNEGATIVE = {
+    "fee", "bundle_price", "bounty", "header_bytes", "metadata_bytes", "symbol_bytes",
+    "per_byte_price",
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EconParams:
     """Fee, bounty, and discount economics for one transaction.
 
-    Two construction modes.  The byte model derives the per-bundle price from
-    sizes, ``bundle_price(s) = per_byte_price * (header_bytes + s *
+    Two modes, each with its keys in ``_ECON_KEYS`` and none of the
+    other's.  The byte model derives the per-bundle price from sizes,
+    ``bundle_price_at(s) = per_byte_price * (header_bytes + s *
     (metadata_bytes + symbol_bytes))``, and the proposer keeps the share
     ``proposer_share`` of it.  The normalized mode fixes the proposer fee per
-    included bundle directly (the tables' unit-fee convention) and carries an
-    explicit bundle price for fee-share questions.
+    included bundle directly (the tables' unit-fee convention), gives the MEV
+    at risk as ``alpha_v`` and carries an explicit ``bundle_price`` for
+    fee-share questions.  Each attribute holds its config key's value as
+    given; the other mode's attributes are None.
     """
 
-    gamma: float
-    alpha: float
-    value: float
-    bounty: float = 0.0
+    mode: str
+    fee: float | None = None
+    alpha_v: float | None = None
+    alpha: float | None = None
+    gamma: float | None = None
+    bounty: float | None = None
+    bundle_price: float | None = None
     header_bytes: int | None = None
     metadata_bytes: int | None = None
     symbol_bytes: int | None = None
     per_byte_price: float | None = None
     proposer_share: float | None = None
-    fee_unit: float | None = None
-    bundle_price_unit: float | None = None
+    value: float | None = None
 
     def __post_init__(self) -> None:
+        """Every check of an econ block; each comparison fails on NaN."""
+        keys = _ECON_KEYS.get(self.mode) if isinstance(self.mode, str) else None
+        if keys is None:
+            raise ValueError(f"econ.mode must be 'normalized' or 'bytes', got {self.mode!r}")
+        for key in keys:
+            x = getattr(self, key)
+            if x is None:
+                raise TypeError(f"missing field {key!r}")
+            if key in _NONNEGATIVE and not x >= 0:
+                raise ValueError(f"econ.{key} must be nonnegative")
+        label, excluded = _EXCLUDED[self.mode]
+        for key in excluded:
+            if getattr(self, key) is not None:
+                raise ValueError(f"econ: {self.mode} mode excludes {label} field {key!r}")
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.value <= 0:
-            raise ValueError("transaction value must be positive")
-        if self.bounty < 0:
-            raise ValueError("bounty must be nonnegative")
-        byte_fields = [getattr(self, name) for name in _BYTE_FIELDS]
-        if self.fee_unit is None:
-            if any(f is None for f in byte_fields):
-                raise ValueError("byte model requires all size and price fields")
-            if self.proposer_share is not None and not 0.0 <= self.proposer_share <= 1.0:
-                raise ValueError("proposer_share must lie in [0, 1]")
-        elif any(f is not None for f in byte_fields):
-            raise ValueError("normalized mode excludes the byte-model fields")
+            raise ValueError("econ.gamma must lie in (0, 1)")
+        if self.mode == "normalized":
+            if not 0.0 < self.alpha <= 1.0:
+                raise ValueError("econ.alpha must lie in (0, 1] to recover v from alpha_v")
+            if not self.alpha_v > 0:
+                raise ValueError("econ.alpha_v must be positive")
+        else:
+            if not 0.0 <= self.alpha <= 1.0:
+                raise ValueError("econ.alpha must lie in [0, 1]")
+            if not self.value > 0:
+                raise ValueError("econ.value must be positive")
+            if not 0.0 <= self.proposer_share <= 1.0:
+                raise ValueError("econ.proposer_share must lie in [0, 1]")
 
     @classmethod
     def normalized(
@@ -104,132 +141,66 @@ class EconParams:
         bundle_price: float | None = None,
     ) -> "EconParams":
         """Unit-fee economics: proposer fee set directly, MEV given as alpha*v."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive to recover v from alpha*v")
         return cls(
-            gamma=gamma,
+            mode="normalized",
+            fee=fee,
+            alpha_v=alpha_v,
             alpha=alpha,
-            value=alpha_v / alpha,
-            bounty=bounty,
-            fee_unit=fee,
-            bundle_price_unit=bundle_price if bundle_price is not None else fee,
-        )
-
-    @classmethod
-    def byte_model(
-        cls,
-        header_bytes: int,
-        metadata_bytes: int,
-        symbol_bytes: int,
-        per_byte_price: float,
-        proposer_share: float,
-        alpha: float,
-        value: float,
-        gamma: float,
-        bounty: float = 0.0,
-    ) -> "EconParams":
-        return cls(
             gamma=gamma,
-            alpha=alpha,
-            value=value,
             bounty=bounty,
-            header_bytes=header_bytes,
-            metadata_bytes=metadata_bytes,
-            symbol_bytes=symbol_bytes,
-            per_byte_price=per_byte_price,
-            proposer_share=proposer_share,
+            bundle_price=fee if bundle_price is None else bundle_price,
         )
 
     @property
     def mev_exposure(self) -> float:
         """alpha * v, the value at risk from an early decode."""
+        if self.mode == "normalized":
+            return self.alpha_v
         return self.alpha * self.value
 
+    @property
+    def transaction_value(self) -> float:
+        """v, the transaction's value; alpha_v / alpha in normalized mode."""
+        if self.mode == "normalized":
+            return self.alpha_v / self.alpha
+        return self.value
+
     def bundle_bytes(self, s: int) -> int | None:
-        if self.header_bytes is None:
+        if self.mode == "normalized":
             return None
         return self.header_bytes + s * (self.metadata_bytes + self.symbol_bytes)
 
-    def bundle_price(self, s: int) -> float:
-        if self.fee_unit is not None:
-            return self.bundle_price_unit
+    def bundle_price_at(self, s: int) -> float:
+        """The price of one bundle of ``s`` symbols."""
+        if self.mode == "normalized":
+            return self.bundle_price
         return self.per_byte_price * self.bundle_bytes(s)
 
     def proposer_fee(self, s: int) -> float:
-        if self.fee_unit is not None:
-            return self.fee_unit
-        return self.proposer_share * self.bundle_price(s)
+        if self.mode == "normalized":
+            return self.fee
+        return self.proposer_share * self.bundle_price_at(s)
 
     def to_config(self) -> dict:
-        if self.fee_unit is not None:
-            return {
-                "mode": "normalized",
-                "fee": self.fee_unit,
-                "alpha_v": self.mev_exposure,
-                "alpha": self.alpha,
-                "gamma": self.gamma,
-                "bounty": self.bounty,
-                "bundle_price": self.bundle_price_unit,
-            }
-        return {
-            "mode": "bytes",
-            "header_bytes": self.header_bytes,
-            "metadata_bytes": self.metadata_bytes,
-            "symbol_bytes": self.symbol_bytes,
-            "per_byte_price": self.per_byte_price,
-            "proposer_share": self.proposer_share,
-            "alpha": self.alpha,
-            "value": self.value,
-            "gamma": self.gamma,
-            "bounty": self.bounty,
-        }
+        return {"mode": self.mode, **{key: getattr(self, key) for key in _ECON_KEYS[self.mode]}}
 
     @classmethod
-    def from_config(cls, obj: Mapping[str, Any]) -> "EconParams":
-        """Parse and validate an econ block, the schema :meth:`to_config` writes.
+    def from_config(cls, obj: dict[str, Any]) -> "EconParams":
+        """Parse an econ block, the schema :meth:`to_config` writes.
 
-        The one parser for config files and replayed trace lines.  A missing
-        field raises KeyError; a malformed or out-of-range one raises
-        TypeError or ValueError.
+        The one parser for config files and replayed trace lines; it fills no
+        default.  A missing ``mode`` raises KeyError, a missing field of the
+        mode TypeError, and a malformed or out-of-range one ValueError.
         """
-        if not isinstance(obj, Mapping):
+        if not isinstance(obj, dict):
             raise TypeError(f"econ must be an object, got {type(obj).__name__}")
-        mode = obj.get("mode", "normalized")
-        gamma = json_field(obj["gamma"], "econ.gamma", kind=float)
-        bounty = json_field(obj.get("bounty", 0.0), "econ.bounty", kind=float)
-        if mode == "normalized":
-            for name in _BYTE_FIELDS:
-                if name in obj:
-                    raise ValueError(
-                        f"econ: normalized mode excludes byte-model field {name!r}"
-                    )
-            fee = json_field(obj["fee"], "econ.fee", kind=float)
-            if not fee >= 0:
-                raise ValueError("econ.fee must be nonnegative")
-            bundle_price = json_field(obj.get("bundle_price", fee), "econ.bundle_price", kind=float)
-            if not bundle_price >= 0:
-                raise ValueError("econ.bundle_price must be nonnegative")
-            return cls.normalized(
-                fee=fee,
-                alpha_v=json_field(obj["alpha_v"], "econ.alpha_v", kind=float),
-                gamma=gamma,
-                bounty=bounty,
-                alpha=json_field(obj.get("alpha", 1.0), "econ.alpha", kind=float),
-                bundle_price=bundle_price,
-            )
-        if mode == "bytes":
-            return cls.byte_model(
-                header_bytes=json_field(obj["header_bytes"], "econ.header_bytes"),
-                metadata_bytes=json_field(obj["metadata_bytes"], "econ.metadata_bytes"),
-                symbol_bytes=json_field(obj["symbol_bytes"], "econ.symbol_bytes"),
-                per_byte_price=json_field(obj["per_byte_price"], "econ.per_byte_price", kind=float),
-                proposer_share=json_field(obj["proposer_share"], "econ.proposer_share", kind=float),
-                alpha=json_field(obj["alpha"], "econ.alpha", kind=float),
-                value=json_field(obj["value"], "econ.value", kind=float),
-                gamma=gamma,
-                bounty=bounty,
-            )
-        raise ValueError(f"econ.mode must be 'normalized' or 'bytes', got {mode!r}")
+        return cls(
+            obj["mode"],
+            *[
+                json_field(obj[key], name, kind=kind) if key in obj else None
+                for key, kind, name in _ECON_FIELDS
+            ],
+        )
 
 
 def _beta_fraction(instance: SystemInstance, beta) -> float:
@@ -422,7 +393,7 @@ def phi_threshold(
     Values above 1 mean no feasible share suffices and a bounty is required.
     """
     bf = _beta_fraction(instance, beta)
-    price = econ.bundle_price(instance.s)
+    price = econ.bundle_price_at(instance.s)
     if price <= 0 or bf <= 0:
         raise ValueError("need positive bundle price and cartel fraction")
     g = econ.gamma
@@ -445,7 +416,10 @@ def sender_ir_bound(
     withholding.
     """
     g_star = econ.gamma**instance.t_star
-    return econ.value * (g_star - expected_discount_T0) + econ.mev_exposure * g_star * q0
+    return (
+        econ.transaction_value * (g_star - expected_discount_T0)
+        + econ.mev_exposure * g_star * q0
+    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import re
 
@@ -14,6 +15,22 @@ from pivotk.geometry import SystemInstance
 from pivotk.incentives import coalition_sufficient_bounty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# An s = 3 byte-model config; its econ block leaves gamma and bounty to their defaults.
+BYTE_CONFIG = {
+    "instance": {"n": 100, "m": 20, "s": 3, "kappa": 30},
+    "econ": {
+        "mode": "bytes",
+        "header_bytes": 100,
+        "metadata_bytes": 20,
+        "symbol_bytes": 200,
+        "per_byte_price": 0.01,
+        "proposer_share": 0.5,
+        "alpha": 0.01,
+        "value": 10000.0,
+        "gamma": 0.99,
+    },
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -119,24 +136,7 @@ class TestGoldenTables:
 
     def test_coalition_rows_price_bundles_at_config_s(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "instance": {"n": 100, "m": 20, "s": 3, "kappa": 30},
-                    "econ": {
-                        "mode": "bytes",
-                        "header_bytes": 100,
-                        "metadata_bytes": 20,
-                        "symbol_bytes": 200,
-                        "per_byte_price": 0.01,
-                        "proposer_share": 0.5,
-                        "alpha": 0.01,
-                        "value": 10000.0,
-                        "gamma": 0.99,
-                    },
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps(BYTE_CONFIG))
         _, out = run_cli(capsys, "table-coalition", "--config", str(cfg_path), "--format", "json")
         (row,) = [r for r in json.loads(out)["rows"] if r["kappa"] == 30]
         _, out = run_cli(capsys, "advise", "--config", str(cfg_path), "--format", "json")
@@ -345,6 +345,130 @@ class TestConfigHandling:
         assert captured.err.startswith("config error: ")
         assert "positive econ.bundle_price" in captured.err
 
+    @pytest.mark.parametrize(
+        "econ",
+        [{"per_byte_price": 0.0}, {"header_bytes": 0, "metadata_bytes": 0, "symbol_bytes": 0}],
+        ids=["per_byte_price", "sizes"],
+    )
+    def test_advise_zero_byte_price_names_byte_fields(self, capsys, tmp_path, econ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BYTE_CONFIG, "econ": {**BYTE_CONFIG["econ"], **econ}}))
+        code = main(["advise", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: advise prices the fee share per bundle and needs a positive bundle "
+            "price econ.per_byte_price * (econ.header_bytes + s * (econ.metadata_bytes + "
+            "econ.symbol_bytes))\n"
+        )
+
+    @pytest.mark.parametrize(
+        "econ, reason",
+        [
+            ({"fee": 5.0}, "econ: bytes mode excludes normalized-mode field 'fee'"),
+            ({"alpha_v": 100.0}, "econ: bytes mode excludes normalized-mode field 'alpha_v'"),
+            ({"bundle_price": 1.0}, "econ: bytes mode excludes normalized-mode field 'bundle_price'"),
+            ({"header_bytes": -100}, "econ.header_bytes must be nonnegative"),
+            ({"metadata_bytes": -1}, "econ.metadata_bytes must be nonnegative"),
+            ({"symbol_bytes": -1}, "econ.symbol_bytes must be nonnegative"),
+            ({"per_byte_price": -0.01}, "econ.per_byte_price must be nonnegative"),
+            ({"value": -5.0}, "econ.value must be positive"),
+            ({"alpha": -0.1}, "econ.alpha must lie in [0, 1]"),
+            ({"proposer_share": 1.5}, "econ.proposer_share must lie in [0, 1]"),
+        ],
+        ids=["fee", "alpha_v", "bundle_price", "header_bytes", "metadata_bytes", "symbol_bytes",
+             "per_byte_price", "value", "alpha", "proposer_share"],
+    )
+    @pytest.mark.parametrize("command", ["table-coalition", "advise"])
+    def test_byte_model_block_checked(self, capsys, tmp_path, econ, reason, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BYTE_CONFIG, "econ": {**BYTE_CONFIG["econ"], **econ}}))
+        code = main([command, "--config", str(cfg_path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "econ, reason",
+        [
+            ({"alpha_v": -5}, "econ.alpha_v must be positive"),
+            ({"alpha": 0.0}, "econ.alpha must lie in (0, 1] to recover v from alpha_v"),
+            ({"gamma": 1.0}, "econ.gamma must lie in (0, 1)"),
+            ({"bounty": -1.0}, "econ.bounty must be nonnegative"),
+            ({"value": 100.0}, "econ: normalized mode excludes byte-model field 'value'"),
+        ],
+        ids=["alpha_v", "alpha", "gamma", "bounty", "value"],
+    )
+    def test_normalized_block_errors_name_the_key(self, capsys, tmp_path, econ, reason):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": econ}))
+        code = main(["table-main", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"config error: {reason}\n"
+
+    def test_missing_byte_model_field_named(self, capsys, tmp_path):
+        econ = {k: v for k, v in BYTE_CONFIG["econ"].items() if k != "alpha"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BYTE_CONFIG, "econ": econ}))
+        code = main(["advise", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "config error: missing field 'alpha'\n"
+
+    def test_echo_repeats_alpha_v_as_given(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": {"alpha": 0.9, "alpha_v": 945.33}}))
+        code, out = run_cli(capsys, "advise", "--config", str(cfg_path), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["econ"] == {
+            "mode": "normalized",
+            "fee": 1.0,
+            "alpha_v": 945.33,
+            "alpha": 0.9,
+            "gamma": 0.99,
+            "bounty": 0.0,
+            "bundle_price": 1.0,
+        }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            pytest.param({"beta": None}, "beta", id="beta"),
+            pytest.param({"usd_per_fee_unit": None}, "usd_per_fee_unit", id="usd_per_fee_unit"),
+            pytest.param({"mev_tiers_usd": [5.0, None, 5000.0]}, "mev_tiers_usd[1]", id="mev_tiers"),
+            *[
+                pytest.param({"econ": {key: None}}, f"econ.{key}", id=f"normalized-{key}")
+                for key in ("fee", "alpha_v", "alpha", "gamma", "bounty", "bundle_price")
+            ],
+            *[
+                pytest.param(
+                    {**BYTE_CONFIG, "econ": {**BYTE_CONFIG["econ"], key: None}},
+                    f"econ.{key}",
+                    id=f"bytes-{key}",
+                )
+                for key in ("per_byte_price", "proposer_share", "alpha", "value", "gamma", "bounty")
+            ],
+            *[
+                pytest.param({"race": {key: None}}, f"race.{key}", id=f"race-{key}")
+                for key in ("slot_duration", "seal_deadline", "reaction_time", "rate")
+            ],
+        ],
+    )
+    def test_numbers_must_be_finite(self, capsys, tmp_path, config, field, bad):
+        # Python's json reads NaN and Infinity; JSON itself has neither.
+        text = json.dumps(config).replace("null", json.dumps(bad))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main(["table-coalition", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {field} must be a finite number, got {bad!r}\n"
+
     def test_zero_fee_accepted_outside_advise(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"econ": {"fee": 0.0}, "table_kappas": [30]}))
@@ -353,26 +477,26 @@ class TestConfigHandling:
         assert len(out.strip().splitlines()) == 2
 
     @pytest.mark.parametrize(
-        "race, names",
+        "race, reason",
         [
-            ({"slot_duration": 0}, "slot_duration"),
-            ({"seal_deadline": 2.0}, "seal_deadline"),
-            ({"reaction_time": -0.1}, "reaction_time"),
-            ({"rate": 0}, "rate"),
-            ({"rate": float("nan")}, "rate must be positive"),
+            ({"slot_duration": 0}, "race: slot_duration must be positive"),
+            ({"seal_deadline": 2.0}, "race: seal_deadline must lie in (0, slot_duration]"),
+            ({"reaction_time": -0.1}, "race: reaction_time must be nonnegative"),
+            ({"rate": 0}, "race: rate must be positive"),
+            # JSON has no NaN, so the field check rejects it before RaceModel's
+            ({"rate": float("nan")}, "race.rate must be a finite number, got nan"),
         ],
         ids=["slot_duration", "seal_deadline", "reaction_time", "rate", "rate-nan"],
     )
     @pytest.mark.parametrize("command", ["sweep-race", "table-main"])
-    def test_bad_race_timing_rejected(self, capsys, tmp_path, race, names, command):
+    def test_bad_race_timing_rejected(self, capsys, tmp_path, race, reason, command):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"race": race}))
         code = main([command, "--config", str(cfg_path)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""
-        assert captured.err.startswith("config error: race: ")
-        assert names in captured.err
+        assert captured.err == f"config error: {reason}\n"
 
     @pytest.mark.parametrize(
         "spec", ["stationary_w", "stationary_w:1.5", "ratchet_spread:-1", "scripted:a", "bogus"]
@@ -708,10 +832,11 @@ class TestSimulateReplay:
     @pytest.mark.parametrize(
         "econ, reason",
         [
-            ({"fee": 1.0, "gamma": 0.99}, "missing field 'alpha_v'"),
+            ({"fee": 1.0, "gamma": 0.99}, "missing field 'mode'"),
+            ({"mode": "normalized", "fee": 1.0, "gamma": 0.99}, "missing field 'alpha_v'"),
             ([1.0, 100.0, 0.99], "econ must be an object, got list"),
         ],
-        ids=["missing-field", "not-an-object"],
+        ids=["missing-field", "missing-field-normalized", "not-an-object"],
     )
     def test_replay_names_bad_econ_block(self, capsys, tmp_path, econ, reason):
         out_path = tmp_path / "traces.jsonl"
@@ -723,6 +848,39 @@ class TestSimulateReplay:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.err == f"config error: {out_path}:1: {reason}\n"
+
+    @pytest.mark.parametrize("key", ["bounty", "mode", "alpha", "bundle_price"])
+    def test_replay_fills_no_econ_default(self, capsys, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SIMULATE_CONFIG))
+        out_path = tmp_path / "traces.jsonl"
+        code, _ = run_cli(
+            capsys, "simulate", "--config", str(cfg_path), "--policy", "full_include",
+            "--traces", "5", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        lines = [json.loads(line) for line in out_path.read_text().splitlines()]
+        for line in lines:
+            del line["econ"][key]
+        out_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {out_path}:1: missing field {key!r}\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["fee", "alpha_v", "alpha", "gamma", "bounty", "bundle_price"])
+    def test_replay_rejects_non_finite_econ(self, capsys, tmp_path, key, bad):
+        def edit(line):
+            line["econ"][key] = bad
+
+        code, err = replay_edited_golden(capsys, tmp_path, edit)
+        assert code == EXIT_CONFIG
+        assert err == (
+            f"config error: {tmp_path / 'traces.jsonl'}:1: econ.{key} must be a finite number, "
+            f"got {bad!r}\n"
+        )
 
     def test_replay_of_golden_traces_matches(self, capsys):
         code, out = run_cli(capsys, "replay", "--input", str(GOLDEN / "simulate.jsonl"))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotk.delay import exact_q0, fluid_delay_report
 from pivotk.geometry import SystemInstance
@@ -36,38 +39,119 @@ from conftest import exact_distribution_of_T0, reference_distribution_of_T0
 PAPER_ECON = EconParams.normalized(fee=1.0, alpha_v=100.0, gamma=0.99)
 
 
+BYTE_BLOCK = {
+    "mode": "bytes",
+    "header_bytes": 100,
+    "metadata_bytes": 10,
+    "symbol_bytes": 40,
+    "per_byte_price": 0.01,
+    "proposer_share": 0.5,
+    "alpha": 0.5,
+    "value": 200.0,
+    "gamma": 0.99,
+    "bounty": 0.0,
+}
+
+normalized_blocks = st.fixed_dictionaries(
+    {
+        "mode": st.just("normalized"),
+        "fee": st.floats(0.0, 1e6),
+        "alpha_v": st.floats(1e-9, 1e9),
+        "alpha": st.floats(1e-6, 1.0),
+        "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "bounty": st.floats(0.0, 1e9),
+        "bundle_price": st.floats(0.0, 1e6),
+    }
+)
+byte_blocks = st.fixed_dictionaries(
+    {
+        "mode": st.just("bytes"),
+        "header_bytes": st.integers(0, 10**6),
+        "metadata_bytes": st.integers(0, 10**6),
+        "symbol_bytes": st.integers(0, 10**6),
+        "per_byte_price": st.floats(0.0, 1e3),
+        "proposer_share": st.floats(0.0, 1.0),
+        "alpha": st.floats(0.0, 1.0),
+        "value": st.floats(1e-9, 1e12),
+        "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "bounty": st.floats(0.0, 1e9),
+    }
+)
+
+
 class TestEconParams:
     def test_normalized_fields(self):
         assert PAPER_ECON.proposer_fee(1) == 1.0
         assert PAPER_ECON.mev_exposure == 100.0
-        assert PAPER_ECON.bundle_price(1) == 1.0
+        assert PAPER_ECON.bundle_price_at(1) == 1.0
 
     def test_byte_model_fee(self):
-        econ = EconParams.byte_model(
-            header_bytes=100,
-            metadata_bytes=10,
-            symbol_bytes=40,
-            per_byte_price=0.01,
-            proposer_share=0.5,
-            alpha=0.5,
-            value=200.0,
-            gamma=0.99,
-        )
+        econ = EconParams.from_config(BYTE_BLOCK)
         assert econ.bundle_bytes(4) == 100 + 4 * 50
-        assert econ.bundle_price(4) == pytest.approx(3.0)
+        assert econ.bundle_price_at(4) == pytest.approx(3.0)
         assert econ.proposer_fee(4) == pytest.approx(1.5)
         assert econ.mev_exposure == pytest.approx(100.0)
 
     def test_mode_exclusivity(self):
-        with pytest.raises(ValueError):
-            EconParams(gamma=0.99, alpha=1.0, value=1.0, fee_unit=1.0, header_bytes=10)
+        reason = "econ: normalized mode excludes byte-model field 'header_bytes'"
+        with pytest.raises(ValueError, match=reason):
+            EconParams(
+                mode="normalized",
+                fee=1.0,
+                alpha_v=1.0,
+                alpha=1.0,
+                gamma=0.99,
+                bounty=0.0,
+                bundle_price=1.0,
+                header_bytes=10,
+            )
 
     def test_config_round_trip(self):
         for econ in (
             PAPER_ECON,
-            EconParams.byte_model(100, 10, 40, 0.01, 0.5, 0.5, 200.0, 0.99, bounty=3.0),
+            EconParams.from_config({**BYTE_BLOCK, "bounty": 3.0}),
         ):
             assert EconParams.from_config(econ.to_config()) == econ
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(normalized_blocks, byte_blocks))
+    def test_echo_repeats_the_block(self, block):
+        assert EconParams.from_config(block).to_config() == block
+
+    def test_normalized_keeps_alpha_v_as_given(self):
+        # alpha * (alpha_v / alpha) is 945.3300000000002 here
+        econ = EconParams.normalized(fee=1.0, alpha_v=945.33, gamma=0.99, alpha=0.9)
+        assert econ.mev_exposure == econ.to_config()["alpha_v"] == 945.33
+        assert econ.transaction_value == 945.33 / 0.9
+
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            ({"fee": -1.0}, "econ.fee must be nonnegative"),
+            ({"bundle_price": -0.5}, "econ.bundle_price must be nonnegative"),
+            ({"bounty": -1.0}, "econ.bounty must be nonnegative"),
+            ({"alpha_v": -5.0}, "econ.alpha_v must be positive"),
+            ({"alpha": 0.0}, "econ.alpha must lie in (0, 1]"),
+            ({"gamma": 1.0}, "econ.gamma must lie in (0, 1)"),
+        ],
+        ids=["fee", "bundle_price", "bounty", "alpha_v", "alpha", "gamma"],
+    )
+    def test_normalized_checks_what_the_parser_checks(self, kwargs, reason):
+        args = {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            EconParams.normalized(**args)
+        block = {**EconParams.normalized(1.0, 100.0, 0.99).to_config(), **kwargs}
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            EconParams.from_config(block)
+
+    @pytest.mark.parametrize(
+        "block", [PAPER_ECON.to_config(), BYTE_BLOCK], ids=["normalized", "bytes"]
+    )
+    def test_nan_fails_every_range_check(self, block):
+        for key, value in block.items():
+            if type(value) is float:
+                with pytest.raises(ValueError, match=re.escape(f"econ.{key} must")):
+                    EconParams(**{**block, key: math.nan})
 
 
 class TestShares:
