@@ -16,7 +16,7 @@ from pivotk.incentives import coalition_sufficient_bounty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# An s = 3 byte-model config; its econ block leaves gamma and bounty to their defaults.
+# An s = 3 byte-model config; its econ block leaves bounty to its default.
 BYTE_CONFIG = {
     "instance": {"n": 100, "m": 20, "s": 3, "kappa": 30},
     "econ": {
