@@ -272,16 +272,14 @@ _SWEEP_RACE_COLUMNS = _columns("kappa", "r", "q_micro", "g_inc_upper", "g_inc_fl
 def cmd_sweep_race(args) -> int:
     cfg = _load_config(args)
     race, m = cfg.race, cfg.instance.m
-    # P[Bin(a, p) >= r] grows with a and shrinks with r: the sup over the
-    # feasible cells 1 <= r <= a <= m sits at (a, r) = (m, 1).
-    rho_bar = intra_slot.rho_deadline(m, 1, race)
+    rho_bar = intra_slot.rho_bar(m, race)
+    rho_floors = intra_slot.rho_floors(m, race)  # indexed by r = m - delta
     rows = []
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, m, kappa)
         upper = intra_slot.g_inc_upper(inst, cfg.beta, rho_bar, cfg.econ.gamma)
         tail = upper.feasibility_tail
-        rho_floor = intra_slot.rho_deadline(inst.r, inst.r, race)
-        floor = intra_slot.g_inc_floor(inst, rho_floor, tail, cfg.econ.gamma)
+        floor = intra_slot.g_inc_floor(inst, rho_floors[inst.r], tail, cfg.econ.gamma)
         rows.append(
             {
                 "kappa": kappa,

@@ -15,12 +15,7 @@ from typing import Iterable
 
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .intra_slot import q_micro
-from .probability import (
-    cartel_contact_law,
-    chernoff_tail_bound,
-    contact_sums,
-    log_hypergeom_pmf,
-)
+from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
 from .ratchet import q_rat_first_slot
 
 __all__ = [
@@ -48,18 +43,16 @@ def exact_q0(instance: SystemInstance, beta) -> float:
 def knife_edge_q0(instance: SystemInstance, beta) -> float:
     """Closed form at zero slack: one cartel contact anywhere forces delay.
 
-    1 - P[A = 0]^t*, with P[A = 0] the no-contact probability of a single
-    slot.  Only valid on knife-edge instances; must agree with exact_q0.
+    1 - P[A = 0]^t*, with P[A = 0] = C(n - a, m) / C(n, m) the no-contact
+    probability of a single slot, evaluated on exact integers and rounded
+    once.  Only valid on knife-edge instances; must agree with exact_q0.
     """
     if instance.delta != 0:
         raise ValueError("closed form applies only when the slack is zero")
     law = cartel_contact_law(instance.n, beta, instance.m)
-    if law.successes == 0:
-        return 0.0
-    log_p0 = log_hypergeom_pmf(law, 0)
-    if log_p0 == float("-inf"):
-        return 1.0
-    return -math.expm1(instance.t_star * log_p0)
+    total = math.comb(law.population, law.draws) ** instance.t_star
+    none = math.comb(law.population - law.successes, law.draws) ** instance.t_star
+    return (total - none) / total
 
 
 class DelayRegime(Enum):

@@ -13,7 +13,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .geometry import SystemInstance, cartel_lane_count, json_field
-from .probability import DiscreteDistribution, cartel_contact_law, contact_sums
+from .probability import DiscreteDistribution, cartel_contact_law
 
 __all__ = [
     "EconParams",
@@ -456,15 +456,11 @@ def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
     whose residual is below 1e-12.
     """
     # A slot's honest contact count is m - A, so its PMF is the cartel slot
-    # PMF read backwards, starting at m minus the cartel's support maximum.
-    # Masses that underflowed to exact zeros lead the reversed row (933 of
-    # 2 001 at n = 10 000); the pass starts past them, since adding 0.0
-    # changes no float.
-    slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
+    # PMF read backwards, starting at m minus the cartel's support maximum
+    # (the slot law drops the top entries whose tail rounds to 0.0).
+    slot = DiscreteDistribution.from_law(cartel_contact_law(instance.n, beta, instance.m))
     h_pmf = np.array(slot.masses[::-1])
-    skip = int(np.flatnonzero(h_pmf)[0])
-    h_pmf = h_pmf[skip:]
-    h_lo = instance.m - slot.support_max + skip
+    h_lo = instance.m - slot.support_max
     kappa, t_star = instance.kappa, instance.t_star
 
     alive = np.zeros(kappa)  # index u: P[sum of honest so far = u, T not yet hit]

@@ -11,18 +11,13 @@ import math
 from dataclasses import dataclass
 
 from .geometry import SystemInstance
-from .probability import (
-    binomial_tail_ge,
-    cartel_contact_law,
-    hypergeom_pmf,
-    hypergeom_tail_ge,
-    kl_divergence,
-)
+from .probability import DiscreteDistribution, cartel_contact_law, kl_divergence
 
 __all__ = [
     "RaceModel",
     "q_micro",
-    "rho_deadline",
+    "rho_bar",
+    "rho_floors",
     "g_inc_upper",
     "g_inc_floor",
     "WithinSlotUpper",
@@ -75,20 +70,41 @@ def q_micro(instance: SystemInstance, beta) -> float:
     slot to land on its lanes: P[A >= r] for one slot's contact draw.
     """
     law = cartel_contact_law(instance.n, beta, instance.m)
-    return hypergeom_tail_ge(law, instance.r)
+    return DiscreteDistribution.from_law(law).tail_ge(instance.r)
 
 
-def rho_deadline(a: int, r: int, race: RaceModel) -> float:
-    """P[the r-th of a cartel bundles is actionable before sealing].
+# Each received bundle independently beats the sealing deadline with
+# probability p = race.p.  Both race figures are closed forms in p, computed on
+# its exact ratio P/Q and rounded once by CPython's int / int.
 
-    Each of the ``a`` received bundles independently beats the deadline with
-    probability ``race.p``; success needs at least ``r`` of them to.
+
+def rho_bar(m: int, race: RaceModel) -> float:
+    """1 - (1 - p)^m: P[at least one of m cartel bundles is actionable].
+
+    P[Bin(a, p) >= r] grows with a and shrinks with r, so this is its sup
+    over the feasible cells 1 <= r <= a <= m.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    return binomial_tail_ge(a, race.p, r)
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    num, den = race.p.as_integer_ratio()
+    return (den**m - (den - num) ** m) / den**m
+
+
+def rho_floors(r_max: int, race: RaceModel) -> tuple[float, ...]:
+    """p^r for r = 0..r_max: P[all r of r cartel bundles are actionable].
+
+    One pass multiplies the exact powers up, so each r costs one big-integer
+    step rather than a fresh power.
+    """
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
+    num, den = race.p.as_integer_ratio()
+    out = [1.0]
+    top, bottom = 1, 1
+    for _ in range(r_max):
+        top, bottom = top * num, bottom * den
+        out.append(top / bottom)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,8 @@ def g_inc_upper(
     if not 0.0 <= rho_bar <= 1.0:
         raise ValueError("rho_bar must lie in [0, 1]")
     law = cartel_contact_law(instance.n, beta, instance.m)
-    tail = hypergeom_tail_ge(law, instance.r)
+    slot = DiscreteDistribution.from_law(law)
+    tail = slot.tail_ge(instance.r)
     value = rho_bar * gamma ** (instance.t_star - 1) * tail
 
     beta_frac = law.successes / instance.n
@@ -126,7 +143,7 @@ def g_inc_upper(
 
     knife_exact = knife_power = None
     if instance.knife_edge:
-        knife_exact = hypergeom_pmf(law, instance.m)
+        knife_exact = slot.pmf(instance.m)
         knife_power = beta_frac**instance.m
 
     return WithinSlotUpper(value, tail, kl_alt, knife_exact, knife_power)

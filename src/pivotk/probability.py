@@ -1,14 +1,15 @@
 """Exact and bounded probability computations for the lane-contact process.
 
-Everything here is exact (log-space factorials, compensated summation) or an
+Everything here is exact (big-integer slot laws, compensated summation) or an
 explicit bound (binomial KL exponents).  Sampling lives in :mod:`pivotk.simulator`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -17,30 +18,26 @@ from .geometry import cartel_lane_count
 __all__ = [
     "HypergeomLaw",
     "DiscreteDistribution",
-    "hypergeom_pmf",
-    "log_hypergeom_pmf",
-    "hypergeom_tail_ge",
     "cartel_contact_law",
     "contact_sums",
     "kl_divergence",
     "chernoff_tail_bound",
     "binomial_pmf_vector",
-    "binomial_tail_ge",
     "MCEstimate",
 ]
 
 NEG_INF = float("-inf")
 
-# Log-factorial cache: append-only, entries never mutated after being written.
-# Values near n=10^4 are ~8e4, where a single double quantizes at ~1.5e-11;
-# that alone breaks 1e-12 PMF normalization.  The table therefore keeps each
-# ln(n!) as a compensated (hi, lo) pair and log_comb subtracts with
-# error-free transforms, rounding to a double only at the end.
+# Log-factorial cache for the binomial law: append-only, entries never mutated
+# after being written.  Values near n=10^4 are ~8e4, where a single double
+# quantizes at ~1.5e-11; the table therefore keeps each ln(n!) as a
+# compensated (hi, lo) pair and log_comb subtracts with error-free
+# transforms, rounding to a double only at the end.
 _LOG_FACT_HI: list[float] = [0.0, 0.0]
 _LOG_FACT_LO: list[float] = [0.0, 0.0]
-# numpy copies of the two lists for _log_comb_row.  The lists stay the one
-# table; the copies are rebuilt on the first row read after the table grew.
-_LOG_FACT_ARR: tuple[np.ndarray, np.ndarray] = (np.array([]), np.array([]))
+# Slot laws kept by from_law.  A sweep, a table or verify reads one or two
+# laws many times; at n = 10 000 each costs ~20 ms to build.
+_SLOT_LAW_CACHE = 64
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -71,51 +68,6 @@ def log_comb(n: int, k: int) -> float:
         lo = lo + e - _LOG_FACT_LO[idx]
         hi, lo = _two_sum(s, lo)
     return hi + lo
-
-
-def _log_comb_row(n: int, ks: np.ndarray) -> np.ndarray:
-    """``log_comb(n, k)`` for every k in ``ks`` (all within [0, n]), bit for bit.
-
-    The same error-free transforms as :func:`log_comb`, in the same order,
-    applied elementwise; each element rounds exactly as the scalar call does.
-    """
-    global _LOG_FACT_ARR
-    _grow_log_fact(n)
-    if len(_LOG_FACT_ARR[0]) != len(_LOG_FACT_HI):
-        _LOG_FACT_ARR = (np.array(_LOG_FACT_HI), np.array(_LOG_FACT_LO))
-    table_hi, table_lo = _LOG_FACT_ARR
-    hi = np.full(len(ks), _LOG_FACT_HI[n])
-    lo = np.full(len(ks), _LOG_FACT_LO[n])
-    for idx in (ks, n - ks):
-        b = -table_hi[idx]
-        s = hi + b
-        bb = s - hi
-        e = (hi - (s - bb)) + (b - bb)
-        lo = lo + e - table_lo[idx]
-        hi = s + lo
-        bb = hi - s
-        lo = (s - (hi - bb)) + (lo - bb)
-    return hi + lo
-
-
-def _log_hypergeom_row(law: "HypergeomLaw", lo: int, hi: int) -> np.ndarray:
-    """``log_hypergeom_pmf(law, k)`` for k in [lo, hi] inside the support, bit for bit."""
-    ks = np.arange(lo, hi + 1)
-    return (
-        _log_comb_row(law.successes, ks)
-        + _log_comb_row(law.population - law.successes, law.draws - ks)
-        - log_comb(law.population, law.draws)
-    )
-
-
-def _logsumexp(terms: Sequence[float]) -> float:
-    finite = [t for t in terms if t != NEG_INF]
-    if not finite:
-        return NEG_INF
-    peak = max(finite)
-    out = peak + math.log(math.fsum(math.exp(t - peak) for t in finite))
-    # Summing a distribution's own terms cannot exceed total mass 1.
-    return min(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,32 +107,6 @@ class HypergeomLaw:
         return self.draws * self.successes / self.population
 
 
-def log_hypergeom_pmf(law: HypergeomLaw, k: int) -> float:
-    """ln P[A = k]; -inf out of support."""
-    if k < law.support_min or k > law.support_max:
-        return NEG_INF
-    return (
-        log_comb(law.successes, k)
-        + log_comb(law.population - law.successes, law.draws - k)
-        - log_comb(law.population, law.draws)
-    )
-
-
-def hypergeom_pmf(law: HypergeomLaw, k: int) -> float:
-    """P[A = k], exact up to one final exponentiation of log-factorial sums."""
-    lp = log_hypergeom_pmf(law, k)
-    return math.exp(lp) if lp != NEG_INF else 0.0
-
-
-def hypergeom_tail_ge(law: HypergeomLaw, r: int) -> float:
-    """P[A >= r], summed exactly over the support in log space."""
-    if r <= law.support_min:
-        return 1.0
-    if r > law.support_max:
-        return 0.0
-    return math.exp(_logsumexp(_log_hypergeom_row(law, r, law.support_max).tolist()))
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """An integer-supported distribution as ``offset`` plus a mass vector.
@@ -188,12 +114,15 @@ class DiscreteDistribution:
     ``masses[i]`` is the probability of the value ``offset + i``.  With
     ``strict=True`` (the default) total mass must be 1 within 1e-12; truncated
     laws (for example a capped inclusion-time law) pass ``strict=False`` and
-    account for the missing mass themselves.
+    account for the missing mass themselves.  ``tails[i]``, when given, is
+    P[X >= offset + i] and is read in place of a sum over the masses; a value
+    past the last entry has tail 0.
     """
 
     offset: int
     masses: tuple[float, ...]
     strict: bool = True
+    tails: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.masses and min(self.masses) < -1e-15:
@@ -209,9 +138,8 @@ class DiscreteDistribution:
 
     @classmethod
     def from_law(cls, law: HypergeomLaw) -> "DiscreteDistribution":
-        lo, hi = law.support_min, law.support_max
-        row = _log_hypergeom_row(law, lo, hi)
-        return cls(lo, tuple(math.exp(x) for x in row.tolist()))
+        """The slot law with correctly rounded masses and upper tails (cached)."""
+        return _slot_law(law)
 
     @property
     def support_max(self) -> int:
@@ -230,12 +158,17 @@ class DiscreteDistribution:
         return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses))
 
     def tail_ge(self, r: int) -> float:
-        """P[X >= r] by compensated summation, clamped into [0, 1].
+        """P[X >= r]: the stored tail, else compensated summation clamped into [0, 1].
 
-        The represented mass may be off from 1 by up to the 1e-12 the
-        constructor allows, so an unclamped sum could read just above 1.
+        A strict law's tail at or below its offset is 1.  The represented mass
+        may be off from 1 by up to the 1e-12 the constructor allows, so an
+        unclamped sum could read just above 1.
         """
         i = max(r - self.offset, 0)
+        if i == 0 and self.strict:
+            return 1.0
+        if self.tails is not None:
+            return self.tails[i] if i < len(self.tails) else 0.0
         return min(1.0, max(0.0, math.fsum(self.masses[i:])))
 
     def tail_gt(self, r: int) -> float:
@@ -255,6 +188,38 @@ class DiscreteDistribution:
             tuple(out.tolist()),
             strict=self.strict and other.strict,
         )
+
+
+@functools.lru_cache(maxsize=_SLOT_LAW_CACHE)
+def _slot_law(law: HypergeomLaw) -> DiscreteDistribution:
+    """Every mass N_k / C(n, m) and upper tail of ``law`` from exact integers.
+
+    N_k = C(a, k) C(n - a, m - k) counts the draws that hit k of the a marked
+    lanes.  One pass from the top of the support down steps N_k by the ratio
+    recurrences C(a, k-1) = C(a, k) k / (a-k+1) and C(b, m-k+1) = C(b, m-k)
+    (b-m+k) / (m-k+1) for b = n - a, each division exact, and keeps a running
+    suffix sum, so only a few big integers are alive at once.  CPython's
+    int / int is correctly rounded: each mass and each tail is the double
+    nearest its exact value.  The trailing entries whose tail rounds to 0.0 are
+    dropped; their masses round to 0.0 as well.
+    """
+    n, a, m = law.population, law.successes, law.draws
+    b = n - a
+    lo, hi = law.support_min, law.support_max
+    total = math.comb(n, m)
+    count = math.comb(a, hi) * math.comb(b, m - hi)
+    suffix = 0
+    masses: list[float] = []
+    tails: list[float] = []
+    for k in range(hi, lo - 1, -1):
+        suffix += count
+        masses.append(count / total)
+        tails.append(suffix / total)
+        count = count * (k * (b - m + k)) // ((a - k + 1) * (m - k + 1))
+    assert suffix == total, "slot law counts do not sum to C(n, m)"
+    # Tails fall as k grows, so the zero tails are the run at the top.
+    keep = len(tails) - tails.count(0.0)
+    return DiscreteDistribution(lo, tuple(masses[::-1][:keep]), tails=tuple(tails[::-1][:keep]))
 
 
 def cartel_contact_law(n: int, beta, draws: int) -> HypergeomLaw:
@@ -344,19 +309,6 @@ def binomial_pmf_vector(n: int, p: float) -> DiscreteDistribution:
         for k in range(n + 1)
     )
     return DiscreteDistribution(0, masses)
-
-
-def binomial_tail_ge(n: int, p: float, r: int) -> float:
-    """P[Bin(n, p) >= r], exact summation in log space."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if r <= 0:
-        return 1.0
-    if r > n:
-        return 0.0
-    return math.exp(_logsumexp([log_binomial_pmf(n, p, k) for k in range(r, n + 1)]))
 
 
 @dataclass(frozen=True)

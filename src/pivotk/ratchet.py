@@ -18,7 +18,6 @@ from .probability import (
     MCEstimate,
     binomial_pmf_vector,
     cartel_contact_law,
-    hypergeom_tail_ge,
 )
 
 __all__ = [
@@ -36,7 +35,7 @@ def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> float:
     P[A_1 > delta_rec] under the single-slot contact law.
     """
     law = cartel_contact_law(n, beta, schedule.first_slot_contacts)
-    return hypergeom_tail_ge(law, schedule.delta_rec + 1)
+    return DiscreteDistribution.from_law(law).tail_gt(schedule.delta_rec)
 
 
 def ratchet_multi_slot_delay(

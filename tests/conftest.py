@@ -1,8 +1,8 @@
 """Shared fixtures and independent reference implementations.
 
 The reference paths here are deliberately naive: big-integer rationals and
-exhaustive enumeration.  They validate the production log-space code without
-sharing any arithmetic with it.
+exhaustive enumeration.  They validate the production code without sharing
+any arithmetic with it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
-from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums, log_comb
+from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums
 from pivotk.simulator import PayoffBreakdown
 
 
@@ -175,32 +175,6 @@ def knife_edge_grid():
             for m in sorted({1, 2, 3, n // 4, n // 2, n} - {0}):
                 for t_star in (1, 2, 3):
                     yield SystemInstance.from_kappa(n, m, m * t_star), marked / n
-
-
-def reference_knife_edge_q0(instance, beta) -> float:
-    """1 - P[A = 0]^t* with P[A = 0] written out as two ``log_comb`` terms.
-
-    This is the closed form ``delay.knife_edge_q0`` used before it read
-    P[A = 0] from the slot law; the production value must match it bit for bit.
-    """
-    marked = cartel_lane_count(instance.n, beta)
-    if marked == 0:
-        return 0.0
-    log_p0 = log_comb(instance.n - marked, instance.m) - log_comb(instance.n, instance.m)
-    if log_p0 == float("-inf"):
-        return 1.0
-    return -math.expm1(instance.t_star * log_p0)
-
-
-def reference_knife_edge_exact(instance, beta) -> float:
-    """P[A = m], every contact a cartel lane, as two ``log_comb`` terms.
-
-    This is the knife-edge mass ``intra_slot.g_inc_upper`` computed before it
-    read the slot law; the production value must match it bit for bit.
-    """
-    marked = cartel_lane_count(instance.n, beta)
-    lc = log_comb(marked, instance.m) - log_comb(instance.n, instance.m)
-    return math.exp(lc) if lc != float("-inf") else 0.0
 
 
 def reference_sabotage_report(instance, beta, econ, paths, seed):

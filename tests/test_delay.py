@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +15,10 @@ from pivotk.delay import (
     no_delay_upper,
     sawtooth_sweep,
 )
-from pivotk.geometry import SystemInstance
+from pivotk.geometry import SystemInstance, cartel_lane_count
 from pivotk.probability import kl_divergence
 
-from conftest import exact_convolved_tail_gt, knife_edge_grid, reference_knife_edge_q0
+from conftest import exact_convolved_tail_gt, knife_edge_grid
 
 
 class TestExactQ0:
@@ -45,6 +46,14 @@ class TestExactQ0:
         values = [float(exact_q0(inst, k / 100)) for k in range(0, 101, 5)]
         # slack of 1e-12 absorbs convolution rounding where q0 saturates at 1
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_ten_thousand_lanes_at_six_slots(self):
+        # S_6 of the exact slot law passes the 1e-12 mass check at n = 10 000.
+        inst = SystemInstance.from_kappa(10_000, 2000, 11_900)
+        assert (inst.t_star, inst.delta) == (6, 100)
+        assert exact_q0(inst, 0.2) == 1.0
+        knife = SystemInstance.from_kappa(10_000, 2000, 12_000)
+        assert abs(exact_q0(knife, 0.2) - knife_edge_q0(knife, 0.2)) <= 1e-12
 
     def test_never_above_one_at_scale(self):
         # The float-convolved laws here carry excess mass inside the 1e-12
@@ -80,11 +89,13 @@ class TestKnifeEdgeClosedForm:
     def test_deep_horizon_strictly_below_one(self, table_instances, beta):
         assert float(knife_edge_q0(table_instances[100], beta)) < 1.0
 
-    def test_slot_law_value_is_the_hand_written_formula_bit_for_bit(self):
+    def test_slot_law_value_is_correctly_rounded(self):
+        # 1 - P[A = 0]^t* with P[A = 0] = C(n - a, m) / C(n, m)
         cases = 0
         for inst, beta in knife_edge_grid():
-            got = knife_edge_q0(inst, beta)
-            assert got.hex() == reference_knife_edge_q0(inst, beta).hex(), (inst, beta)
+            marked = cartel_lane_count(inst.n, beta)
+            p0 = Fraction(math.comb(inst.n - marked, inst.m), math.comb(inst.n, inst.m))
+            assert knife_edge_q0(inst, beta) == float(1 - p0**inst.t_star), (inst, beta)
             cases += 1
         assert cases > 300
 
@@ -188,6 +199,14 @@ class TestSawtoothSweep:
         for row in rows:
             assert row.t_star == 1
             assert row.q_rat == pytest.approx(row.q0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_q0_is_q_rat_on_single_slot_rows(self, n, beta):
+        # Both read the one slot law's correctly rounded tail.
+        m = n // 5
+        rows = sawtooth_sweep(n, m, beta, range(1, m + 1))
+        assert [r.t_star for r in rows] == [1] * m
+        assert [r.q0 for r in rows] == [r.q_rat for r in rows]
 
     def test_empty_range_rejected(self, beta):
         with pytest.raises(ValueError):

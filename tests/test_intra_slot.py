@@ -14,11 +14,13 @@ from pivotk.intra_slot import (
     g_inc_floor,
     g_inc_upper,
     q_micro,
-    rho_deadline,
+    rho_bar,
+    rho_floors,
 )
+from pivotk.geometry import cartel_lane_count
 from pivotk.probability import kl_divergence
 
-from conftest import knife_edge_grid, reference_knife_edge_exact
+from conftest import knife_edge_grid
 
 
 def exp_race(seal=1.0, reaction=0.1, rate=4.0, slot=None):
@@ -67,46 +69,58 @@ class TestQMicro:
 
 
 class TestRhoDeadline:
+    """The two deadline closed forms: rho_bar = 1 - (1 - p)^m and rho_floors[r] = p^r."""
+
     def test_no_reaction_window(self):
         race = exp_race(seal=1.0, reaction=1.2)
         assert race.p == 0.0
-        assert float(rho_deadline(5, 1, race)) == 0.0
+        assert rho_bar(5, race) == 0.0
+        assert rho_floors(5, race) == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_infeasible_deficit(self):
-        assert float(rho_deadline(2, 3, exp_race())) == 0.0
+        # with no cartel bundle in the slot nothing can beat the deadline
+        assert rho_bar(0, exp_race()) == 0.0
+        assert rho_bar(0, exp_race(reaction=0.0)) == 0.0
 
     def test_exponential_two_bundle_race(self):
         # long window: truncation mass is negligible, p = 1 - e^{-1}
         race = RaceModel(40.0, 40.0, 39.0, 1.0)
         p = 1.0 - math.exp(-1.0)
         assert race.p == pytest.approx(p, rel=1e-12)
-        assert float(rho_deadline(2, 1, race)) == pytest.approx(
-            1.0 - (1.0 - p) ** 2, rel=1e-9
-        )
-        assert float(rho_deadline(2, 1, race)) == pytest.approx(0.8647, abs=5e-5)
+        assert rho_bar(2, race) == pytest.approx(1.0 - (1.0 - p) ** 2, rel=1e-9)
+        assert rho_bar(2, race) == pytest.approx(0.8647, abs=5e-5)
+        assert rho_floors(2, race)[2] == pytest.approx(p * p, rel=1e-15)
 
     def test_monotone_in_contacts_and_deficit(self):
+        # both forms round one exact value each, so monotonicity holds exactly
         race = exp_race()
-        by_a = [float(rho_deadline(a, 3, race)) for a in range(3, 15)]
-        assert all(x <= y + 1e-15 for x, y in zip(by_a, by_a[1:]))
-        by_r = [float(rho_deadline(10, r, race)) for r in range(1, 11)]
-        assert all(x >= y - 1e-15 for x, y in zip(by_r, by_r[1:]))
+        by_m = [rho_bar(m, race) for m in range(0, 15)]
+        assert all(x <= y for x, y in zip(by_m, by_m[1:]))
+        by_r = rho_floors(10, race)
+        assert all(x >= y for x, y in zip(by_r, by_r[1:]))
 
     def test_monotone_in_reaction_time(self):
-        values = [
-            float(rho_deadline(10, 3, exp_race(reaction=t))) for t in (0.0, 0.2, 0.5, 0.9)
-        ]
-        assert all(x >= y - 1e-15 for x, y in zip(values, values[1:]))
+        races = [exp_race(reaction=t) for t in (0.0, 0.2, 0.5, 0.9)]
+        for values in ([rho_bar(10, race) for race in races], [rho_floors(3, race)[3] for race in races]):
+            assert all(x >= y for x, y in zip(values, values[1:]))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            rho_deadline(-1, 1, exp_race())
-        with pytest.raises(ValueError):
-            rho_deadline(3, 0, exp_race())
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            rho_bar(-1, exp_race())
+        with pytest.raises(ValueError, match="r_max must be nonnegative"):
+            rho_floors(-1, exp_race())
+
+    @pytest.mark.parametrize("reaction,rate", [(0.1, 4.0), (0.9, 0.5), (0.999, 0.01), (0.0, 4.0)])
+    def test_rho_floors_are_exact_powers(self, reaction, rate):
+        race = exp_race(reaction=reaction, rate=rate)
+        floors = rho_floors(2000, race)
+        assert len(floors) == 2001
+        for r in (0, 1, 2, 3, 17, 200, 1999, 2000):
+            assert floors[r] == float(Fraction(race.p) ** r)
 
 
 class TestRaceSupremum:
-    """``sweep-race`` takes rho_bar = rho_deadline(m, 1): the sup over 1 <= r <= a <= m."""
+    """``sweep-race`` takes rho_bar(m): P[Bin(a, p) >= r] at its sup over 1 <= r <= a <= m."""
 
     P_GRID = [Fraction(0), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6),
               Fraction(999, 1000), Fraction(1)]
@@ -130,8 +144,7 @@ class TestRaceSupremum:
     )
     def test_rho_bar_matches_closed_form(self, race):
         for m in (1, 2, 3, 20, 200, 1999, 2000):
-            closed = -math.expm1(m * math.log1p(-race.p)) if race.p < 1.0 else 1.0
-            assert abs(rho_deadline(m, 1, race) - closed) <= 1e-13
+            assert rho_bar(m, race) == float(1 - (1 - Fraction(race.p)) ** m)
 
 
 class TestMevBounds:
@@ -157,11 +170,14 @@ class TestMevBounds:
         assert out.knife_edge_beta_power == pytest.approx(0.2**20, rel=1e-12)
         assert out.knife_edge_exact <= out.knife_edge_beta_power
 
-    def test_knife_edge_exact_is_the_hand_written_formula_bit_for_bit(self):
+    def test_knife_edge_exact_is_correctly_rounded(self):
+        # P[A = m] = C(a, m) / C(n, m): every contact lands on a cartel lane
         cases = 0
         for inst, beta in knife_edge_grid():
+            marked = cartel_lane_count(inst.n, beta)
+            exact = Fraction(math.comb(marked, inst.m), math.comb(inst.n, inst.m))
             got = g_inc_upper(inst, beta, 1.0, 0.99).knife_edge_exact
-            assert got.hex() == reference_knife_edge_exact(inst, beta).hex(), (inst, beta)
+            assert got == float(exact), (inst, beta)
             cases += 1
         assert cases > 300
 
@@ -171,9 +187,8 @@ class TestMevBounds:
     def test_sandwich(self, table_instances, beta):
         inst = table_instances[30]
         race = exp_race()
-        rho_bar = rho_deadline(inst.m, 1, race)
-        upper = g_inc_upper(inst, beta, rho_bar, 0.99)
-        rho_floor = float(rho_deadline(inst.r, inst.r, race))
+        upper = g_inc_upper(inst, beta, rho_bar(inst.m, race), 0.99)
+        rho_floor = rho_floors(inst.r, race)[inst.r]
         floor = g_inc_floor(inst, rho_floor, float(upper.feasibility_tail), 0.99)
         assert floor <= upper.value + 1e-15
 

@@ -5,26 +5,22 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotk import probability
 from pivotk.probability import (
     DiscreteDistribution,
     HypergeomLaw,
     MCEstimate,
     binomial_pmf_vector,
-    binomial_tail_ge,
     cartel_contact_law,
     chernoff_tail_bound,
     contact_sums,
-    hypergeom_pmf,
-    hypergeom_tail_ge,
     kl_divergence,
-    log_hypergeom_pmf,
 )
 
 from conftest import (
@@ -35,6 +31,18 @@ from conftest import (
 )
 
 TABLE_LAW = HypergeomLaw(100, 20, 20)
+
+
+def hypergeom_pmf(law, k):
+    return DiscreteDistribution.from_law(law).pmf(k)
+
+
+def hypergeom_tail_ge(law, r):
+    return DiscreteDistribution.from_law(law).tail_ge(r)
+
+
+def binomial_tail_ge(n, p, r):
+    return binomial_pmf_vector(n, p).tail_ge(r)
 
 
 class TestHypergeomPmf:
@@ -108,13 +116,12 @@ class TestHypergeomPmf:
         # cartel law read backwards; the two must agree bit for bit.
         for marked in (0, population // 5, population // 3, population - 1):
             for draws in (1, population // 5, population // 2):
-                cartel = DiscreteDistribution.from_law(HypergeomLaw(population, marked, draws))
+                law = HypergeomLaw(population, marked, draws)
+                cartel = DiscreteDistribution.from_law(law)
                 honest = HypergeomLaw(population, population - marked, draws)
-                assert draws - cartel.support_max == honest.support_min
-                assert cartel.masses[::-1] == tuple(
-                    hypergeom_pmf(honest, h)
-                    for h in range(honest.support_min, honest.support_max + 1)
-                )
+                assert draws - law.support_max == honest.support_min
+                for k in range(law.support_min, law.support_max + 1):
+                    assert cartel.pmf(k) == hypergeom_pmf(honest, draws - k)
 
 
 class TestHypergeomTail:
@@ -132,11 +139,9 @@ class TestHypergeomTail:
         assert hypergeom_tail_ge(TABLE_LAW, -3) == 1.0
 
     def test_against_exact_rationals(self):
-        for r in range(0, 21):
+        for r in range(0, 22):
             expected = float(exact_hypergeom_tail_ge(100, 20, 20, r))
-            assert float(hypergeom_tail_ge(TABLE_LAW, r)) == pytest.approx(
-                expected, rel=1e-12, abs=1e-300
-            )
+            assert hypergeom_tail_ge(TABLE_LAW, r) == expected
 
     def test_monotone_in_threshold(self):
         values = [float(hypergeom_tail_ge(TABLE_LAW, r)) for r in range(0, 22)]
@@ -149,24 +154,32 @@ class TestHypergeomTail:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def scalar_tail_ge(law, r):
-    """The per-point log-space tail that hypergeom_tail_ge replaced."""
-    if r <= law.support_min:
-        return 1.0
-    if r > law.support_max:
-        return 0.0
-    ls = probability._logsumexp(
-        [log_hypergeom_pmf(law, k) for k in range(r, law.support_max + 1)]
-    )
-    return math.exp(ls)
+def assert_row_correctly_rounded(law):
+    """Every mass and tail of the row is the double nearest its exact value.
 
-
-def assert_rows_match_scalar(law):
+    The reference steps C(a, k) and C(n - a, m - k) upward from the bottom of
+    the support, each factor on its own, and takes each tail as an exact
+    suffix sum; ``count / total`` is the correctly rounded
+    ``float(Fraction(count, total))``.
+    """
+    dist = DiscreteDistribution.from_law(law)
+    n, a, m = law.population, law.successes, law.draws
+    b = n - a
     lo, hi = law.support_min, law.support_max
-    masses = DiscreteDistribution.from_law(law).masses
-    assert masses == tuple(hypergeom_pmf(law, k) for k in range(lo, hi + 1))
-    for r in (lo, lo + 1, (lo + hi) // 2, hi):
-        assert hypergeom_tail_ge(law, r) == scalar_tail_ge(law, r)
+    total = math.comb(n, m)
+    c_a, c_b = math.comb(a, lo), math.comb(b, m - lo)
+    counts = []
+    for k in range(lo, hi + 1):
+        counts.append(c_a * c_b)
+        c_a, c_b = c_a * (a - k) // (k + 1), c_b * (m - k) // (b - m + k + 1)
+    suffixes = list(accumulate(reversed(counts)))[::-1]
+    assert suffixes[0] == total
+    assert counts[-1] == math.comb(a, hi) * math.comb(b, m - hi)
+    for k, count, suffix in zip(range(lo, hi + 1), counts, suffixes):
+        assert dist.pmf(k) == count / total, k
+        assert dist.tail_ge(k) == suffix / total, k
+    assert dist.tail_ge(lo - 1) == 1.0
+    assert dist.tail_ge(hi + 1) == 0.0
 
 
 _rng = random.Random(20261018)
@@ -190,33 +203,67 @@ ROW_LAWS = [
 
 
 class TestLawRow:
-    """The vectorized log row reproduces the scalar log_comb path bit for bit."""
+    """The exact slot row against a per-point big-integer reference."""
 
     @pytest.mark.parametrize("population,successes,draws", ROW_LAWS)
     def test_bit_identical_to_scalar_path(self, population, successes, draws):
-        assert_rows_match_scalar(HypergeomLaw(population, successes, draws))
+        assert_row_correctly_rounded(HypergeomLaw(population, successes, draws))
 
-    def test_table_grown_between_rows(self, monkeypatch):
-        monkeypatch.setattr(probability, "_LOG_FACT_HI", [0.0, 0.0])
-        monkeypatch.setattr(probability, "_LOG_FACT_LO", [0.0, 0.0])
-        monkeypatch.setattr(probability, "_LOG_FACT_ARR", (np.array([]), np.array([])))
-        small, large = HypergeomLaw(50, 10, 20), HypergeomLaw(9000, 1800, 1800)
-        for law in (small, large):
-            DiscreteDistribution.from_law(law)
-            table_hi, table_lo = probability._LOG_FACT_ARR
-            # The rows index up to population - successes; the copy covers them.
-            assert len(table_hi) == law.population - law.successes + 1
-            assert table_hi.tolist() == probability._LOG_FACT_HI[: len(table_hi)]
-            assert table_lo.tolist() == probability._LOG_FACT_LO[: len(table_lo)]
-        assert_rows_match_scalar(small)
-        assert_rows_match_scalar(large)
+    def test_every_small_law_is_correctly_rounded(self):
+        laws = 0
+        for n in range(1, 41):
+            for a in range(n + 1):
+                for m in range(n + 1):
+                    assert_row_correctly_rounded(HypergeomLaw(n, a, m))
+                    laws += 1
+        assert laws == sum((n + 1) ** 2 for n in range(1, 41))
+
+    def test_sampled_laws_up_to_200_are_correctly_rounded(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            n = rng.randint(41, 200)
+            assert_row_correctly_rounded(HypergeomLaw(n, rng.randint(0, n), rng.randint(0, n)))
+
+    def test_rows_drop_only_tails_that_round_to_zero(self):
+        # n <= 1 000 keeps every entry; at n = 10 000 the top 933 of 2 001
+        # entries have exact tails below half the least subnormal.
+        for n, kept in ((100, 21), (1000, 201), (10000, 1068)):
+            law = HypergeomLaw(n, n // 5, n // 5)
+            dist = DiscreteDistribution.from_law(law)
+            assert len(dist.masses) == len(dist.tails) == kept
+            assert dist.tails[-1] > 0.0
+        total = math.comb(10000, 2000)
+        dropped = sum(math.comb(2000, k) * math.comb(8000, 2000 - k) for k in range(1068, 2001))
+        assert dropped / total == 0.0
+
+    def test_slot_law_is_cached(self):
+        law = HypergeomLaw(1000, 200, 200)
+        assert DiscreteDistribution.from_law(law) is DiscreteDistribution.from_law(law)
+
+
+def exact_sum_counts(law: HypergeomLaw, t_max: int):
+    """(counts, denominator) of S_1..S_t_max by exact integer convolution.
+
+    ``counts[s] / denominator`` is P[S_t = s]; the slot counts are
+    C(a, k) C(n - a, m - k) over C(n, m), for a law whose support starts at 0.
+    """
+    n, a, m = law.population, law.successes, law.draws
+    base = [math.comb(a, k) * math.comb(n - a, m - k) for k in range(law.support_max + 1)]
+    acc = [1]
+    for t in range(1, t_max + 1):
+        nxt = [0] * (len(acc) + len(base) - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(base):
+                nxt[i + j] += x * y
+        acc = nxt
+        yield acc, math.comb(n, m) ** t
 
 
 class TestConvolution:
     def test_identity_at_one_draw(self):
         dist = contact_sums(TABLE_LAW, 1)[-1]
         for k in range(0, 21):
-            assert dist.pmf(k) == pytest.approx(hypergeom_pmf(TABLE_LAW, k), abs=1e-16)
+            assert dist.pmf(k) == float(exact_hypergeom_pmf(100, 20, 20, k))
 
     def test_two_slot_tail_reference_value(self):
         dist = contact_sums(TABLE_LAW, 2)[-1]
@@ -254,6 +301,24 @@ class TestConvolution:
         assert len(sums) == 4
         assert [s.support_max for s in sums] == [20, 40, 60, 80]
         assert sums[0] == DiscreteDistribution.from_law(TABLE_LAW)
+
+    @pytest.mark.parametrize("n,t_max,ulps", [(100, 6, 5), (1000, 4, 5)])
+    def test_tails_within_ulps_of_exact_convolution(self, n, t_max, ulps):
+        # Every t-slot tail above 1e-290 lies within ``ulps`` units in the
+        # last place of the exact tail; tails are compared on exact integers.
+        # Measured worst cases: 4.16 ulps at n = 100 (the top tail of S_6, a
+        # six-fold product), 1.88 at n = 1 000.
+        law = HypergeomLaw(n, n // 5, n // 5)
+        exact_sums = exact_sum_counts(law, t_max)
+        for t, (dist, (counts, denom)) in enumerate(zip(contact_sums(law, t_max), exact_sums), 1):
+            suffix = 0
+            for s in range(len(counts) - 1, -1, -1):
+                suffix += counts[s]
+                exact = suffix / denom
+                if exact <= 1e-290:
+                    continue
+                err = abs(Fraction(dist.tail_ge(s)) - Fraction(suffix, denom))
+                assert err <= ulps * Fraction(math.ulp(exact)), (t, s)
 
     @pytest.mark.parametrize("population,draws", [(20, 5), (37, 7), (100, 10)])
     @pytest.mark.parametrize("share", [0.0, 0.2, 0.5, 1.0])
@@ -393,9 +458,7 @@ class TestScipyCrossCheck:
             for k in range(law.support_min, law.support_max + 1):
                 assert hypergeom_pmf(law, k) == pytest.approx(float(ref.pmf(k)), rel=1e-9)
             for r in range(law.support_min, law.support_max + 1):
-                assert float(hypergeom_tail_ge(law, r)) == pytest.approx(
-                    float(ref.sf(r - 1)), rel=1e-9
-                )
+                assert hypergeom_tail_ge(law, r) == pytest.approx(float(ref.sf(r - 1)), rel=1e-9)
 
     def test_binomial_tail(self):
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -22,7 +22,7 @@ from pivotk.ratchet import (
     ratchet_multi_slot_delay,
 )
 
-from conftest import exact_ratchet_tail_gt
+from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt
 
 # Largest allowed distance between a Monte-Carlo frequency and the exact
 # ratchet law, in binomial standard errors sqrt(p(1-p)/trials) of the exact p.
@@ -53,11 +53,8 @@ class TestFirstSlotTail:
     def test_time_varying_schedule_uses_first_slot_draws(self, beta):
         # over-contacting slot one both widens the draw and adds slack
         schedule = ContactSchedule((25,), kappa=20)
-        law = HypergeomLaw(100, 20, 25)
-        from pivotk.probability import hypergeom_tail_ge
-
-        assert float(q_rat_first_slot(schedule, 100, beta)) == pytest.approx(
-            float(hypergeom_tail_ge(law, 6)), rel=1e-12
+        assert q_rat_first_slot(schedule, 100, beta) == float(
+            exact_hypergeom_tail_ge(100, 20, 25, 6)
         )
 
     def test_improves_on_static_for_multi_slot(self, beta):
@@ -158,13 +155,18 @@ class TestHonestMissBound:
     )
     def test_zero_rate_is_the_law_tail_bit_for_bit(self, n, kappas):
         # kappa 1..2m runs delta_rec over every slack 0..m-1, at t* = 1 and 2.
+        # Bin(M, 0) convolves to the law's own masses, and the bound is the
+        # law's correctly rounded tail C(n, m)^-1 sum_{k > delta_rec} N_k.
         m = n // 5
         law = contact_sums(cartel_contact_law(n, 0.2, m), 1)[0]
+        total = math.comb(n, m)
+        counts = [math.comb(m, k) * math.comb(n - m, m - k) for k in range(m + 1)]
         for kappa in kappas:
             schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
             point = binomial_pmf_vector(schedule.total_by_horizon, 0.0)
-            convolved = law.convolve(point).tail_gt(schedule.delta_rec)
-            assert honest_miss_delay_bound(schedule, 0.0, law).hex() == convolved.hex()
+            assert law.convolve(point).masses == law.masses
+            exact = sum(counts[schedule.delta_rec + 1 :]) / total
+            assert honest_miss_delay_bound(schedule, 0.0, law).hex() == exact.hex()
 
     def test_nondecreasing_in_miss_rate(self, table_instances):
         schedule = ContactSchedule.static(table_instances[30])
