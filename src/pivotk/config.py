@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from .geometry import SystemInstance, cartel_lane_count, json_field
+from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
 from .incentives import EconParams
 from .intra_slot import RaceModel
 
@@ -37,11 +37,16 @@ def _json_kind(value) -> str:
     return "null" if value is None else _JSON_TYPES.get(type(value), type(value).__name__)
 
 
-def _block(obj: Mapping[str, Any], name: str) -> Mapping[str, Any]:
-    """The config block ``name``, which must be a JSON object; absent is empty."""
+def _block(obj: Mapping[str, Any], name: str, keys: Sequence[str] | None) -> Mapping[str, Any]:
+    """The config block ``name``, a JSON object holding only ``keys``; absent is empty.
+
+    ``keys=None`` leaves the key check to the block's own parser.
+    """
     block = obj.get(name, {})
     if not isinstance(block, Mapping):
         raise ConfigError(f"{name}: must be a JSON object, got {_json_kind(block)}")
+    if keys is not None:
+        check_keys(block, keys, name)
     return block
 
 
@@ -85,7 +90,13 @@ class AnalysisConfig:
 
     @classmethod
     def _parse(cls, obj: Mapping[str, Any]) -> "AnalysisConfig":
-        inst_obj = _block(obj, "instance")
+        check_keys(
+            obj,
+            ("instance", "beta", "econ", "usd_per_fee_unit", "table_kappas", "mev_tiers_usd",
+             "sweep", "mc", "race"),
+            None,
+        )
+        inst_obj = _block(obj, "instance", ("n", "m", "s", "K", "kappa"))
         n = json_field(inst_obj.get("n", 100), "instance.n")
         m = json_field(inst_obj.get("m", 20), "instance.m")
         s = json_field(inst_obj.get("s", 1), "instance.s")
@@ -115,20 +126,21 @@ class AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"beta: {exc}") from exc
 
-        econ_obj = _block(obj, "econ")
+        econ_obj = _block(obj, "econ", None)  # EconParams.from_config checks its keys
         mode = econ_obj.get("mode", "normalized")
         defaults = _ECON_DEFAULTS.get(mode, {}) if isinstance(mode, str) else {}
         econ_obj = {"mode": mode, **defaults, **econ_obj}
         if mode == "normalized":
             econ_obj.setdefault("bundle_price", econ_obj["fee"])
         econ = EconParams.from_config(econ_obj)
+        econ.bundle_price_at(instance.s)  # must be finite at the config's s
 
-        sweep_obj = _block(obj, "sweep")
+        sweep_obj = _block(obj, "sweep", ("kappa_min", "kappa_max"))
         sweep_min = json_field(sweep_obj.get("kappa_min", 1), "sweep.kappa_min")
         sweep_max = json_field(sweep_obj.get("kappa_max", 120), "sweep.kappa_max")
         _require(1 <= sweep_min <= sweep_max, "sweep: need 1 <= kappa_min <= kappa_max")
 
-        mc_obj = _block(obj, "mc")
+        mc_obj = _block(obj, "mc", ("trials", "seed"))
         trials = json_field(mc_obj.get("trials", 10_000), "mc.trials")
         seed = json_field(mc_obj.get("seed", 20260809), "mc.seed")
         _require(trials >= 1, "mc.trials must be positive")
@@ -141,7 +153,7 @@ class AnalysisConfig:
         tiers = _array(obj, "mev_tiers_usd", [5.0, 50.0, 5000.0], kind=float)
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
 
-        race_obj = _block(obj, "race")
+        race_obj = _block(obj, "race", [f.name for f in fields(RaceModel)])
         timings = {
             f.name: json_field(race_obj.get(f.name, f.default), f"race.{f.name}", kind=float)
             for f in fields(RaceModel)

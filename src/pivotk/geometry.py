@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import difflib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 __all__ = [
     "SystemInstance",
     "ContactSchedule",
     "cartel_lane_count",
     "json_field",
+    "check_keys",
 ]
 
 
@@ -40,6 +42,19 @@ def json_field(value, field: str, lo=None, hi=None, nullable: bool = False, kind
     elif lo is not None:
         want += f" >= {lo}"
     raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
+
+
+def check_keys(block: Mapping, accepted: Sequence[str], name: str | None) -> None:
+    """Raise ValueError on the first key of ``block`` not in ``accepted``.
+
+    The message names the block ``name`` (None for the top level), the key
+    and the closest accepted key, if one is close.
+    """
+    for key in block:
+        if key not in accepted:
+            close = difflib.get_close_matches(key, accepted, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ValueError(f"{name + ': ' if name else ''}unknown key {key!r}{hint}")
 
 
 def cartel_lane_count(n: int, beta) -> int:

@@ -12,7 +12,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .geometry import SystemInstance, cartel_lane_count, json_field
+from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
 from .probability import DiscreteDistribution, cartel_contact_law
 
 __all__ = [
@@ -65,6 +65,8 @@ _EXCLUDED = {
         ("bytes", "normalized", "normalized-mode"),
     )
 }
+# What an econ block may hold; the other mode's keys fail in __post_init__.
+_ECON_ACCEPTED = ("mode", *(key for key, _, _ in _ECON_FIELDS))
 _NONNEGATIVE = {
     "fee", "bundle_price", "bounty", "header_bytes", "metadata_bytes", "symbol_bytes",
     "per_byte_price",
@@ -122,6 +124,11 @@ class EconParams:
                 raise ValueError("econ.alpha must lie in (0, 1] to recover v from alpha_v")
             if not self.alpha_v > 0:
                 raise ValueError("econ.alpha_v must be positive")
+            if not math.isfinite(self.alpha_v / self.alpha):
+                raise ValueError(
+                    f"econ.alpha_v / econ.alpha, the transaction value, must be finite; "
+                    f"got {self.alpha_v!r} / {self.alpha!r}"
+                )
         else:
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError("econ.alpha must lie in [0, 1]")
@@ -171,10 +178,19 @@ class EconParams:
         return self.header_bytes + s * (self.metadata_bytes + self.symbol_bytes)
 
     def bundle_price_at(self, s: int) -> float:
-        """The price of one bundle of ``s`` symbols."""
+        """The price of one bundle of ``s`` symbols; ValueError if it is not finite."""
         if self.mode == "normalized":
             return self.bundle_price
-        return self.per_byte_price * self.bundle_bytes(s)
+        try:
+            price = self.per_byte_price * self.bundle_bytes(s)
+        except OverflowError:  # a byte count beyond the float range
+            price = math.inf
+        if not math.isfinite(price):
+            raise ValueError(
+                f"econ: the bundle price econ.per_byte_price * (econ.header_bytes + "
+                f"s * (econ.metadata_bytes + econ.symbol_bytes)) must be finite at s={s}"
+            )
+        return price
 
     def proposer_fee(self, s: int) -> float:
         if self.mode == "normalized":
@@ -194,6 +210,7 @@ class EconParams:
         """
         if not isinstance(obj, dict):
             raise TypeError(f"econ must be an object, got {type(obj).__name__}")
+        check_keys(obj, _ECON_ACCEPTED, "econ")
         return cls(
             obj["mode"],
             *[

@@ -644,7 +644,9 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     for field, value in zip(_PAYOFF_FIELDS, values):
         if type(value) is not float:
             raise ValueError(f"payoff.{field} must be a float, got {value!r}")
-    return trace, PayoffBreakdown(*values), EconParams.from_config(obj["econ"])
+    econ = EconParams.from_config(obj["econ"])
+    econ.bundle_price_at(instance.s)  # must be finite at the trace's s
+    return trace, PayoffBreakdown(*values), econ
 
 
 # --- theorem verification --------------------------------------------------

@@ -183,6 +183,63 @@ class TestConfigHandling:
         code, _ = run_cli(capsys, "table-main", "--config", str(cfg_path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"instance": {"n": 100, "m": 20, "kapa": 50}}, "instance: unknown key 'kapa' (did you mean 'kappa'?)"),
+            ({"betta": 0.3}, "unknown key 'betta' (did you mean 'beta'?)"),
+            ({"mc": {"trails": 5}}, "mc: unknown key 'trails' (did you mean 'trials'?)"),
+            ({"race": {"rat": 8.0}}, "race: unknown key 'rat' (did you mean 'rate'?)"),
+            ({"econ": {"bounti": 24.0}}, "econ: unknown key 'bounti' (did you mean 'bounty'?)"),
+            ({"sweep": {"kappa_mx": 50}}, "sweep: unknown key 'kappa_mx' (did you mean 'kappa_max'?)"),
+            (
+                {"econ": {"mode": "bytes", "header_bytes": 1, "metadata_bytes": 1, "symbol_bytes": 1,
+                          "per_byte_price": 1.0, "proposer_share": 0.5, "alpha": 1.0, "value": 9.0,
+                          "per_bytes_price": 2.0}},
+                "econ: unknown key 'per_bytes_price' (did you mean 'per_byte_price'?)",
+            ),
+            ({"comment": "x"}, "unknown key 'comment'"),
+        ],
+        ids=["instance", "top-level", "mc", "race", "econ", "sweep", "econ-bytes", "no-close-key"],
+    )
+    def test_unknown_key_named_with_closest_accepted_key(self, capsys, tmp_path, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["advise", "--format", "json", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    def test_written_config_names_only_accepted_keys(self):
+        written = AnalysisConfig.default().to_dict()
+        assert AnalysisConfig.from_dict(written).to_dict() == written
+
+    def test_overflowing_transaction_value_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"econ": {"alpha_v": 1e308, "alpha": 1e-10}}))
+        code = main(["advise", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: econ.alpha_v / econ.alpha, the transaction value, must be finite; "
+            "got 1e+308 / 1e-10\n"
+        )
+
+    def test_overflowing_bundle_price_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        econ = dict(BYTE_CONFIG["econ"], header_bytes=10**400)
+        cfg_path.write_text(json.dumps({"instance": BYTE_CONFIG["instance"], "econ": econ}))
+        code = main(["table-coalition", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: econ: the bundle price econ.per_byte_price * (econ.header_bytes + "
+            "s * (econ.metadata_bytes + econ.symbol_bytes)) must be finite at s=3\n"
+        )
+
     def test_normalized_mode_excludes_byte_fields(self):
         with pytest.raises(ConfigError):
             AnalysisConfig.from_dict(
@@ -881,6 +938,26 @@ class TestSimulateReplay:
             f"config error: {tmp_path / 'traces.jsonl'}:1: econ.{key} must be a finite number, "
             f"got {bad!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "econ, reason",
+        [
+            ({"bounti": 24.0}, "econ: unknown key 'bounti' (did you mean 'bounty'?)"),
+            (
+                dict(BYTE_CONFIG["econ"], header_bytes=10**400, bounty=0.0),
+                "econ: the bundle price econ.per_byte_price * (econ.header_bytes + "
+                "s * (econ.metadata_bytes + econ.symbol_bytes)) must be finite at s=1",
+            ),
+        ],
+        ids=["unknown-key", "overflowing-price"],
+    )
+    def test_replay_rejects_what_config_rejects_in_econ(self, capsys, tmp_path, econ, reason):
+        def edit(line):
+            line["econ"] = econ if "mode" in econ else {**line["econ"], **econ}
+
+        code, err = replay_edited_golden(capsys, tmp_path, edit)
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {tmp_path / 'traces.jsonl'}:1: {reason}\n"
 
     def test_replay_of_golden_traces_matches(self, capsys):
         code, out = run_cli(capsys, "replay", "--input", str(GOLDEN / "simulate.jsonl"))
