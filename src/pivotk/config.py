@@ -38,10 +38,7 @@ def _json_kind(value) -> str:
 
 
 def _block(obj: Mapping[str, Any], name: str, keys: Sequence[str] | None) -> Mapping[str, Any]:
-    """The config block ``name``, a JSON object holding only ``keys``; absent is empty.
-
-    ``keys=None`` leaves the key check to the block's own parser.
-    """
+    """Block ``name``: a JSON object of ``keys`` (None: its parser checks); absent is empty."""
     block = obj.get(name, {})
     if not isinstance(block, Mapping):
         raise ConfigError(f"{name}: must be a JSON object, got {_json_kind(block)}")
@@ -90,12 +87,8 @@ class AnalysisConfig:
 
     @classmethod
     def _parse(cls, obj: Mapping[str, Any]) -> "AnalysisConfig":
-        check_keys(
-            obj,
-            ("instance", "beta", "econ", "usd_per_fee_unit", "table_kappas", "mev_tiers_usd",
-             "sweep", "mc", "race"),
-            None,
-        )
+        check_keys(obj, ("instance", "beta", "econ", "usd_per_fee_unit", "table_kappas",
+                         "mev_tiers_usd", "sweep", "mc", "race"), None)
         inst_obj = _block(obj, "instance", ("n", "m", "s", "K", "kappa"))
         n = json_field(inst_obj.get("n", 100), "instance.n")
         m = json_field(inst_obj.get("m", 20), "instance.m")

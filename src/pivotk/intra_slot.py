@@ -99,8 +99,7 @@ def rho_floors(r_max: int, race: RaceModel) -> tuple[float, ...]:
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     num, den = race.p.as_integer_ratio()
-    out = [1.0]
-    top, bottom = 1, 1
+    out, top, bottom = [1.0], 1, 1
     for _ in range(r_max):
         top, bottom = top * num, bottom * den
         out.append(top / bottom)

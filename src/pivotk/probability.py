@@ -35,9 +35,6 @@ NEG_INF = float("-inf")
 # transforms, rounding to a double only at the end.
 _LOG_FACT_HI: list[float] = [0.0, 0.0]
 _LOG_FACT_LO: list[float] = [0.0, 0.0]
-# Slot laws kept by from_law.  A sweep, a table or verify reads one or two
-# laws many times; at n = 10 000 each costs ~20 ms to build.
-_SLOT_LAW_CACHE = 64
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -190,7 +187,7 @@ class DiscreteDistribution:
         )
 
 
-@functools.lru_cache(maxsize=_SLOT_LAW_CACHE)
+@functools.lru_cache(maxsize=64)  # a command reads one or two laws many times
 def _slot_law(law: HypergeomLaw) -> DiscreteDistribution:
     """Every mass N_k / C(n, m) and upper tail of ``law`` from exact integers.
 
