@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -127,6 +128,14 @@ class AnalysisConfig:
             econ_obj.setdefault("bundle_price", econ_obj["fee"])
         econ = EconParams.from_config(econ_obj)
         econ.bundle_price_at(instance.s)  # must be finite at the config's s
+        # The bounty proxies are alpha*v over the cartel fraction times a probability.
+        fraction = cartel_lane_count(instance.n, beta) / instance.n
+        mev_keys = "econ.alpha_v" if econ.mode == "normalized" else "econ.alpha * econ.value"
+        _require(
+            fraction == 0 or math.isfinite(econ.mev_exposure / fraction),
+            f"{mev_keys} / beta, the bounty proxies' scale, must be finite; "
+            f"got {econ.mev_exposure!r} / {beta!r}",
+        )
 
         sweep_obj = _block(obj, "sweep", ("kappa_min", "kappa_max"))
         sweep_min = json_field(sweep_obj.get("kappa_min", 1), "sweep.kappa_min")
@@ -145,6 +154,11 @@ class AnalysisConfig:
 
         tiers = _array(obj, "mev_tiers_usd", [5.0, 50.0, 5000.0], kind=float)
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
+        for i, tier in enumerate(tiers):  # table-cost prices each tier / beta
+            _require(
+                beta == 0 or math.isfinite(tier / beta),
+                f"mev_tiers_usd[{i}] / beta must be finite; got {tier!r} / {beta!r}",
+            )
 
         race_obj = _block(obj, "race", [f.name for f in fields(RaceModel)])
         timings = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -104,6 +104,51 @@ class HypergeomLaw:
         return self.draws * self.successes / self.population
 
 
+# The fast mass check sums the masses in numpy blocks of at most this many
+# entries.  In any order, a sum of k terms is off by at most gamma_(k-1) =
+# (k-1)u / (1 - (k-1)u) times the sum of their magnitudes, u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 4); gamma_1023 < 2**-43.
+_MASS_BLOCK = 1024
+
+
+def _total_mass_fault(total: float, strict: bool) -> str | None:
+    """Why a law of total mass ``total`` is rejected, or None if it is not.
+
+    The doubles this accepts form an interval: each test is monotone in ``total``.
+    """
+    if math.isnan(total):
+        return "probability mass is NaN"
+    if strict and abs(total - 1.0) > 1e-12:
+        return f"total mass {total} deviates from 1 by more than 1e-12"
+    if total > 1.0 + 1e-12:
+        return f"total mass {total} exceeds 1"
+    return None
+
+
+def _mass_surely_ok(x: np.ndarray, strict: bool) -> bool:
+    """True only if the masses ``x`` pass the fsum mass check; False: undecided.
+
+    For masses >= 0, each numpy block sum is within a relative gamma_1023 <
+    2**-43 of its exact value, so the exact total s is within F * 2**-42 of the
+    fsum F of the block sums when F lies in [0.5, 2]; the spare factor 2 covers
+    the roundings of F and of F +- F * 2**-42.  math.fsum(x) is s correctly
+    rounded and rounding is monotone, so if both ends of that interval pass,
+    fsum(x) passes too.
+    """
+    if not x.size or not x.min() >= 0.0:  # a NaN fails the comparison
+        return False
+    with np.errstate(over="ignore"):  # an infinite block sum fails the range test
+        blocks = np.add.reduceat(x, np.arange(0, x.size, _MASS_BLOCK))
+    total = math.fsum(blocks.tolist())
+    if not 0.5 <= total <= 2.0:
+        return False
+    err = total * 2.0**-42
+    return (
+        _total_mass_fault(total - err, strict) is None
+        and _total_mass_fault(total + err, strict) is None
+    )
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """An integer-supported distribution as ``offset`` plus a mass vector.
@@ -114,24 +159,31 @@ class DiscreteDistribution:
     account for the missing mass themselves.  ``tails[i]``, when given, is
     P[X >= offset + i] and is read in place of a sum over the masses; a value
     past the last entry has tail 0.
+
+    The law also holds its masses as one read-only float64 array, ``_array``,
+    which is not a field.  A caller that already has that array (``convolve``)
+    passes it as ``_array`` and the law keeps it instead of building its own.
     """
 
     offset: int
     masses: tuple[float, ...]
     strict: bool = True
     tails: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
+    _array: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _array: np.ndarray | None) -> None:
+        if _array is None:
+            _array = np.array(self.masses, dtype=np.float64)
+        _array.flags.writeable = False
+        object.__setattr__(self, "_array", _array)
+        if _mass_surely_ok(_array, self.strict):
+            return
         if self.masses and min(self.masses) < -1e-15:
             raise ValueError("negative probability mass")
-        total = math.fsum(self.masses)
         # min() above skips a negative mass that follows a NaN; fsum does not.
-        if math.isnan(total):
-            raise ValueError("probability mass is NaN")
-        if self.strict and abs(total - 1.0) > 1e-12:
-            raise ValueError(f"total mass {total} deviates from 1 by more than 1e-12")
-        if total > 1.0 + 1e-12:
-            raise ValueError(f"total mass {total} exceeds 1")
+        fault = _total_mass_fault(math.fsum(self.masses), self.strict)
+        if fault is not None:
+            raise ValueError(fault)
 
     @classmethod
     def from_law(cls, law: HypergeomLaw) -> "DiscreteDistribution":
@@ -179,11 +231,12 @@ class DiscreteDistribution:
         )
 
     def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
-        out = np.convolve(np.asarray(self.masses), np.asarray(other.masses))
+        out = np.convolve(self._array, other._array)
         return DiscreteDistribution(
             self.offset + other.offset,
             tuple(out.tolist()),
             strict=self.strict and other.strict,
+            _array=out,
         )
 
 

@@ -223,6 +223,42 @@ class TestConfigHandling:
             "got 1e+308 / 1e-10\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (
+                command,
+                {"econ": {"alpha_v": 1e308}},
+                "econ.alpha_v / beta, the bounty proxies' scale, must be finite; "
+                "got 1e+308 / 0.2",
+            )
+            for command in ("advise", "table-main", "table-coalition")
+        ]
+        + [
+            (
+                "advise",
+                {"instance": BYTE_CONFIG["instance"],
+                 "econ": dict(BYTE_CONFIG["econ"], alpha=1.0, value=1e308)},
+                "econ.alpha * econ.value / beta, the bounty proxies' scale, must be finite; "
+                "got 1e+308 / 0.2",
+            ),
+            (
+                "table-cost",
+                {"mev_tiers_usd": [5.0, 1e308]},
+                "mev_tiers_usd[1] / beta must be finite; got 1e+308 / 0.2",
+            ),
+        ],
+        ids=["advise", "table-main", "table-coalition", "advise-bytes", "table-cost"],
+    )
+    def test_overflowing_bounty_scale_rejected(self, capsys, tmp_path, command, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_overflowing_bundle_price_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         econ = dict(BYTE_CONFIG["econ"], header_bytes=10**400)

@@ -16,6 +16,7 @@ from pivotk.probability import (
     DiscreteDistribution,
     HypergeomLaw,
     MCEstimate,
+    _mass_surely_ok,
     binomial_pmf_vector,
     cartel_contact_law,
     chernoff_tail_bound,
@@ -377,6 +378,109 @@ class TestDiscreteDistribution:
     def test_expected_power(self):
         d = DiscreteDistribution(1, (0.25, 0.75))
         assert d.expected_power(0.5) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25)
+
+
+def reference_mass_check(masses, strict):
+    """The mass check as a plain min() and math.fsum, before the numpy fast path."""
+    if masses and min(masses) < -1e-15:
+        raise ValueError("negative probability mass")
+    total = math.fsum(masses)
+    if math.isnan(total):
+        raise ValueError("probability mass is NaN")
+    if strict and abs(total - 1.0) > 1e-12:
+        raise ValueError(f"total mass {total} deviates from 1 by more than 1e-12")
+    if total > 1.0 + 1e-12:
+        raise ValueError(f"total mass {total} exceeds 1")
+
+
+def check_outcome(check, *args):
+    """None if ``check(*args)`` passes, else the type and message it raised."""
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - any outcome must match
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def mass_vectors(draw):
+    """Masses over 1e-320..1 whose total sits near 1 or 1 +- 1e-12, with faults.
+
+    One entry carries most of the mass and is set so that the total lands
+    within a few ulps of a boundary of the check, or in the band around it.
+    NaN, infinite, negative and huge entries go at random positions.
+    """
+    n = draw(
+        st.one_of(
+            st.integers(0, 8),
+            st.sampled_from([1023, 1024, 1025, 2048, 2049, 9000, 9001, 20_000]),
+            st.integers(0, 20_000),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** rng.uniform(-320.0, 0.0, size=n)
+    if n:
+        target = draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12]))
+        target += draw(st.one_of(st.just(0.0), st.floats(-2e-12, 2e-12)))
+        big = int(rng.integers(n))
+        x[big] = 0.0
+        rest = math.fsum(x)
+        if rest > 0.0:
+            x *= draw(st.floats(0.0, 0.9)) * target / rest
+        x[big] = target - math.fsum(x)
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            x[big] = math.nextafter(x[big], math.copysign(math.inf, ulps))
+    masses = x.tolist()
+    faults = st.sampled_from([math.nan, math.inf, -math.inf, -5.0, -2e-15, -1e-15, -1e-16, 1e308])
+    for value in draw(st.lists(faults, max_size=3 if n else 0)):
+        masses[draw(st.integers(0, n - 1))] = value
+    return tuple(masses)
+
+
+class TestMassCheck:
+    """The numpy fast path decides exactly as min() and math.fsum do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(masses=mass_vectors(), strict=st.booleans())
+    def test_matches_fsum_rule(self, masses, strict):
+        assert check_outcome(DiscreteDistribution, 0, masses, strict) == check_outcome(
+            reference_mass_check, masses, strict
+        )
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "masses, message",
+        [
+            # min() stops at neither NaN: the first one hides the -5.0 from it.
+            ((math.nan, -5.0, 1.0), "probability mass is NaN"),
+            ((1.0, -5.0, math.nan), "negative probability mass"),
+        ],
+    )
+    def test_min_order_quirk(self, masses, message, strict):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DiscreteDistribution(0, masses, strict=strict)
+
+    def test_undecided_band_takes_fsum_path(self):
+        # Within 1e-12 of 1 but too close to the edge for the block-sum bound.
+        for masses in ((1.0 - 9e-13,), (0.5, 0.5 + 9e-13)):
+            assert not _mass_surely_ok(np.array(masses), True)
+            assert DiscreteDistribution(0, masses).masses == masses
+        with pytest.raises(ValueError, match=r"deviates from 1 by more than 1e-12$"):
+            DiscreteDistribution(0, (1.0 + 1.1e-12,))
+
+    def test_contact_sums_take_fast_path(self):
+        for law in contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6):
+            assert _mass_surely_ok(law._array, True)
+
+    def test_array_mirrors_masses_outside_eq_and_repr(self):
+        law = DiscreteDistribution.from_law(TABLE_LAW)
+        twice = law.convolve(law)
+        for d in (law, twice):
+            assert d._array.tolist() == list(d.masses)
+            assert not d._array.flags.writeable
+            assert "_array" not in repr(d)
+        assert twice == DiscreteDistribution(twice.offset, twice.masses)
 
 
 class TestKlDivergence:
