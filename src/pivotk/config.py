@@ -128,7 +128,7 @@ class AnalysisConfig:
             econ_obj.setdefault("bundle_price", econ_obj["fee"])
         econ = EconParams.from_config(econ_obj)
         econ.bundle_price_at(instance.s)  # must be finite at the config's s
-        # The bounty proxies are alpha*v over the cartel fraction times a probability.
+        # bounty_proxies prices a probability at alpha*v / (cartel lanes / n).
         fraction = cartel_lane_count(instance.n, beta) / instance.n
         mev_keys = "econ.alpha_v" if econ.mode == "normalized" else "econ.alpha * econ.value"
         _require(

@@ -426,7 +426,7 @@ def mass_vectors(draw):
         x[big] = 0.0
         rest = math.fsum(x)
         if rest > 0.0:
-            x *= draw(st.floats(0.0, 0.9)) * target / rest
+            x = x / rest * (draw(st.floats(0.0, 0.9)) * target)
         x[big] = target - math.fsum(x)
         ulps = draw(st.integers(-4, 4))
         for _ in range(abs(ulps)):
@@ -452,7 +452,7 @@ class TestMassCheck:
     @pytest.mark.parametrize(
         "masses, message",
         [
-            # min() stops at neither NaN: the first one hides the -5.0 from it.
+            # min() keeps a leading NaN and never sees the -5.0; it skips a trailing one.
             ((math.nan, -5.0, 1.0), "probability mass is NaN"),
             ((1.0, -5.0, math.nan), "negative probability mass"),
         ],
