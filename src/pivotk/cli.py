@@ -19,7 +19,7 @@ from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
+from .probability import binomial_pmf_vector, cartel_contact_law, chernoff_tail_bound, contact_sums
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -87,6 +87,18 @@ def _render(args, cfg: AnalysisConfig, columns: Sequence[Column], rows: list[dic
     return (render_table if args.format == "table" else render_csv)(header, cells)
 
 
+def _finite(value, what: str, kappa: int):
+    """``value`` (None passes); a ConfigError naming ``what``'s keys if it overflowed."""
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{what} at kappa={kappa} must be finite; got {value!r}")
+    return value
+
+
+def _coalition_bounty(cfg: AnalysisConfig, inst: SystemInstance) -> float | None:
+    what = f"the coalition bounty kappa * {cfg.econ.mev_exposure_keys} * gamma^t*"
+    return _finite(incentives.coalition_sufficient_bounty(inst, cfg.econ), what, inst.kappa)
+
+
 def _sweep_by_kappa(cfg: AnalysisConfig, kappas) -> dict[int, delay.SweepRow]:
     """Exact q0, q_rat and q_micro for ``kappas`` from one sweep, keyed by kappa."""
     rows = delay.sawtooth_sweep(cfg.instance.n, cfg.instance.m, cfg.beta, kappas)
@@ -124,7 +136,11 @@ def cmd_table_main(args) -> int:
                 "q_rat": row.q_rat,
                 "q_micro": row.q_micro,
                 "b_static": b_static,
-                "b_static_usd": displayed_fee_units(b_static) * cfg.usd_per_fee_unit,
+                "b_static_usd": _finite(
+                    displayed_fee_units(b_static) * cfg.usd_per_fee_unit,
+                    "B_static * usd_per_fee_unit",
+                    kappa,
+                ),
             }
         )
     _emit(args, _render(args, cfg, _MAIN_COLUMNS, rows))
@@ -156,7 +172,7 @@ def cmd_table_coalition(args) -> int:
                 "delta": inst.delta,
                 "unilateral_safe": inst.delta > 0,
                 "equal_share": incentives.equal_share(cfg.econ, inst),
-                "b_coal": incentives.coalition_sufficient_bounty(inst, cfg.econ),
+                "b_coal": _coalition_bounty(cfg, inst),
                 "b_static": b_static,
             }
         )
@@ -407,12 +423,20 @@ def _suite_ratchet_improvement(cfg: AnalysisConfig, sweep: dict[int, delay.Sweep
 
 
 def _suite_honest_miss(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
+    """Misses at honest-miss rate 0.01 only add delay: q_rat - 1e-12 <= bound <= 1."""
     failures = []
-    law = contact_sums(cartel_contact_law(cfg.instance.n, cfg.beta, cfg.instance.m), 1)[0]
+    n, m = cfg.instance.n, cfg.instance.m
+    law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
+    # The bound at rate 0.01 is the epsilon-0 bound of law + Bin(t* m, 0.01), a
+    # law shared by every kappa of one horizon t*: one convolution per horizon.
+    with_misses = {}
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
-        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        with_miss = ratchet.honest_miss_delay_bound(ContactSchedule.static(inst), 0.0, law)
-        if abs(with_miss - sweep[kappa].q_rat) > 1e-12:
+        schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
+        if schedule.t_star not in with_misses:
+            misses = binomial_pmf_vector(schedule.total_by_horizon, 0.01)
+            with_misses[schedule.t_star] = law.convolve(misses)
+        bound = ratchet.honest_miss_delay_bound(schedule, 0.0, with_misses[schedule.t_star])
+        if not sweep[kappa].q_rat - 1e-12 <= bound <= 1.0:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}
 
@@ -525,6 +549,8 @@ def cmd_advise(args) -> int:
     ]
     if inst.knife_edge:
         threshold = incentives.knife_edge_bounty_threshold(inst, cfg.beta, cfg.econ, q0)
+        what = f"the knife-edge bounty threshold from {cfg.econ.mev_exposure_keys}"
+        _finite(threshold.bounty_min, what, inst.kappa)
         report["knife_edge_bounty"] = threshold.bounty_min
         lines.append(
             "avoid: knife edge (m | kappa); single-bundle sabotage is unilateral"
@@ -533,7 +559,7 @@ def cmd_advise(args) -> int:
             f"knife-edge bounty threshold: {threshold.bounty_min:.0f} fee units"
         )
     else:
-        b_coal = incentives.coalition_sufficient_bounty(inst, cfg.econ)
+        b_coal = _coalition_bounty(cfg, inst)
         report["coalition_bounty"] = b_coal
         lines.append(
             f"positive slack: unilateral withholding unprofitable; "

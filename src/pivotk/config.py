@@ -130,10 +130,9 @@ class AnalysisConfig:
         econ.bundle_price_at(instance.s)  # must be finite at the config's s
         # bounty_proxies prices a probability at alpha*v / (cartel lanes / n).
         fraction = cartel_lane_count(instance.n, beta) / instance.n
-        mev_keys = "econ.alpha_v" if econ.mode == "normalized" else "econ.alpha * econ.value"
         _require(
             fraction == 0 or math.isfinite(econ.mev_exposure / fraction),
-            f"{mev_keys} / beta, the bounty proxies' scale, must be finite; "
+            f"{econ.mev_exposure_keys} / beta, the bounty proxies' scale, must be finite; "
             f"got {econ.mev_exposure!r} / {beta!r}",
         )
 

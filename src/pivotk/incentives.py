@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
 from .probability import DiscreteDistribution, cartel_contact_law
 
@@ -164,6 +162,11 @@ class EconParams:
         if self.mode == "normalized":
             return self.alpha_v
         return self.alpha * self.value
+
+    @property
+    def mev_exposure_keys(self) -> str:
+        """The config keys ``mev_exposure`` is read from, as messages name them."""
+        return "econ.alpha_v" if self.mode == "normalized" else "econ.alpha * econ.value"
 
     @property
     def transaction_value(self) -> float:
@@ -441,77 +444,66 @@ def sender_ir_bound(
 
 @dataclass(frozen=True)
 class InclusionTimeLaw:
-    """Law of the inclusion slot under full withholding, truncated at a cap.
+    """Law of the inclusion slot T under full withholding, as tails up to a cap.
 
-    ``law`` carries mass for T in [t*, law.support_max]; ``residual_mass`` is
-    P[T > law.support_max], kept separate and below 1e-12.
+    ``tails[i]`` is P[T > t_star + i] for t_star + i = t*..cap; T >= t*
+    surely, and ``residual_mass`` = P[T > cap] is below 1e-12.
     """
 
-    law: DiscreteDistribution
-    residual_mass: float
+    t_star: int
+    tails: tuple[float, ...]
 
     @property
-    def t_star(self) -> int:
-        return self.law.offset
+    def residual_mass(self) -> float:
+        return self.tails[-1]
 
     def delay_probability(self) -> float:
-        """P[T > t*] = 1 - P[T = t*]; residual mass is beyond t* by construction."""
-        return 1.0 - self.law.pmf(self.t_star)
+        """P[T > t*], the full-withholding delay probability ``exact_q0``."""
+        return self.tails[0]
 
     def expected_discount(self, gamma: float) -> float:
-        """E[gamma^T] over the represented mass (residual adds < 1e-12 * gamma^cap)."""
-        return self.law.expected_power(gamma)
+        """E[gamma^T] over T <= cap, as the sum of gamma^t P[T = t].
+
+        P[T = t] = P[T > t-1] - P[T > t], with P[T > t* - 1] = 1; the residual
+        adds below 1e-12 * gamma^cap.
+        """
+        pmf = [above - tail for above, tail in zip((1.0, *self.tails), self.tails)]
+        return math.fsum(gamma ** (self.t_star + i) * p for i, p in enumerate(pmf))
 
 
 def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
-    """Exact inclusion-time law under full withholding, by one forward pass.
+    """Exact inclusion-time law under full withholding, from the contact-sum tails.
 
-    Only honest contacts accumulate on-chain; the state is the honest bundle
-    count so far, and inclusion fires at the first slot reaching kappa.  Each
-    slot is stepped once.  The residual P[T > t] is tested at the caps
-    max(t*+8, 2t*), 2x that, 4x that, ..., and the law ends at the first cap
-    whose residual is below 1e-12.
+    Only honest contacts accumulate on-chain, so T > t exactly when the
+    cartel's cumulative contacts exceed the rest: P[T > t] = P[S_t > t m - kappa],
+    with S_t built as ``contact_sums`` builds it, and at t* that is ``exact_q0``.
+    The tail is tested at the caps max(t*+8, 2t*), 2x that, 4x that, ..., and
+    the law ends at the first cap whose tail is below 1e-12.
     """
-    # A slot's honest contact count is m - A, so its PMF is the cartel slot
-    # PMF read backwards, starting at m minus the cartel's support maximum
-    # (the slot law drops the top entries whose tail rounds to 0.0).
     slot = DiscreteDistribution.from_law(cartel_contact_law(instance.n, beta, instance.m))
-    h_pmf = np.array(slot.masses[::-1])
-    h_lo = instance.m - slot.support_max
-    kappa, t_star = instance.kappa, instance.t_star
-
-    alive = np.zeros(kappa)  # index u: P[sum of honest so far = u, T not yet hit]
-    alive[0] = 1.0
-    hit: list[float] = []
+    m, kappa, t_star = instance.m, instance.kappa, instance.t_star
+    tails: list[float] = []
     cap = max(t_star + 8, 2 * t_star)
+    s_t, t = slot, 1  # S_t, the cartel's contacts in t slots
     while True:
-        nxt = np.zeros(kappa)
-        reached = 0.0
-        for u in np.flatnonzero(alive).tolist():
-            row = alive[u] * h_pmf
-            lo = u + h_lo
-            split = max(0, kappa - lo)  # row entries that stay below kappa
-            nxt[lo : lo + min(split, row.size)] += row[:split]
-            if split < row.size:
-                # The mass reaching kappa is summed strictly in (u, i) order,
-                # the order of the scalar recursion in the tests' reference,
-                # so every float matches it; np.sum would add pairwise.
-                row[split] += reached
-                reached = float(np.add.accumulate(row[split:])[-1])
-        hit.append(reached)
-        alive = nxt
-        if len(hit) == cap:
-            residual = math.fsum(alive.tolist())
-            if residual < 1e-12:
+        if t >= t_star:  # below t*, t m < kappa and the tail is 1
+            tails.append(s_t.tail_gt(t * m - kappa))
+        if t == cap:
+            if tails[-1] < 1e-12:
                 break
-            if cap > 65536 * t_star:
+            # slot.offset == m: every drawn lane is the cartel's, so no honest
+            # bundle ever arrives and every tail is 1.
+            if cap > 65536 * t_star or slot.offset == m:
                 raise ValueError("inclusion-time law does not concentrate; check parameters")
             cap *= 2
-
-    # Mass cannot appear before t*: fewer than kappa bundles exist until then.
-    assert all(p == 0.0 for p in hit[: t_star - 1])
-    law = DiscreteDistribution(t_star, tuple(hit[t_star - 1 :]), strict=False)
-    return InclusionTimeLaw(law=law, residual_mass=residual)
+        t += 1
+        if t * slot.support_max <= t * m - kappa:
+            # Neither S_t nor any later sum can exceed its threshold: at least
+            # m - slot.support_max >= 0 honest contacts arrive in every slot.
+            tails += [0.0] * (cap - t + 1)
+            break
+        s_t = s_t.convolve(slot)
+    return InclusionTimeLaw(t_star=t_star, tails=tuple(tails))
 
 
 def bounty_proxies(

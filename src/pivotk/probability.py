@@ -111,21 +111,19 @@ class HypergeomLaw:
 _MASS_BLOCK = 1024
 
 
-def _total_mass_fault(total: float, strict: bool) -> str | None:
+def _total_mass_fault(total: float) -> str | None:
     """Why a law of total mass ``total`` is rejected, or None if it is not.
 
-    The doubles this accepts form an interval: each test is monotone in ``total``.
+    The doubles this accepts form an interval, [1 - 1e-12, 1 + 1e-12].
     """
     if math.isnan(total):
         return "probability mass is NaN"
-    if strict and abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > 1e-12:
         return f"total mass {total} deviates from 1 by more than 1e-12"
-    if total > 1.0 + 1e-12:
-        return f"total mass {total} exceeds 1"
     return None
 
 
-def _mass_surely_ok(x: np.ndarray, strict: bool) -> bool:
+def _mass_surely_ok(x: np.ndarray) -> bool:
     """True only if the masses ``x`` pass the fsum mass check; False: undecided.
 
     For masses >= 0, each numpy block sum is within a relative gamma_1023 <
@@ -143,20 +141,15 @@ def _mass_surely_ok(x: np.ndarray, strict: bool) -> bool:
     if not 0.5 <= total <= 2.0:
         return False
     err = total * 2.0**-42
-    return (
-        _total_mass_fault(total - err, strict) is None
-        and _total_mass_fault(total + err, strict) is None
-    )
+    return _total_mass_fault(total - err) is None and _total_mass_fault(total + err) is None
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """An integer-supported distribution as ``offset`` plus a mass vector.
 
-    ``masses[i]`` is the probability of the value ``offset + i``.  With
-    ``strict=True`` (the default) total mass must be 1 within 1e-12; truncated
-    laws (for example a capped inclusion-time law) pass ``strict=False`` and
-    account for the missing mass themselves.  ``tails[i]``, when given, is
+    ``masses[i]`` is the probability of the value ``offset + i``; the total
+    mass must be 1 within 1e-12.  ``tails[i]``, when given, is
     P[X >= offset + i] and is read in place of a sum over the masses; a value
     past the last entry has tail 0.
 
@@ -167,7 +160,6 @@ class DiscreteDistribution:
 
     offset: int
     masses: tuple[float, ...]
-    strict: bool = True
     tails: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
     _array: InitVar[np.ndarray | None] = None
 
@@ -176,12 +168,12 @@ class DiscreteDistribution:
             _array = np.array(self.masses, dtype=np.float64)
         _array.flags.writeable = False
         object.__setattr__(self, "_array", _array)
-        if _mass_surely_ok(_array, self.strict):
+        if _mass_surely_ok(_array):
             return
         if self.masses and min(self.masses) < -1e-15:
             raise ValueError("negative probability mass")
         # min() above skips a negative mass that follows a NaN; fsum does not.
-        fault = _total_mass_fault(math.fsum(self.masses), self.strict)
+        fault = _total_mass_fault(math.fsum(self.masses))
         if fault is not None:
             raise ValueError(fault)
 
@@ -209,12 +201,12 @@ class DiscreteDistribution:
     def tail_ge(self, r: int) -> float:
         """P[X >= r]: the stored tail, else compensated summation clamped into [0, 1].
 
-        A strict law's tail at or below its offset is 1.  The represented mass
-        may be off from 1 by up to the 1e-12 the constructor allows, so an
-        unclamped sum could read just above 1.
+        The tail at or below the offset is 1.  The represented mass may be off
+        from 1 by up to the 1e-12 the constructor allows, so an unclamped sum
+        could read just above 1.
         """
         i = max(r - self.offset, 0)
-        if i == 0 and self.strict:
+        if i == 0:
             return 1.0
         if self.tails is not None:
             return self.tails[i] if i < len(self.tails) else 0.0
@@ -224,20 +216,9 @@ class DiscreteDistribution:
         """P[X > r]."""
         return self.tail_ge(r + 1)
 
-    def expected_power(self, gamma: float) -> float:
-        """E[gamma^X] over the represented mass."""
-        return math.fsum(
-            m * gamma ** (self.offset + i) for i, m in enumerate(self.masses)
-        )
-
     def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
         out = np.convolve(self._array, other._array)
-        return DiscreteDistribution(
-            self.offset + other.offset,
-            tuple(out.tolist()),
-            strict=self.strict and other.strict,
-            _array=out,
-        )
+        return DiscreteDistribution(self.offset + other.offset, tuple(out.tolist()), _array=out)
 
 
 @functools.lru_cache(maxsize=64)  # a command reads one or two laws many times

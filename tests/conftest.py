@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
-from pivotk.probability import DiscreteDistribution, cartel_contact_law, contact_sums
+from pivotk.probability import cartel_contact_law, contact_sums
 from pivotk.simulator import PayoffBreakdown
 
 
@@ -120,13 +120,44 @@ def exact_distribution_of_T0(instance, beta, slots: int) -> tuple[list[Fraction]
     return hit, sum(alive.values(), Fraction(0))
 
 
-def reference_distribution_of_T0(instance, beta) -> tuple[DiscreteDistribution, float]:
-    """(law, residual_mass) of the inclusion slot by the original scalar DP.
+def exact_inclusion_tails(instance, beta, floor: Fraction = Fraction(1, 10**30)) -> list[Fraction]:
+    """Exact P[T > t] for t = t*, t* + 1, ..., up to the first one below ``floor``.
 
-    This is the pre-vectorization ``incentives.distribution_of_T0`` kept
-    verbatim (automatic cap only): a triple loop over cap x kappa x support
-    that reruns from slot 1 each time the cap doubles.  The production pass
-    must reproduce every float of it bit for bit.
+    T is the inclusion slot under full withholding, and T > t exactly when
+    S_t, the cartel's contacts in t slots, exceeds t m - kappa.  S_t has the
+    integer counts of the t-fold convolution of N_k = C(a, k) C(n - a, m - k)
+    over C(n, m)^t.  Each convolution is one big-integer product: a list of
+    counts packed w bytes apart (Kronecker substitution), with w wide enough
+    for any count of the product, so no coefficient carries into the next.
+    """
+    n, m, kappa = instance.n, instance.m, instance.kappa
+    a = cartel_lane_count(n, beta)
+    lo, hi = max(0, m + a - n), min(m, a)
+    total = comb(n, m)
+    row = [0] * lo + [comb(a, k) * comb(n - a, m - k) for k in range(lo, hi + 1)]
+    counts, tails, t = row, [], 1
+    while not tails or tails[-1] >= floor:
+        if t > 1:
+            w = (total**t).bit_length() // 8 + 1
+
+            def pack(values):
+                return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+
+            size = len(counts) + len(row) - 1
+            raw = (pack(counts) * pack(row)).to_bytes(size * w, "little")
+            counts = [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(size)]
+        if t >= instance.t_star:
+            tails.append(Fraction(sum(counts[max(t * m - kappa + 1, 0) :]), total**t))
+        t += 1
+    return tails
+
+
+def reference_distribution_of_T0(instance, beta) -> tuple[list[float], float]:
+    """(P[T = t] for t = t*..cap, P[T > cap]) of the inclusion slot by a scalar DP.
+
+    This is the original honest-count ``incentives.distribution_of_T0``
+    (automatic cap only): a triple loop over cap x kappa x support that
+    reruns from slot 1 each time the cap doubles.
     """
     slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
     h_lo = instance.m - slot.support_max
@@ -165,7 +196,7 @@ def reference_distribution_of_T0(instance, beta) -> tuple[DiscreteDistribution, 
         cap *= 2
 
     assert all(p == 0.0 for p in hit[: t_star - 1])
-    return DiscreteDistribution(t_star, tuple(hit[t_star - 1 :]), strict=False), residual
+    return hit[t_star - 1 :], residual
 
 
 def knife_edge_grid():

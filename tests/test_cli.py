@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from pivotk import ratchet
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
@@ -254,6 +255,45 @@ class TestConfigHandling:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (
+                ["table-coalition"],
+                {"econ": {"alpha_v": 3.5e307}},
+                "the coalition bounty kappa * econ.alpha_v * gamma^t* at kappa=10 must be "
+                "finite; got inf",
+            ),
+            (
+                ["advise"],
+                {"econ": {"alpha_v": 3.5e307}},
+                "the coalition bounty kappa * econ.alpha_v * gamma^t* at kappa=30 must be "
+                "finite; got inf",
+            ),
+            (
+                ["advise"],
+                {"instance": {"kappa": 20}, "econ": {"alpha_v": 3.5e307}},
+                "the knife-edge bounty threshold from econ.alpha_v at kappa=20 must be "
+                "finite; got inf",
+            ),
+            (
+                ["table-main", "--format", "csv"],
+                {"econ": {"alpha_v": 3.5e307}, "usd_per_fee_unit": 1e300},
+                "B_static * usd_per_fee_unit at kappa=10 must be finite; got inf",
+            ),
+        ],
+        ids=["table-coalition", "advise", "advise-knife-edge", "table-main"],
+    )
+    def test_overflowing_figure_rejected(self, capsys, tmp_path, argv, config, message):
+        # Each key passes the loader's checks; the figure a command derives overflows.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main([*argv, "--config", str(cfg_path)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""
@@ -732,6 +772,34 @@ class TestVerifyCommand:
         assert summary["passed"] is False
         assert summary["suites"]["minimax"]["passed"] is False
         assert summary["suites"]["minimax"]["violations"] == 3  # the bad rule, once per d
+
+    @pytest.mark.parametrize("injected", ["low", "above_one"])
+    def test_honest_miss_suite_catches_bound(self, capsys, tmp_path, monkeypatch, injected):
+        # At kappa = 12 (t* = 1, delta = 8) q_rat = P[A_1 > 8] is about 0.004.
+        # A bound below it, or above 1, there fails the suite.
+        honest, kappa = ratchet.honest_miss_delay_bound, 12
+        value = {"low": 0.0, "above_one": math.nextafter(1.0, 2.0)}[injected]
+
+        def faulty(schedule, epsilon, law):
+            return value if schedule.kappa == kappa else honest(schedule, epsilon, law)
+
+        monkeypatch.setattr(ratchet, "honest_miss_delay_bound", faulty)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "mc": {"trials": 200, "seed": 3},
+                    "sweep": {"kappa_min": 1, "kappa_max": 25},
+                    "table_kappas": [10, 20],
+                }
+            )
+        )
+        code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
+        summary = json.loads(out)
+        assert code == EXIT_PROPERTY
+        assert summary["suites"]["honest_miss"] == {"passed": False, "failures": [kappa]}
+        failed = [name for name, suite in summary["suites"].items() if not suite["passed"]]
+        assert failed == ["honest_miss"]
 
     def test_saturated_delay_probabilities(self, capsys, tmp_path):
         # q0 saturates at 1 for kappas 200 and 600; before the tails were

@@ -34,7 +34,11 @@ from pivotk.incentives import (
     sender_ir_bound,
 )
 
-from conftest import exact_distribution_of_T0, reference_distribution_of_T0
+from conftest import (
+    exact_distribution_of_T0,
+    exact_inclusion_tails,
+    reference_distribution_of_T0,
+)
 
 PAPER_ECON = EconParams.normalized(fee=1.0, alpha_v=100.0, gamma=0.99)
 
@@ -359,15 +363,42 @@ _T0_BIT_CASES = [_random_t0_instance(seed) for seed in range(96)] + [
 ]
 
 
+def _pmf(tails):
+    """P[T = t] for t = t*..cap from the tails P[T > t], with P[T > t* - 1] = 1."""
+    return [above - tail for above, tail in zip((1, *tails), tails)]
+
+
 class TestInclusionTimeLaw:
     @pytest.mark.parametrize("case", range(len(_T0_BIT_CASES)))
     def test_bit_identical_to_reference_dp(self, case):
+        """q0 bit for bit; the cap as the honest-count DP's, each mass within 1e-13."""
         inst, beta = _T0_BIT_CASES[case]
-        ref_law, ref_residual = reference_distribution_of_T0(inst, beta)
         got = distribution_of_T0(inst, beta)
-        assert [p.hex() for p in got.law.masses] == [p.hex() for p in ref_law.masses]
-        assert got.residual_mass.hex() == ref_residual.hex()
-        assert (got.law.offset, got.law.support_max) == (ref_law.offset, ref_law.support_max)
+        assert got.delay_probability().hex() == exact_q0(inst, beta).hex()
+        ref_masses, ref_residual = reference_distribution_of_T0(inst, beta)
+        assert got.t_star == inst.t_star
+        assert len(got.tails) == len(ref_masses)
+        for p, ref in zip(_pmf(got.tails), ref_masses):
+            assert abs(p - ref) <= 1e-13
+        assert abs(got.residual_mass - ref_residual) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, kappa", [(100, 10), (100, 30), (100, 100), (1000, 100), (1000, 450), (1000, 950)]
+    )
+    def test_within_1e15_of_exact_tails(self, n, kappa):
+        inst = SystemInstance.from_kappa(n, n // 5, kappa)
+        got = distribution_of_T0(inst, 0.2)
+        exact = exact_inclusion_tails(inst, 0.2)  # down to a tail below 1e-30
+        assert len(exact) <= len(got.tails)
+        exact_pmf = _pmf(exact)
+        for i, p in enumerate(_pmf(got.tails)):
+            # Past the exact tails, P[T = t] lies in [0, exact[-1]].
+            err = abs(p - exact_pmf[i]) if i < len(exact) else abs(p) + exact[-1]
+            assert err <= 1e-15, inst.t_star + i
+        gamma = Fraction(0.99)
+        exact_discount = sum(gamma ** (inst.t_star + i) * p for i, p in enumerate(exact_pmf))
+        # The terms past the exact tails add at most exact[-1].
+        assert abs(got.expected_discount(0.99) - exact_discount) <= 1e-15 + exact[-1]
 
     @pytest.mark.parametrize("t_star, delta", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 0)])
     @pytest.mark.parametrize("share", [0.1, 0.3, 0.5])
@@ -376,12 +407,13 @@ class TestInclusionTimeLaw:
         m = n // 2
         inst = SystemInstance.from_kappa(n, m, t_star * m - delta)
         got = distribution_of_T0(inst, share)
-        slots = got.law.support_max
+        slots = inst.t_star + len(got.tails) - 1
         exact, residual = exact_distribution_of_T0(inst, share, slots)
         assert sum(exact) + residual == 1
+        assert exact[: inst.t_star - 1] == [0] * (inst.t_star - 1)
         tol = slots * 1e-12
-        for t, p in enumerate(exact, start=1):
-            assert abs(got.law.pmf(t) - p) <= tol, t
+        for p, q in zip(_pmf(got.tails), exact[inst.t_star - 1 :]):
+            assert abs(p - q) <= tol
         gamma = 0.99
         exact_discount = sum(Fraction(gamma) ** t * p for t, p in enumerate(exact, start=1))
         assert abs(got.expected_discount(gamma) - exact_discount) <= tol
@@ -389,8 +421,8 @@ class TestInclusionTimeLaw:
 
     def test_no_cartel_point_mass(self, table_instances):
         law = distribution_of_T0(table_instances[30], 0.0)
-        assert law.law.pmf(table_instances[30].t_star) == pytest.approx(1.0)
-        assert law.delay_probability() == pytest.approx(0.0, abs=1e-15)
+        assert law.delay_probability() == 0.0
+        assert law.residual_mass == 0.0
 
     def test_delay_probability_matches_exact_q0(self, table_instances, beta):
         for kappa in (10, 20, 30, 50, 100):
@@ -402,7 +434,7 @@ class TestInclusionTimeLaw:
 
     def test_no_mass_before_horizon(self, table_instances, beta):
         law = distribution_of_T0(table_instances[50], beta)
-        assert law.law.offset == table_instances[50].t_star
+        assert law.t_star == table_instances[50].t_star
 
     def test_residual_negligible(self, table_instances, beta):
         law = distribution_of_T0(table_instances[100], beta)

@@ -348,14 +348,12 @@ class TestDiscreteDistribution:
 
     def test_nan_mass_rejected(self):
         for masses in ((math.nan,), (math.nan, -5.0, 1.0), (1.0, math.nan)):
-            for strict in (True, False):
-                with pytest.raises(ValueError):
-                    DiscreteDistribution(0, masses, strict=strict)
+            with pytest.raises(ValueError):
+                DiscreteDistribution(0, masses)
 
     def test_empty_masses(self):
         with pytest.raises(ValueError, match=r"^total mass 0\.0 deviates from 1"):
             DiscreteDistribution(0, ())
-        assert DiscreteDistribution(0, (), strict=False).total_mass() == 0.0
 
     def test_convolve_returns_plain_floats(self):
         law = DiscreteDistribution.from_law(HypergeomLaw(1000, 200, 200))
@@ -364,33 +362,22 @@ class TestDiscreteDistribution:
         assert all(type(x) is float for x in masses)
         assert masses == tuple(float(x) for x in raw)
 
-    def test_partial_law_allowed_when_not_strict(self):
-        d = DiscreteDistribution(3, (0.4, 0.4), strict=False)
-        assert d.total_mass() == pytest.approx(0.8)
-        assert d.tail_ge(4) == pytest.approx(0.4)
-
     def test_tails_clamped_into_unit_interval(self):
         # Both laws pass the 1e-12 mass check; their raw tail sums do not
         # lie in [0, 1].
         assert DiscreteDistribution(0, (0.5, 0.5 + 5e-13)).tail_ge(0) == 1.0
         assert DiscreteDistribution(0, (1.0, -1e-16)).tail_gt(0) == 0.0
 
-    def test_expected_power(self):
-        d = DiscreteDistribution(1, (0.25, 0.75))
-        assert d.expected_power(0.5) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25)
 
-
-def reference_mass_check(masses, strict):
+def reference_mass_check(masses):
     """The mass check as a plain min() and math.fsum, before the numpy fast path."""
     if masses and min(masses) < -1e-15:
         raise ValueError("negative probability mass")
     total = math.fsum(masses)
     if math.isnan(total):
         raise ValueError("probability mass is NaN")
-    if strict and abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > 1e-12:
         raise ValueError(f"total mass {total} deviates from 1 by more than 1e-12")
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"total mass {total} exceeds 1")
 
 
 def check_outcome(check, *args):
@@ -442,13 +429,12 @@ class TestMassCheck:
     """The numpy fast path decides exactly as min() and math.fsum do."""
 
     @settings(max_examples=200, deadline=None)
-    @given(masses=mass_vectors(), strict=st.booleans())
-    def test_matches_fsum_rule(self, masses, strict):
-        assert check_outcome(DiscreteDistribution, 0, masses, strict) == check_outcome(
-            reference_mass_check, masses, strict
+    @given(masses=mass_vectors())
+    def test_matches_fsum_rule(self, masses):
+        assert check_outcome(DiscreteDistribution, 0, masses) == check_outcome(
+            reference_mass_check, masses
         )
 
-    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize(
         "masses, message",
         [
@@ -457,21 +443,21 @@ class TestMassCheck:
             ((1.0, -5.0, math.nan), "negative probability mass"),
         ],
     )
-    def test_min_order_quirk(self, masses, message, strict):
+    def test_min_order_quirk(self, masses, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            DiscreteDistribution(0, masses, strict=strict)
+            DiscreteDistribution(0, masses)
 
     def test_undecided_band_takes_fsum_path(self):
         # Within 1e-12 of 1 but too close to the edge for the block-sum bound.
         for masses in ((1.0 - 9e-13,), (0.5, 0.5 + 9e-13)):
-            assert not _mass_surely_ok(np.array(masses), True)
+            assert not _mass_surely_ok(np.array(masses))
             assert DiscreteDistribution(0, masses).masses == masses
         with pytest.raises(ValueError, match=r"deviates from 1 by more than 1e-12$"):
             DiscreteDistribution(0, (1.0 + 1.1e-12,))
 
     def test_contact_sums_take_fast_path(self):
         for law in contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6):
-            assert _mass_surely_ok(law._array, True)
+            assert _mass_surely_ok(law._array)
 
     def test_array_mirrors_masses_outside_eq_and_repr(self):
         law = DiscreteDistribution.from_law(TABLE_LAW)

@@ -195,7 +195,7 @@ class TestHonestMissBound:
         # point masses at increasing withheld counts dominate stochastically
         values = [
             honest_miss_delay_bound(
-                schedule, 0.01, DiscreteDistribution(w, (1.0,), strict=True)
+                schedule, 0.01, DiscreteDistribution(w, (1.0,))
             )
             for w in (0, 4, 8, 12, 16, 20)
         ]
