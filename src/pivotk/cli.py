@@ -315,12 +315,10 @@ def cmd_sweep_race(args) -> int:
 def _suite_minimax(cfg: AnalysisConfig, inject_fault: bool) -> dict:
     rng = np.random.default_rng([cfg.seed, 11])
     kappa = 12
+    raw = rng.integers(0, 1000, size=(999, kappa))
+    raw[raw.sum(axis=1) == 0, 0] = 1
     rules = [mechanism.WeightRule.uniform(kappa)]
-    for _ in range(999):
-        raw = rng.integers(0, 1000, size=kappa)
-        if raw.sum() == 0:
-            raw[0] = 1
-        rules.append(mechanism.WeightRule.from_weights([int(x) for x in raw]))
+    rules += [mechanism.WeightRule.from_weights(row) for row in raw.tolist()]
     if inject_fault:
         # Simulated implementation bug: an unnormalized rule slipped through.
         bad = mechanism.WeightRule.__new__(mechanism.WeightRule)

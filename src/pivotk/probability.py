@@ -111,6 +111,21 @@ class HypergeomLaw:
 _MASS_BLOCK = 1024
 
 
+# A law that stores no tails reads each tail from its bulk: the entries from
+# the first to the last whose |mass| is at least cut, 2**-120 of the largest
+# |mass| rounded up to a power of two (so n * cut is exact for any count n).
+# The flanks outside the bulk hold thousands of masses down to 1e-320 at
+# n = 10 000, which make math.fsum slow.  Even 2e4 of them add less than
+# 2e4 * 2**-119 of the peak, below half an ulp of any tail above 6e-16 of it.
+_TAIL_BULK = 2.0**-120
+
+
+def _fsum_residual(values: tuple[float, ...]) -> tuple[float, float]:
+    """(f, r): f = fsum(values), and r = fsum(values, -f), their exact sum minus f rounded."""
+    f = math.fsum(values)
+    return f, math.fsum((*values, -f))
+
+
 def _total_mass_fault(total: float) -> str | None:
     """Why a law of total mass ``total`` is rejected, or None if it is not.
 
@@ -199,18 +214,57 @@ class DiscreteDistribution:
         return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses))
 
     def tail_ge(self, r: int) -> float:
-        """P[X >= r]: the stored tail, else compensated summation clamped into [0, 1].
+        """P[X >= r]: the stored tail, else ``math.fsum`` of the masses clamped into [0, 1].
 
-        The tail at or below the offset is 1.  The represented mass may be off
-        from 1 by up to the 1e-12 the constructor allows, so an unclamped sum
-        could read just above 1.
+        Without stored tails the value is ``math.fsum(masses[i:])``, the
+        correctly rounded sum, bit for bit; :meth:`_bulk_tail` usually finds it
+        from the bulk alone.  The tail at or below the offset is 1.  The
+        represented mass may be off from 1 by up to the 1e-12 the constructor
+        allows, so an unclamped sum could read just above 1.
         """
         i = max(r - self.offset, 0)
         if i == 0:
             return 1.0
         if self.tails is not None:
             return self.tails[i] if i < len(self.tails) else 0.0
-        return min(1.0, max(0.0, math.fsum(self.masses[i:])))
+        tail = self._bulk_tail(i)
+        if tail is None:
+            tail = math.fsum(self.masses[i:])
+        return min(1.0, max(0.0, tail))
+
+    @functools.cached_property
+    def _bulk(self) -> tuple[int, int, float, float, float]:
+        """(lo, hi, cut, f, r): the first and last index whose |mass| is >= cut
+        (see _TAIL_BULK), and ``_fsum_residual`` of the bulk masses[lo:hi + 1],
+        which every tail read at an index up to lo shares."""
+        size = np.abs(self._array)
+        cut = math.ldexp(_TAIL_BULK, math.frexp(float(size.max()))[1])
+        idx = np.flatnonzero(size >= cut)
+        lo, hi = int(idx[0]), int(idx[-1])
+        return lo, hi, cut, *_fsum_residual(self.masses[lo : hi + 1])
+
+    def _bulk_tail(self, i: int) -> float | None:
+        """``math.fsum(self.masses[i:])`` read from the bulk alone, or None: undecided.
+
+        With f and r the ``_fsum_residual`` of the slice's bulk part, the exact
+        sum of that part is within |r| + ulp(r) of f, and the n_small entries of
+        the slice outside the bulk add less than n_small * cut in magnitude.
+        When that error bound is below half the gap from f down to its lower
+        neighbour (the smaller of f's two gaps, as at a power of two), the
+        exact slice sum lies strictly inside f's rounding interval, so the
+        correctly rounded fsum of the whole slice is f.  The bound is summed
+        with fsum, whose rounding is monotone, so it never reads low.
+        """
+        lo, hi, cut, f, r = self._bulk
+        if i > hi:
+            return None
+        if i > lo:
+            f, r = _fsum_residual(self.masses[i : hi + 1])
+        if not f > 0.0:
+            return None
+        n_small = max(lo - i, 0) + len(self.masses) - 1 - hi
+        err = math.fsum((abs(r), math.ulp(r), n_small * cut))
+        return f if err < (f - math.nextafter(f, 0.0)) / 2 else None
 
     def tail_gt(self, r: int) -> float:
         """P[X > r]."""

@@ -9,15 +9,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
 from pivotk.probability import cartel_contact_law, contact_sums
 from pivotk.simulator import PayoffBreakdown
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it locally (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def exact_hypergeom_pmf(population: int, successes: int, draws: int, k: int) -> Fraction:

@@ -7,9 +7,10 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from pivotk import ratchet
+from pivotk import cli, mechanism, ratchet
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
@@ -53,6 +54,12 @@ class TestGoldenTables:
         "golden, argv, config",
         [
             pytest.param("sweep.csv", ["sweep"], None, id="sweep"),
+            pytest.param(
+                "sweep-n1000.csv",
+                ["sweep", "--format", "csv"],
+                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
+                id="sweep-n1000",
+            ),
             pytest.param("sweep-race.csv", ["sweep-race"], None, id="sweep-race"),
             pytest.param(
                 "sweep-race-n1000.csv",
@@ -772,6 +779,29 @@ class TestVerifyCommand:
         assert summary["passed"] is False
         assert summary["suites"]["minimax"]["passed"] is False
         assert summary["suites"]["minimax"]["violations"] == 3  # the bad rule, once per d
+
+    @pytest.mark.parametrize("seed", [20260809, 0, 123456789])
+    def test_minimax_rules_match_sequential_draws(self, monkeypatch, seed):
+        # The suite draws its 999 random rules in one batch; they must be the
+        # rules that one draw of 12 weights per rule gives from the same stream.
+        rng = np.random.default_rng([seed, 11])
+        want = [mechanism.WeightRule.uniform(12)]
+        for _ in range(999):
+            raw = rng.integers(0, 1000, size=12)
+            if raw.sum() == 0:
+                raw[0] = 1
+            want.append(mechanism.WeightRule.from_weights([int(x) for x in raw]))
+        seen = []
+
+        def capture(kappa, d, rules):
+            seen.append(rules)
+            return certificate(kappa, d, rules)
+
+        certificate = mechanism.minimax_certificate
+        monkeypatch.setattr(mechanism, "minimax_certificate", capture)
+        cfg = AnalysisConfig.from_dict({"mc": {"seed": seed}})
+        assert cli._suite_minimax(cfg, inject_fault=False)["passed"] is True
+        assert seen == [want] * 3
 
     @pytest.mark.parametrize("injected", ["low", "above_one"])
     def test_honest_miss_suite_catches_bound(self, capsys, tmp_path, monkeypatch, injected):

@@ -469,6 +469,110 @@ class TestMassCheck:
         assert twice == DiscreteDistribution(twice.offset, twice.masses)
 
 
+def tail_reference(masses, i):
+    """P[X >= offset + i] as tail_ge must read it: the clamped math.fsum."""
+    return 1.0 if i == 0 else min(1.0, max(0.0, math.fsum(masses[i:])))
+
+
+def assert_tails_are_fsum(dist, indices=None):
+    for i in range(len(dist.masses) + 2) if indices is None else indices:
+        want = tail_reference(dist.masses, i)
+        assert dist.tail_ge(dist.offset + i).hex() == want.hex(), i
+        fast = dist._bulk_tail(i) if i else None
+        assert fast is None or fast.hex() == math.fsum(dist.masses[i:]).hex(), i
+
+
+def flank(rng, cut, size):
+    """``size`` entries below the bulk's cut: zeros, subnormals, values just under it, random."""
+    values = np.stack(
+        [
+            np.zeros(size),
+            5e-324 * rng.integers(1, 2**20, size=size),
+            np.full(size, math.nextafter(cut, 0.0)),
+            cut * rng.uniform(0.0, 1.0, size=size),
+            10.0 ** rng.uniform(-320.0, math.log10(cut), size=size),
+        ]
+    )[rng.integers(0, 5, size=size), np.arange(size)]
+    return (values * rng.choice([-1.0, 1.0], size=size)).tolist()
+
+
+@st.composite
+def tail_vectors(draw):
+    """Masses whose tails probe the bulk certificate of ``tail_ge``.
+
+    The last bulk entries are a double ``head`` and a dyadic ``nudge`` of a
+    quarter-ulp multiple, so the slice from ``head`` on sums to a power of
+    two (1.0 included), to a double next to one, or to the midpoint between
+    two doubles.  Random masses in front carry the rest of the unit mass,
+    with zeros and subnormals among them, and flanks of entries below the
+    cut (zeros, subnormals, values just under it, either sign) sit at both
+    ends.  An upper flank's entries can tip a midpoint either way.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(
+        st.one_of(
+            st.sampled_from([1.0, 0.5, 0.25, 2.0**-30, 2.0**-90, 2.0**-110]),
+            st.floats(2.0**-110, 1.0),
+        )
+    )
+    head = draw(st.sampled_from([top, math.nextafter(top, 0.0)]))
+    nudge = draw(st.integers(-3, 4)) * math.ulp(top) / 4
+    body = []
+    if top < 1.0:
+        body = 10.0 ** rng.uniform(-40.0, 0.0, size=draw(st.integers(1, 30)))
+        body = (body / math.fsum(body) * (1.0 - top)).tolist()
+        for _ in range(draw(st.integers(0, 3))):
+            body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from([0.0, 5e-324, 1e-310])))
+    core = [*body, head, nudge]
+    cut = math.ldexp(2.0**-120, math.frexp(max(map(abs, core)))[1])
+    sizes = st.one_of(st.integers(0, 6), st.sampled_from([50, 300]))
+    return tuple(flank(rng, cut, draw(sizes)) + core + flank(rng, cut, draw(sizes)))
+
+
+class TestTailPath:
+    """Tails of laws without stored tails equal math.fsum bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(masses=tail_vectors())
+    def test_matches_fsum_at_every_index(self, masses):
+        assert_tails_are_fsum(DiscreteDistribution(0, masses))
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (1.0,),
+            (1.0 - 1e-13,),
+            (0.0, 1.0),
+            (1.0, -1e-16),
+            (5e-324, 1e-310, 1.0, 1e-300, 5e-324, 0.0),
+            # The slice from index 1 sums to 1 - 2**-54, the midpoint below
+            # 1.0 (a tie that rounds to 1.0); the flank's -2**-200 moves it
+            # under the midpoint, so fsum reads the double below 1.0.
+            (0.0, 0.5, 0.5 - 2.0**-54, -(2.0**-200)),
+            # 2**-100 is the last bulk entry; flank entries just under the
+            # cut, far above its half-ulp, change the slice's sum.
+            (1.0 - 2.0**-100, 2.0**-100, *[math.nextafter(2.0**-119, 0.0)] * 3),
+        ],
+    )
+    def test_edge_laws(self, masses):
+        assert_tails_are_fsum(DiscreteDistribution(0, masses))
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_contact_sums_n1000_every_index(self, t):
+        assert_tails_are_fsum(contact_sums(cartel_contact_law(1_000, 0.2, 200), t)[-1])
+
+    def test_contact_sums_n10000_sample(self):
+        for dist in contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6)[1:]:
+            assert_tails_are_fsum(dist, range(0, len(dist.masses) + 2, 97))
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_exact_q0_n10000_takes_fast_path(self, t):
+        # The slacks that the n = 10 000 exact_q0 instances read (1..200).
+        dist = contact_sums(cartel_contact_law(10_000, 0.2, 2_000), t)[-1]
+        for delta in (1, 50, 100, 150, 200):
+            assert dist._bulk_tail(delta + 1 - dist.offset) == dist.tail_gt(delta)
+
+
 class TestKlDivergence:
     def test_identical_arguments(self):
         assert kl_divergence(0.2, 0.2) == 0.0
