@@ -237,9 +237,9 @@ class DiscreteDistribution:
         """(lo, hi, cut, f, r): the first and last index whose |mass| is >= cut
         (see _TAIL_BULK), and ``_fsum_residual`` of the bulk masses[lo:hi + 1],
         which every tail read at an index up to lo shares."""
-        size = np.abs(self._array)
-        cut = math.ldexp(_TAIL_BULK, math.frexp(float(size.max()))[1])
-        idx = np.flatnonzero(size >= cut)
+        mag = np.abs(self._array)
+        cut = math.ldexp(_TAIL_BULK, math.frexp(float(mag.max()))[1])
+        idx = np.flatnonzero(mag >= cut)
         lo, hi = int(idx[0]), int(idx[-1])
         return lo, hi, cut, *_fsum_residual(self.masses[lo : hi + 1])
 

@@ -469,14 +469,10 @@ class TestMassCheck:
         assert twice == DiscreteDistribution(twice.offset, twice.masses)
 
 
-def tail_reference(masses, i):
-    """P[X >= offset + i] as tail_ge must read it: the clamped math.fsum."""
-    return 1.0 if i == 0 else min(1.0, max(0.0, math.fsum(masses[i:])))
-
-
 def assert_tails_are_fsum(dist, indices=None):
+    """tail_ge reads the clamped math.fsum of the masses from each index, bit for bit."""
     for i in range(len(dist.masses) + 2) if indices is None else indices:
-        want = tail_reference(dist.masses, i)
+        want = 1.0 if i == 0 else min(1.0, max(0.0, math.fsum(dist.masses[i:])))
         assert dist.tail_ge(dist.offset + i).hex() == want.hex(), i
         fast = dist._bulk_tail(i) if i else None
         assert fast is None or fast.hex() == math.fsum(dist.masses[i:]).hex(), i
