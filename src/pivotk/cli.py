@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 property failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -603,9 +604,12 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     mismatches = 0
     total = 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(args.input, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.input}:{lineno}: not UTF-8 text ({exc})") from exc
             if not line:
                 continue
             total += 1
@@ -638,6 +642,7 @@ def _add_common(p: argparse.ArgumentParser, formats=("table", "csv", "json")) ->
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pivotk",

@@ -31,6 +31,16 @@ _ECON_DEFAULTS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's dict; a repeated key is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 _JSON_TYPES = {list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
 
 
@@ -209,9 +219,13 @@ class AnalysisConfig:
     def load(cls, path: str) -> "AnalysisConfig":
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                obj = json.load(fh)
+                obj = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: top-level value must be an object")
         return cls.from_dict(obj)

@@ -263,10 +263,11 @@ def _lane_path(n: int, m: int, marked: int, rng: np.random.Generator, slots: int
     """The cartel's lane set and a lazy iterator over the first ``slots`` slots' contacts.
 
     Lanes are numbered 1..n.  The cartel set is drawn first; each slot then
-    contacts the first m entries of a fresh permutation, yielded sorted.
+    contacts the first m entries of a fresh permutation, yielded as a sorted
+    list of ints.
     """
-    cartel_set = frozenset(int(l) for l in rng.permutation(n)[:marked] + 1)
-    lanes = (sorted(int(l) for l in rng.permutation(n)[:m] + 1) for _ in range(slots))
+    cartel_set = frozenset((rng.permutation(n)[:marked] + 1).tolist())
+    lanes = (np.sort(rng.permutation(n)[:m] + 1).tolist() for _ in range(slots))
     return cartel_set, lanes
 
 

@@ -219,6 +219,33 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"instance": {"n": 100, "m": 20, "kappa": 30}, "instance": {"n": 50}}', "instance"),
+            ('{"instance": {"n": 100, "m": 20, "kappa": 30, "n": 50}}', "n"),
+        ],
+        ids=["top-level", "in-block"],
+    )
+    def test_duplicate_key_rejected(self, capsys, tmp_path, text, key):
+        # json keeps the last value, which would silently drop the first block
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main(["advise", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg_path}: duplicate key '{key}'\n"
+
+    def test_non_utf8_config_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes("{}".encode("utf-16"))  # starts with the BOM ff fe
+        code = main(["table-main", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {cfg_path}: not UTF-8 text (")
+
     def test_overflowing_transaction_value_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"econ": {"alpha_v": 1e308, "alpha": 1e-10}}))
@@ -646,6 +673,43 @@ class TestConfigHandling:
         assert "stationary_w:W" in captured.err and "scripted:X1,X2,..." in captured.err
 
 
+class TestParserReuse:
+    """main parses every call with one parser; no call may leave state in it."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_omitted_seed_falls_back_to_config(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mc": {"seed": 7}}))
+        argv = ["simulate", "--config", str(cfg_path), "--traces", "1"]
+        _, out = run_cli(capsys, *argv, "--seed", "5")
+        assert json.loads(out)["seed"] == [5, 0]
+        _, out = run_cli(capsys, *argv)
+        assert json.loads(out)["seed"] == [7, 0]
+
+    def test_omitted_format_falls_back_to_default(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--format", "json")
+        assert code == EXIT_OK and out.startswith("{")
+        code, out = run_cli(capsys, "sweep")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--format", "yaml"], ["replay"], ["simulate", "--traces", "x"], ["no-such-command"]],
+        ids=["bad-choice", "missing-required", "bad-type", "bad-command"],
+    )
+    def test_parse_error_leaves_next_call_alone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out = run_cli(capsys, "sweep")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "sweep.csv").read_text()
+
+
 class TestSweep:
     def test_row_count_matches_range(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -892,6 +956,14 @@ SIMULATE_POLICIES = [
 ]
 SIMULATE_SEEDS = [1, 2, 3]
 
+# The benchmark's n = 1 000 shape: two traces per policy at the config seed.
+SIMULATE_N1000_CONFIG = {
+    "instance": {"n": 1000, "m": 200, "kappa": 390},
+    "beta": 0.2,
+    "econ": {"bounty": 50.0},
+}
+SIMULATE_N1000_POLICIES = ["full_withhold", "stationary_w:0.5", "minimal_sabotage"]
+
 
 def replay_edited_golden(capsys, tmp_path, edit) -> tuple[int, str]:
     """Replay the first golden trace line (n = 20, kappa 12, four slots)
@@ -921,6 +993,22 @@ class TestSimulateReplay:
                 assert code == EXIT_OK
                 chunks.append(out)
         assert "".join(chunks) == (GOLDEN / "simulate.jsonl").read_text()
+
+    def test_simulate_at_n1000_matches_golden(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SIMULATE_N1000_CONFIG))
+        chunks = []
+        for policy in SIMULATE_N1000_POLICIES:
+            code, out = run_cli(
+                capsys, "simulate", "--config", str(cfg_path), "--policy", policy, "--traces", "2"
+            )
+            assert code == EXIT_OK
+            chunks.append(out)
+        golden = GOLDEN / "simulate-n1000.jsonl"
+        assert "".join(chunks) == golden.read_text()
+        code, out = run_cli(capsys, "replay", "--input", str(golden))
+        assert code == EXIT_OK
+        assert json.loads(out) == {"traces": 6, "mismatches": 0}
 
     def test_simulate_then_replay_matches(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
@@ -954,6 +1042,19 @@ class TestSimulateReplay:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {out_path}:2: {reason}")
+
+    @pytest.mark.parametrize("after_trace", [False, True], ids=["bom-first", "after-a-trace"])
+    def test_replay_names_non_utf8_line(self, capsys, tmp_path, after_trace):
+        out_path = tmp_path / "traces.jsonl"
+        golden = (GOLDEN / "simulate.jsonl").read_bytes()
+        lines = golden.splitlines(keepends=True)[:1] if after_trace else []
+        out_path.write_bytes(b"".join(lines) + b"\xff\xfe{\x00}\x00\n")
+        code = main(["replay", "--input", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        lineno = len(lines) + 1
+        assert captured.err.startswith(f"config error: {out_path}:{lineno}: not UTF-8 text (")
 
     @pytest.mark.parametrize("traces", ["0", "-3"])
     def test_simulate_rejects_nonpositive_traces(self, capsys, tmp_path, traces):
