@@ -7,8 +7,10 @@ explicit bound (binomial KL exponents).  Sampling lives in :mod:`pivotk.simulato
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+import operator
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -110,20 +112,8 @@ class HypergeomLaw:
 # Accuracy and Stability of Numerical Algorithms, ch. 4); gamma_1023 < 2**-43.
 _MASS_BLOCK = 1024
 
-
-# A law that stores no tails reads each tail from its bulk: the entries from
-# the first to the last whose |mass| is at least cut, 2**-120 of the largest
-# |mass| rounded up to a power of two (so n * cut is exact for any count n).
-# The flanks outside the bulk hold thousands of masses down to 1e-320 at
-# n = 10 000, which make math.fsum slow.  Even 2e4 of them add less than
-# 2e4 * 2**-119 of the peak, below half an ulp of any tail above 6e-16 of it.
-_TAIL_BULK = 2.0**-120
-
-
-def _fsum_residual(values: tuple[float, ...]) -> tuple[float, float]:
-    """(f, r): f = fsum(values), and r = fsum(values, -f), their exact sum minus f rounded."""
-    f = math.fsum(values)
-    return f, math.fsum((*values, -f))
+# Every double is an integer multiple of 2**-1074, the least subnormal.
+_ULP_SCALE = 2**1074
 
 
 def _total_mass_fault(total: float) -> str | None:
@@ -159,38 +149,39 @@ def _mass_surely_ok(x: np.ndarray) -> bool:
     return _total_mass_fault(total - err) is None and _total_mass_fault(total + err) is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """An integer-supported distribution as ``offset`` plus a mass vector.
 
     ``masses[i]`` is the probability of the value ``offset + i``; the total
-    mass must be 1 within 1e-12.  ``tails[i]``, when given, is
-    P[X >= offset + i] and is read in place of a sum over the masses; a value
-    past the last entry has tail 0.
-
-    The law also holds its masses as one read-only float64 array, ``_array``,
-    which is not a field.  A caller that already has that array (``convolve``)
-    passes it as ``_array`` and the law keeps it instead of building its own.
+    mass must be 1 within 1e-12.  The constructor takes any sequence of floats
+    and stores it as one read-only float64 array.  ``tails[i]``, when given,
+    is P[X >= offset + i] and is read in place of a sum over the masses; a
+    value past the last entry has tail 0.
     """
 
     offset: int
-    masses: tuple[float, ...]
-    tails: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
-    _array: InitVar[np.ndarray | None] = None
+    masses: np.ndarray
+    tails: tuple[float, ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self, _array: np.ndarray | None) -> None:
-        if _array is None:
-            _array = np.array(self.masses, dtype=np.float64)
-        _array.flags.writeable = False
-        object.__setattr__(self, "_array", _array)
-        if _mass_surely_ok(_array):
+    def __post_init__(self) -> None:
+        masses = np.array(self.masses, dtype=np.float64)
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
+        if _mass_surely_ok(masses):
             return
-        if self.masses and min(self.masses) < -1e-15:
+        values = masses.tolist()
+        if values and min(values) < -1e-15:
             raise ValueError("negative probability mass")
         # min() above skips a negative mass that follows a NaN; fsum does not.
-        fault = _total_mass_fault(math.fsum(self.masses))
+        fault = _total_mass_fault(math.fsum(values))
         if fault is not None:
             raise ValueError(fault)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscreteDistribution):
+            return NotImplemented
+        return self.offset == other.offset and np.array_equal(self.masses, other.masses)
 
     @classmethod
     def from_law(cls, law: HypergeomLaw) -> "DiscreteDistribution":
@@ -202,77 +193,63 @@ class DiscreteDistribution:
         return self.offset + len(self.masses) - 1
 
     def total_mass(self) -> float:
-        return math.fsum(self.masses)
+        return math.fsum(self.masses.tolist())
 
     def pmf(self, k: int) -> float:
         i = k - self.offset
         if 0 <= i < len(self.masses):
-            return self.masses[i]
+            return float(self.masses[i])
         return 0.0
 
     def mean(self) -> float:
-        return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses))
+        return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses.tolist()))
 
     def tail_ge(self, r: int) -> float:
         """P[X >= r]: the stored tail, else ``math.fsum`` of the masses clamped into [0, 1].
 
         Without stored tails the value is ``math.fsum(masses[i:])``, the
-        correctly rounded sum, bit for bit; :meth:`_bulk_tail` usually finds it
-        from the bulk alone.  The tail at or below the offset is 1.  The
-        represented mass may be off from 1 by up to the 1e-12 the constructor
-        allows, so an unclamped sum could read just above 1.
+        correctly rounded sum, bit for bit, read from :attr:`_suffix_sums`.
+        The tail at or below the offset is 1.  The represented mass may be off
+        from 1 by up to the 1e-12 the constructor allows, so an unclamped sum
+        could read just above 1.
         """
         i = max(r - self.offset, 0)
         if i == 0:
             return 1.0
         if self.tails is not None:
             return self.tails[i] if i < len(self.tails) else 0.0
-        tail = self._bulk_tail(i)
-        if tail is None:
-            tail = math.fsum(self.masses[i:])
-        return min(1.0, max(0.0, tail))
+        lo, hi, sums = self._suffix_sums
+        if i > hi:
+            return 0.0
+        return min(1.0, max(0.0, sums[hi - max(i, lo)] / _ULP_SCALE))
 
     @functools.cached_property
-    def _bulk(self) -> tuple[int, int, float, float, float]:
-        """(lo, hi, cut, f, r): the first and last index whose |mass| is >= cut
-        (see _TAIL_BULK), and ``_fsum_residual`` of the bulk masses[lo:hi + 1],
-        which every tail read at an index up to lo shares."""
-        mag = np.abs(self._array)
-        cut = math.ldexp(_TAIL_BULK, math.frexp(float(mag.max()))[1])
-        idx = np.flatnonzero(mag >= cut)
-        lo, hi = int(idx[0]), int(idx[-1])
-        return lo, hi, cut, *_fsum_residual(self.masses[lo : hi + 1])
+    def _suffix_sums(self) -> tuple[int, int, list[int]]:
+        """(lo, hi, sums): the first and last index of a nonzero mass, and
+        ``sums[hi - i]``, the exact sum of masses[i:hi + 1] times 2**1074 as an int.
 
-    def _bulk_tail(self, i: int) -> float | None:
-        """``math.fsum(self.masses[i:])`` read from the bulk alone, or None: undecided.
-
-        With f and r the ``_fsum_residual`` of the slice's bulk part, the exact
-        sum of that part is within |r| + ulp(r) of f, and the n_small entries of
-        the slice outside the bulk add less than n_small * cut in magnitude.
-        When that error bound is below half the gap from f down to its lower
-        neighbour (the smaller of f's two gaps, as at a power of two), the
-        exact slice sum lies strictly inside f's rounding interval, so the
-        correctly rounded fsum of the whole slice is f.  The bound is summed
-        with fsum, whose rounding is monotone, so it never reads low.
+        Every double is an integer multiple of 2**-1074, so these sums are
+        exact (a fixed-point accumulator over the whole double range, as in
+        Kulisch & Miranker, 1981), and CPython's int / int rounds
+        ``sums[j] / 2**1074`` correctly, as math.fsum does.  ``np.frexp``
+        splits each mass into a 53-bit integer mantissa and a shift; a
+        subnormal's mantissa is shifted right first, which drops only zero
+        bits.  The zero runs outside lo..hi add nothing and are skipped.
         """
-        lo, hi, cut, f, r = self._bulk
-        if i > hi:
-            return None
-        if i > lo:
-            f, r = _fsum_residual(self.masses[i : hi + 1])
-        if not f > 0.0:
-            return None
-        n_small = max(lo - i, 0) + len(self.masses) - 1 - hi
-        err = math.fsum((abs(r), math.ulp(r), n_small * cut))
-        return f if err < (f - math.nextafter(f, 0.0)) / 2 else None
+        nonzero = np.flatnonzero(self.masses)
+        lo, hi = int(nonzero[0]), int(nonzero[-1])
+        mant, exp = np.frexp(self.masses[lo : hi + 1][::-1])
+        shift = exp + (1074 - 53)
+        ints = np.ldexp(mant, 53 + np.minimum(shift, 0)).astype(np.int64)
+        shifts = np.maximum(shift, 0)
+        return lo, hi, list(itertools.accumulate(map(operator.lshift, ints.tolist(), shifts.tolist())))
 
     def tail_gt(self, r: int) -> float:
         """P[X > r]."""
         return self.tail_ge(r + 1)
 
     def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
-        out = np.convolve(self._array, other._array)
-        return DiscreteDistribution(self.offset + other.offset, tuple(out.tolist()), _array=out)
+        return DiscreteDistribution(self.offset + other.offset, np.convolve(self.masses, other.masses))
 
 
 @functools.lru_cache(maxsize=64)  # a command reads one or two laws many times
@@ -304,7 +281,7 @@ def _slot_law(law: HypergeomLaw) -> DiscreteDistribution:
     assert suffix == total, "slot law counts do not sum to C(n, m)"
     # Tails fall as k grows, so the zero tails are the run at the top.
     keep = len(tails) - tails.count(0.0)
-    return DiscreteDistribution(lo, tuple(masses[::-1][:keep]), tails=tuple(tails[::-1][:keep]))
+    return DiscreteDistribution(lo, masses[::-1][:keep], tails=tuple(tails[::-1][:keep]))
 
 
 def cartel_contact_law(n: int, beta, draws: int) -> HypergeomLaw:

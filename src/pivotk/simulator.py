@@ -117,7 +117,7 @@ class StationaryW(AdversaryPolicy):
 
     def include_flags(self, t, contacts, withheld_so_far, instance, rng):
         # a coin per lane, so the withheld lanes are random, not the lowest
-        return [bool(u < self.w) for u in rng.random(contacts)]
+        return (rng.random(contacts) < self.w).tolist()
 
     def to_config(self):
         return {"kind": self.name, "w": self.w}

@@ -168,7 +168,7 @@ def reference_distribution_of_T0(instance, beta) -> tuple[list[float], float]:
     """
     slot = contact_sums(cartel_contact_law(instance.n, beta, instance.m), 1)[0]
     h_lo = instance.m - slot.support_max
-    h_pmf = slot.masses[::-1]
+    h_pmf = slot.masses.tolist()[::-1]
     kappa, t_star = instance.kappa, instance.t_star
 
     def run(cap: int) -> tuple[list[float], float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pathlib
@@ -97,6 +98,17 @@ class TestGoldenTables:
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_text()
+
+    def test_sweep_n10000_matches_recorded_digest(self, capsys, tmp_path):
+        # The 10 000-row CSV (~500 KB) is pinned by its sha256, not a golden file.
+        config = {"instance": {"n": 10000, "m": 2000}, "sweep": {"kappa_min": 1, "kappa_max": 10000}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out = run_cli(capsys, "sweep", "--format", "csv", "--config", str(cfg_path))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9864e84a1792cd342b60ece549e2b7e29123d10da001eac9106972ea9e9de29f"
+        )
 
     def test_sweep_json_matches_golden(self, capsys):
         # Compared after parsing: the golden keeps each row's keys in field

@@ -344,7 +344,7 @@ class TestDiscreteDistribution:
     def test_negativity_threshold(self):
         with pytest.raises(ValueError, match=r"^negative probability mass$"):
             DiscreteDistribution(0, (1.0, -2e-15))
-        assert DiscreteDistribution(0, (1.0, -1e-16)).masses == (1.0, -1e-16)
+        assert DiscreteDistribution(0, (1.0, -1e-16)).masses.tolist() == [1.0, -1e-16]
 
     def test_nan_mass_rejected(self):
         for masses in ((math.nan,), (math.nan, -5.0, 1.0), (1.0, math.nan)):
@@ -357,10 +357,13 @@ class TestDiscreteDistribution:
 
     def test_convolve_returns_plain_floats(self):
         law = DiscreteDistribution.from_law(HypergeomLaw(1000, 200, 200))
-        masses = law.convolve(law).masses
-        raw = np.convolve(np.asarray(law.masses), np.asarray(law.masses))
-        assert all(type(x) is float for x in masses)
-        assert masses == tuple(float(x) for x in raw)
+        twice = law.convolve(law)
+        raw = np.convolve(np.array(law.masses.tolist()), np.array(law.masses.tolist()))
+        assert twice.masses.dtype == np.float64
+        assert twice.masses.tolist() == raw.tolist()
+        pmf = [twice.pmf(k) for k in range(-1, twice.support_max + 2)]
+        assert all(type(x) is float for x in pmf)
+        assert pmf == [0.0, *raw.tolist(), 0.0]
 
     def test_tails_clamped_into_unit_interval(self):
         # Both laws pass the 1e-12 mass check; their raw tail sums do not
@@ -451,35 +454,42 @@ class TestMassCheck:
         # Within 1e-12 of 1 but too close to the edge for the block-sum bound.
         for masses in ((1.0 - 9e-13,), (0.5, 0.5 + 9e-13)):
             assert not _mass_surely_ok(np.array(masses))
-            assert DiscreteDistribution(0, masses).masses == masses
+            assert DiscreteDistribution(0, masses).masses.tolist() == list(masses)
         with pytest.raises(ValueError, match=r"deviates from 1 by more than 1e-12$"):
             DiscreteDistribution(0, (1.0 + 1.1e-12,))
 
     def test_contact_sums_take_fast_path(self):
         for law in contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6):
-            assert _mass_surely_ok(law._array)
+            assert _mass_surely_ok(law.masses)
 
     def test_array_mirrors_masses_outside_eq_and_repr(self):
+        # masses is one read-only float64 array; eq compares offset and
+        # masses, and the stored tails stay outside eq and repr.
         law = DiscreteDistribution.from_law(TABLE_LAW)
         twice = law.convolve(law)
         for d in (law, twice):
-            assert d._array.tolist() == list(d.masses)
-            assert not d._array.flags.writeable
-            assert "_array" not in repr(d)
-        assert twice == DiscreteDistribution(twice.offset, twice.masses)
+            assert d.masses.dtype == np.float64
+            assert not d.masses.flags.writeable
+            assert "tails" not in repr(d)
+            assert d == DiscreteDistribution(d.offset, d.masses.tolist())
+            assert d != DiscreteDistribution(d.offset + 1, d.masses)
+        assert law.tails is not None and twice.tails is None
+        assert law == DiscreteDistribution(law.offset, law.masses)
+        given = np.array(law.masses)
+        assert DiscreteDistribution(law.offset, given).masses is not given
+        assert given.flags.writeable
 
 
 def assert_tails_are_fsum(dist, indices=None):
     """tail_ge reads the clamped math.fsum of the masses from each index, bit for bit."""
-    for i in range(len(dist.masses) + 2) if indices is None else indices:
-        want = 1.0 if i == 0 else min(1.0, max(0.0, math.fsum(dist.masses[i:])))
+    masses = dist.masses.tolist()
+    for i in range(len(masses) + 2) if indices is None else indices:
+        want = 1.0 if i == 0 else min(1.0, max(0.0, math.fsum(masses[i:])))
         assert dist.tail_ge(dist.offset + i).hex() == want.hex(), i
-        fast = dist._bulk_tail(i) if i else None
-        assert fast is None or fast.hex() == math.fsum(dist.masses[i:]).hex(), i
 
 
 def flank(rng, cut, size):
-    """``size`` entries below the bulk's cut: zeros, subnormals, values just under it, random."""
+    """``size`` entries below ``cut``: zeros, subnormals, values just under it, random."""
     values = np.stack(
         [
             np.zeros(size),
@@ -494,15 +504,16 @@ def flank(rng, cut, size):
 
 @st.composite
 def tail_vectors(draw):
-    """Masses whose tails probe the bulk certificate of ``tail_ge``.
+    """Masses whose tails probe the rounding of ``tail_ge``.
 
-    The last bulk entries are a double ``head`` and a dyadic ``nudge`` of a
+    The last core entries are a double ``head`` and a dyadic ``nudge`` of a
     quarter-ulp multiple, so the slice from ``head`` on sums to a power of
     two (1.0 included), to a double next to one, or to the midpoint between
     two doubles.  Random masses in front carry the rest of the unit mass,
-    with zeros and subnormals among them, and flanks of entries below the
-    cut (zeros, subnormals, values just under it, either sign) sit at both
-    ends.  An upper flank's entries can tip a midpoint either way.
+    with zeros and subnormals among them, and flanks of entries below a cut
+    2**-120 of the largest core |mass| (zeros, subnormals, values just under
+    it, either sign) sit at both ends.  An upper flank's entries can tip a
+    midpoint either way.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = draw(
@@ -525,6 +536,9 @@ def tail_vectors(draw):
     return tuple(flank(rng, cut, draw(sizes)) + core + flank(rng, cut, draw(sizes)))
 
 
+TAIL_BETAS = (0.1, 0.2, 0.5)  # cartel shares of the contact-sum tail checks
+
+
 class TestTailPath:
     """Tails of laws without stored tails equal math.fsum bit for bit."""
 
@@ -545,29 +559,33 @@ class TestTailPath:
             # 1.0 (a tie that rounds to 1.0); the flank's -2**-200 moves it
             # under the midpoint, so fsum reads the double below 1.0.
             (0.0, 0.5, 0.5 - 2.0**-54, -(2.0**-200)),
-            # 2**-100 is the last bulk entry; flank entries just under the
-            # cut, far above its half-ulp, change the slice's sum.
+            # Entries just under 2**-119, far above half an ulp of 2**-100,
+            # change the sum of the slice from 2**-100 on.
             (1.0, 2.0**-100, *[math.nextafter(2.0**-119, 0.0)] * 3),
+            # Zero runs at both ends, which the suffix table skips.
+            (0.0, 0.0, 0.0, 0.25, 0.0, 0.75, 0.0, 0.0),
+            # The least mass the check accepts; the tails past 0.5 + 1e-15
+            # sum below zero and read 0.0.
+            (0.0, 0.5, 0.5 + 1e-15, -1e-15, 0.0, 5e-324),
         ],
     )
     def test_edge_laws(self, masses):
         assert_tails_are_fsum(DiscreteDistribution(0, masses))
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
-    def test_contact_sums_n1000_every_index(self, t):
-        assert_tails_are_fsum(contact_sums(cartel_contact_law(1_000, 0.2, 200), t)[-1])
-
-    def test_contact_sums_n10000_sample(self):
-        for dist in contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6)[1:]:
-            assert_tails_are_fsum(dist, range(0, len(dist.masses) + 2, 97))
+    def test_contact_sums_n100_every_index(self, t):
+        for beta in TAIL_BETAS:
+            assert_tails_are_fsum(contact_sums(cartel_contact_law(100, beta, 20), t)[-1])
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
-    def test_exact_q0_n10000_takes_fast_path(self, t):
-        # exact_q0 at kappa = t m - delta reads P[S_t > delta]; the benchmark's
-        # n = 10 000 exact_q0 op draws its slacks from 1..200.
-        dist = contact_sums(cartel_contact_law(10_000, 0.2, 2_000), t)[-1]
-        for delta in (1, 50, 100, 150, 200):
-            assert dist._bulk_tail(delta + 1 - dist.offset) is not None, delta
+    def test_contact_sums_n1000_every_index(self, t):
+        for beta in TAIL_BETAS:
+            assert_tails_are_fsum(contact_sums(cartel_contact_law(1_000, beta, 200), t)[-1])
+
+    def test_contact_sums_n10000_sample(self):
+        for beta in TAIL_BETAS:
+            for dist in contact_sums(cartel_contact_law(10_000, beta, 2_000), 6)[1:]:
+                assert_tails_are_fsum(dist, range(0, len(dist.masses) + 2, 97))
 
 
 class TestKlDivergence:
@@ -691,9 +709,9 @@ class TestBinomialTail:
         law = contact_sums(cartel_contact_law(n, 0.2, n // 5), 1)[0]
         point = law.convolve(binomial_pmf_vector(total, 0.0))
         padded = law.convolve(DiscreteDistribution(0, (1.0,) + (0.0,) * total))
-        assert point.masses == law.masses
-        assert padded.masses[: len(law.masses)] == law.masses
-        assert not any(padded.masses[len(law.masses):])
+        assert point.masses.tolist() == law.masses.tolist()
+        assert padded.masses[: len(law.masses)].tolist() == law.masses.tolist()
+        assert not padded.masses[len(law.masses):].any()
         for r in range(-1, law.support_max + 2):
             assert point.tail_gt(r).hex() == padded.tail_gt(r).hex()
 

@@ -164,7 +164,7 @@ class TestHonestMissBound:
         for kappa in kappas:
             schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
             point = binomial_pmf_vector(schedule.total_by_horizon, 0.0)
-            assert law.convolve(point).masses == law.masses
+            assert law.convolve(point).masses.tolist() == law.masses.tolist()
             exact = sum(counts[schedule.delta_rec + 1 :]) / total
             assert honest_miss_delay_bound(schedule, 0.0, law).hex() == exact.hex()
 
