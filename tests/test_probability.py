@@ -358,12 +358,12 @@ class TestDiscreteDistribution:
     def test_convolve_returns_plain_floats(self):
         law = DiscreteDistribution.from_law(HypergeomLaw(1000, 200, 200))
         twice = law.convolve(law)
-        raw = np.convolve(np.array(law.masses.tolist()), np.array(law.masses.tolist()))
+        raw = np.convolve(law.masses, law.masses).tolist()
         assert twice.masses.dtype == np.float64
-        assert twice.masses.tolist() == raw.tolist()
+        assert twice.masses.tolist() == raw
         pmf = [twice.pmf(k) for k in range(-1, twice.support_max + 2)]
         assert all(type(x) is float for x in pmf)
-        assert pmf == [0.0, *raw.tolist(), 0.0]
+        assert pmf == [0.0, *raw, 0.0]
 
     def test_tails_clamped_into_unit_interval(self):
         # Both laws pass the 1e-12 mass check; their raw tail sums do not
