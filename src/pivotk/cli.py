@@ -319,7 +319,7 @@ def _suite_minimax(cfg: AnalysisConfig, inject_fault: bool) -> dict:
     raw = rng.integers(0, 1000, size=(999, kappa))
     raw[raw.sum(axis=1) == 0, 0] = 1
     rules = [mechanism.WeightRule.uniform(kappa)]
-    rules += [mechanism.WeightRule.from_weights(row.tolist()) for row in raw]
+    rules += [mechanism.WeightRule.from_weights(row) for row in raw.tolist()]
     if inject_fault:
         # Simulated implementation bug: an unnormalized rule slipped through.
         bad = mechanism.WeightRule.__new__(mechanism.WeightRule)

@@ -11,7 +11,7 @@ to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal, Sequence
@@ -89,45 +89,79 @@ def pivotal_allocation(owners: Sequence[Owner], K: int, s: int, B) -> PivotalAll
     return PivotalAllocation(tuple(owners[:kappa]), r_idx, per_index * s, per_index * r_idx, budget)
 
 
-@dataclass(frozen=True)
 class WeightRule:
     """A budget-capped rank-based payment rule over the pivotal prefix.
 
     ``weights[j]`` is the budget fraction paid to the bundle of rank j+1;
-    weights are nonnegative rationals summing to one.
+    weights are nonnegative rationals summing to one.  A rule is held as
+    integers, its numerators in rank order over one common scale.
+    :meth:`from_weights` builds that form directly, and ``weights`` is derived
+    from it when first read; a rule given ``weights`` derives the integers
+    from them instead.  Rules are immutable and compare, hash and print by
+    ``weights``.
     """
 
-    weights: tuple[Fraction, ...]
+    def __init__(self, weights: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "weights", tuple(weights))
+        self._check()
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def _check(self) -> None:
+        scale, nums = self._ints
+        if not nums:
             raise ValueError("need at least one rank")
-        scale, nums = self._scaled
-        if nums[0] < 0:
+        if min(nums) < 0:
             raise ValueError("weights must be nonnegative")
         if sum(nums) != scale:
             raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, nums)``: L is the weights' least common denominator and nums
-        their numerators over L, sorted ascending.
+    def weights(self) -> tuple[Fraction, ...]:
+        scale, nums = self._ints
+        return tuple(Fraction(num, scale) for num in nums)
 
-        Computed on first use rather than stored, so a rule built without
-        ``__init__`` is still checked against its actual weights.
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, nums)``: L is the weights' least common denominator and nums
+        their numerators over L, in rank order.
+
+        Computed on first use unless :meth:`from_weights` stored it, so a rule
+        built without ``__init__`` is still checked against its actual weights.
         """
         ratios = [w.as_integer_ratio() for w in self.weights]
         scale = math.lcm(*(den for _, den in ratios))
-        return scale, tuple(sorted(num * (scale // den) for num, den in ratios))
+        return scale, tuple(num * (scale // den) for num, den in ratios)
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, nums)`` as in ``_ints`` with nums sorted ascending."""
+        scale, nums = self._ints
+        return scale, tuple(sorted(nums))
 
     @property
     def kappa(self) -> int:
-        return len(self.weights)
+        return len(self._ints[1])
 
     @property
     def is_uniform(self) -> bool:
         scale, nums = self._scaled
         return nums[0] * self.kappa == scale == nums[-1] * self.kappa
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash((self.weights,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(weights={self.weights!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def uniform(cls, kappa: int) -> "WeightRule":
@@ -136,14 +170,20 @@ class WeightRule:
     @classmethod
     def from_weights(cls, raw: Sequence) -> "WeightRule":
         ws = list(raw)
-        # All-int weights normalize with one integer sum; anything else
-        # (floats, Fractions, numpy scalars) goes through Fraction first.
+        # Anything but all-int weights (floats, Fractions, numpy scalars) is
+        # brought to integers over the common denominator of its Fractions.
         if not all(isinstance(w, int) for w in ws):
-            ws = [Fraction(w) for w in ws]
+            fracs = [Fraction(w) for w in ws]
+            den = math.lcm(*(f.denominator for f in fracs))
+            ws = [f.numerator * (den // f.denominator) for f in fracs]
         total = sum(ws)
         if total <= 0:
             raise ValueError("weights must have positive total")
-        return cls(tuple(Fraction(w, total) for w in ws))
+        g = math.gcd(*ws)
+        rule = cls.__new__(cls)
+        rule.__dict__["_ints"] = (total // g, tuple([w // g for w in ws]))
+        rule._check()
+        return rule
 
     @classmethod
     def slot_decayed(cls, kappa: int, decay) -> "WeightRule":

@@ -759,27 +759,46 @@ def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
     All owner sequences of length kappa+extra and all ways to insert one or
     two cartel bundles are enumerated; returns the number of cases checked.
     Raises on any violation.
+
+    A sequence is a bit pattern, bit i set when position i is the cartel's.
+    :func:`cartel_prefix_count` is called once on each distinct sequence of
+    length kappa+extra, +1 and +2, and every case compares two of those
+    counts, looked up by the pattern before and after the insertion.
     """
-    if kappa > 6:
-        raise ValueError("exhaustive enumeration is limited to kappa <= 6")
+    if not 1 <= kappa <= 6:
+        raise ValueError(f"kappa={kappa} outside 1..6, the range exhaustive enumeration covers")
+    if extra < 0:
+        raise ValueError(f"extra={extra} is negative: it must be >= 0")
     length = kappa + extra
-    checked = 0
-    for bits in range(1 << length):
-        seq = ["cartel" if bits >> i & 1 else "honest" for i in range(length)]
-        base = cartel_prefix_count(seq, kappa)
-        for k_insert in (1, 2):
-            for spots in itertools.combinations_with_replacement(
-                range(length + 1), k_insert
-            ):
-                aug = list(seq)
-                for offset, pos in enumerate(sorted(spots)):
-                    aug.insert(pos + offset, "cartel")
-                if cartel_prefix_count(aug, kappa) < base:
-                    raise AssertionError(
-                        f"prefix count dropped after insertion: seq={seq}, spots={spots}"
-                    )
-                checked += 1
-    return checked
+    # seqs[k][bits] is the length+k sequence with pattern bits: product() runs
+    # its last position fastest, so reversing each tuple puts bit i at position i
+    seqs = [
+        [list(seq[::-1]) for seq in itertools.product(("honest", "cartel"), repeat=n)]
+        for n in range(length, length + 3)
+    ]
+    counts = [np.array([cartel_prefix_count(seq, kappa) for seq in group]) for group in seqs]
+    spots = [
+        case for k in (1, 2) for case in itertools.combinations_with_replacement(range(length + 1), k)
+    ]
+    bits = np.arange(1 << length)
+    first, second = np.array(spots[length + 1 :]).T  # the two-bundle cases
+    once = _insert_cartel(bits, np.arange(length + 1)[:, None])
+    twice = _insert_cartel(_insert_cartel(bits, first[:, None]), second[:, None] + 1)
+    after = np.concatenate([counts[1][once], counts[2][twice]])
+    drops = after < counts[0]
+    if drops.any():
+        # the first violation in (sequence, case) order
+        bad_bits, row = divmod(int(np.argmax(drops.T)), len(spots))
+        raise AssertionError(
+            f"prefix count dropped after insertion: seq={seqs[0][bad_bits]}, "
+            f"spots={spots[row]}"
+        )
+    return drops.size
+
+
+def _insert_cartel(bits: np.ndarray, at) -> np.ndarray:
+    """Patterns with a set bit inserted at position ``at``, higher bits moved up one."""
+    return bits + (bits >> at << at) + (1 << at)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,32 @@ def reference_sabotage_report(instance, beta, econ, paths, seed):
     return with_delay, skipped, violations
 
 
+def reference_prefix_monotonicity(kappa, count, extra=2):
+    """The prefix battery by list insertion, one ``count`` call per case.
+
+    Every owner sequence of length kappa+extra gets one or two cartel
+    bundles inserted at every combination of spots, and ``count(aug, kappa)``
+    is compared with ``count(seq, kappa)``.  Returns the number of cases, or
+    raises AssertionError naming the first case whose count dropped.
+    """
+    length = kappa + extra
+    checked = 0
+    for bits in range(1 << length):
+        seq = ["cartel" if bits >> i & 1 else "honest" for i in range(length)]
+        base = count(seq, kappa)
+        for k_insert in (1, 2):
+            for spots in itertools.combinations_with_replacement(range(length + 1), k_insert):
+                aug = list(seq)
+                for offset, pos in enumerate(sorted(spots)):
+                    aug.insert(pos + offset, "cartel")
+                if count(aug, kappa) < base:
+                    raise AssertionError(
+                        f"prefix count dropped after insertion: seq={seq}, spots={spots}"
+                    )
+                checked += 1
+    return checked
+
+
 def reference_resolution_order(rows):
     """Inclusion rows ``(slot, lane, owner)`` in resolution order, by the full key.
 

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from pivotk import cli, mechanism, ratchet
+from pivotk import cli, mechanism, ratchet, simulator
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
@@ -855,6 +855,29 @@ class TestVerifyCommand:
         assert summary["passed"] is False
         assert summary["suites"]["minimax"]["passed"] is False
         assert summary["suites"]["minimax"]["violations"] == 3  # the bad rule, once per d
+
+    def test_non_monotone_prefix_count_fails_battery(self, capsys, tmp_path, monkeypatch):
+        # Counting honest bundles shrinks when a cartel bundle is inserted.
+        monkeypatch.setattr(
+            simulator, "cartel_prefix_count", lambda owners, kappa: owners[:kappa].count("honest")
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "mc": {"trials": 200, "seed": 3},
+                    "sweep": {"kappa_min": 1, "kappa_max": 25},
+                    "table_kappas": [10, 20],
+                }
+            )
+        )
+        code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
+        summary = json.loads(out)
+        assert code == EXIT_PROPERTY
+        assert summary["passed"] is False
+        pathwise = summary["suites"]["pathwise"]
+        assert pathwise["passed"] is False
+        assert pathwise["prefix_monotonicity"]["violations"] > 0
 
     @pytest.mark.parametrize("seed", [20260809, 0, 123456789])
     def test_minimax_rules_match_sequential_draws(self, monkeypatch, seed):

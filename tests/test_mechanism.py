@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pivotk import mechanism
 from pivotk.mechanism import (
     DecodeNotReached,
     WeightRule,
@@ -28,6 +29,19 @@ UNEQUAL_DENOMINATOR_RULES = [
     WeightRule((Fraction(0), Fraction(0), Fraction(1))),
     WeightRule((Fraction(1, 10), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(33, 70))),
 ]
+
+
+# Integer weights: any nonnegative list with a positive total, lists scaled by
+# a common factor (so their gcd exceeds 1), and lists with one nonzero entry.
+INT_WEIGHTS = st.one_of(
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=12).filter(any),
+    st.tuples(
+        st.lists(st.integers(0, 50), min_size=1, max_size=12).filter(any), st.integers(2, 360)
+    ).map(lambda t: [w * t[1] for w in t[0]]),
+    st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(1, 10**6)).map(
+        lambda t: [t[2] if j == t[1] % t[0] else 0 for j in range(t[0])]
+    ),
+)
 
 
 def reference_floor(rule, d):
@@ -209,6 +223,57 @@ class TestWeightRules:
         assert rule.weights == reference
         assert all(type(w) is Fraction for w in rule.weights)
         assert WeightRule.from_weights([Fraction(w) for w in raw]) == rule
+
+    @given(raw=INT_WEIGHTS)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_form_matches_fraction_rules(self, raw):
+        total = sum(raw)
+        reference = WeightRule(tuple(Fraction(w, total) for w in raw))
+        for rule in (
+            WeightRule.from_weights(raw),
+            WeightRule.from_weights([Fraction(w) for w in raw]),
+        ):
+            assert rule == reference
+            assert hash(rule) == hash(reference)
+            assert repr(rule) == repr(reference)
+            assert rule._scaled == reference._scaled
+            assert rule.weights == reference.weights
+            assert all(type(w) is Fraction for w in rule.weights)
+
+    def test_integer_rule_reads_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(mechanism, "Fraction", CountingFraction)
+        rule = WeightRule.from_weights([5, 0, 3, 3, 1])
+        uniform = WeightRule.from_weights([2, 2, 2, 2, 2])
+        assert built == []
+        assert rule.kappa == 5
+        assert not rule.is_uniform and uniform.is_uniform
+        assert built == []
+        assert removal_floor(rule, 2) == Fraction(1, 12)
+        assert len(built) == 1  # the floor itself
+        report = minimax_certificate(5, 2, [uniform, rule])
+        assert report.passed
+        assert len(built) == 2  # the ceiling itself
+        assert "weights" not in vars(rule) and "weights" not in vars(uniform)
+        assert rule.weights == (Fraction(5, 12), 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 12))
+
+    def test_negative_weight_with_positive_total_rejected(self):
+        for raw in ([3, -1], [Fraction(3), -1.0], [0.5, 0, -0.25]):
+            with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
+                WeightRule.from_weights(raw)
+
+    def test_rule_is_frozen(self):
+        rule = WeightRule.from_weights([1, 2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.weights = (Fraction(1),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rule.weights
 
     def test_nonpositive_integer_total_rejected(self):
         for raw in ([0, 0, 0], [2, -3], []):

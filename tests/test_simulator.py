@@ -9,7 +9,9 @@ import pytest
 
 from pivotk.delay import exact_q0
 from pivotk.geometry import SystemInstance
+from pivotk import simulator
 from pivotk.incentives import EconParams
+from pivotk.mechanism import cartel_prefix_count
 from pivotk.simulator import (
     FullInclude,
     FullWithhold,
@@ -32,11 +34,43 @@ from pivotk.simulator import (
 
 from conftest import (
     reference_payoff_of_trace,
+    reference_prefix_monotonicity,
     reference_resolution_order,
     reference_sabotage_report,
 )
 
 PATHS = 8  # sample paths per oracle cross-check run
+
+
+def _count_honest(owners, kappa):
+    return owners[:kappa].count("honest")
+
+
+def _count_parity(owners, kappa):
+    return owners[:kappa].count("cartel") % 2
+
+
+def _count_after_first(owners, kappa):
+    return owners[1 : kappa + 1].count("cartel")
+
+
+def _count_dropping_at_the_end(owners, kappa):
+    # one less once the list is long and ends honest, cartel: with extra = 2 the
+    # first drop needs a second cartel bundle inserted at the very end
+    count = owners[:kappa].count("cartel")
+    return count - 1 if len(owners) > kappa + 3 and owners[-2:] == ["honest", "cartel"] else count
+
+
+# Prefix-count rules that inserting a cartel bundle can shrink.
+NON_MONOTONE_COUNTS = [_count_honest, _count_parity, _count_after_first, _count_dropping_at_the_end]
+
+
+def _outcome(run):
+    """A battery's case count, or the message of the AssertionError it raised."""
+    try:
+        return run()
+    except AssertionError as err:
+        return str(err)
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
 ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
 
@@ -316,6 +350,40 @@ class TestTheoremBattery:
         assert cases == [112, 320, 864, 2240, 5632, 13824]
         with pytest.raises(ValueError):
             prefix_monotonicity_exhaustive(7)
+
+    @pytest.mark.parametrize("kappa", [0, -1, -3, 7])
+    def test_prefix_battery_rejects_kappa_outside_range(self, kappa):
+        with pytest.raises(ValueError, match=rf"^kappa={kappa} outside 1\.\.6, "):
+            prefix_monotonicity_exhaustive(kappa)
+
+    @pytest.mark.parametrize("extra", [-1, -5])
+    def test_prefix_battery_rejects_negative_extra(self, extra):
+        with pytest.raises(ValueError, match=rf"^extra={extra} is negative: it must be >= 0$"):
+            prefix_monotonicity_exhaustive(3, extra=extra)
+
+    def test_prefix_battery_catches_a_non_monotone_count(self, monkeypatch):
+        monkeypatch.setattr(simulator, "cartel_prefix_count", _count_honest)
+        want = r"seq=\['honest', 'honest', 'honest'\], spots=\(0,\)$"
+        with pytest.raises(AssertionError, match=want):
+            prefix_monotonicity_exhaustive(1)
+
+    @pytest.mark.parametrize("count", [cartel_prefix_count] + NON_MONOTONE_COUNTS)
+    @pytest.mark.parametrize("kappa", range(1, 7))
+    def test_prefix_battery_matches_list_insert_reference(self, monkeypatch, kappa, count):
+        # Same case count when every case holds, same first failing case when one fails.
+        want = _outcome(lambda: reference_prefix_monotonicity(kappa, count))
+        monkeypatch.setattr(simulator, "cartel_prefix_count", count)
+        assert _outcome(lambda: prefix_monotonicity_exhaustive(kappa)) == want
+        # every non-monotone rule is caught; at kappa = 1 the parity is the count
+        caught = isinstance(want, str)
+        assert caught == (count is not cartel_prefix_count and (count, kappa) != (_count_parity, 1))
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_prefix_battery_matches_reference_at_other_extras(self, monkeypatch, extra):
+        for count in [cartel_prefix_count] + NON_MONOTONE_COUNTS:
+            want = _outcome(lambda: reference_prefix_monotonicity(3, count, extra))
+            monkeypatch.setattr(simulator, "cartel_prefix_count", count)
+            assert _outcome(lambda: prefix_monotonicity_exhaustive(3, extra)) == want
 
     def test_dominance_and_sabotage_on_reference_instance(self):
         inst = SystemInstance.from_kappa(10, 3, 6)  # t*=2, delta=0, t*m=6
