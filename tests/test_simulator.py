@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from pivotk import simulator
 from pivotk.delay import exact_q0
 from pivotk.geometry import SystemInstance
-from pivotk import simulator
 from pivotk.incentives import EconParams
 from pivotk.mechanism import cartel_prefix_count
 from pivotk.simulator import (
@@ -40,6 +40,8 @@ from conftest import (
 )
 
 PATHS = 8  # sample paths per oracle cross-check run
+SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
+ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
 
 
 def _count_honest(owners, kappa):
@@ -71,8 +73,6 @@ def _outcome(run):
         return run()
     except AssertionError as err:
         return str(err)
-SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
-ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
 
 
 class TestRunTrace:
