@@ -259,15 +259,15 @@ def cmd_sweep_ratchet(args) -> int:
         # first-slot bound at the configured honest-miss rate; at epsilon=0
         # this is exactly the ratchet tail P[A1 > delta_rec]
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)
-        spreads = [
-            (inst.m,) + (0,) * (inst.t_star - 1),  # all in slot one
-            _even_spread(inst.delta, inst.t_star),  # minimal need, spread out
+        # the worse of everything in slot one and the minimal need spread evenly
+        estimates = [
+            ratchet.ratchet_multi_slot_delay(inst, cfg.beta, policy, cfg.trials, cfg.seed)
+            for policy in (
+                simulator.RatchetSpread((inst.m,)),
+                simulator.RatchetSpread(_even_spread(inst.delta, inst.t_star)),
+            )
         ]
-        worst = None
-        for spread in spreads:
-            est = ratchet.ratchet_multi_slot_delay(inst, cfg.beta, spread, cfg.trials, cfg.seed)
-            if worst is None or est.frequency > worst.frequency:
-                worst = est
+        worst = max(estimates, key=lambda est: est.frequency)
         rows.append(
             {
                 "kappa": row.kappa,

@@ -202,14 +202,9 @@ class ContactSchedule:
         return self.cumulative[self.t_star - 1]
 
     @property
-    def slack(self) -> int:
-        return self.total_by_horizon - self.kappa
-
-    # Recovery slack for the adaptive-sender analysis; equals the schedule
-    # slack because both count planned over-delivery at the horizon.
-    @property
     def delta_rec(self) -> int:
-        return self.slack
+        """The recovery slack: contacts planned by the horizon beyond kappa."""
+        return self.total_by_horizon - self.kappa
 
     @property
     def first_slot_contacts(self) -> int:

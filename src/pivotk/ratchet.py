@@ -8,7 +8,7 @@ shrinks the cartel's effective fraction slot over slot.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .probability import (
     binomial_pmf_vector,
     cartel_contact_law,
 )
+
+if TYPE_CHECKING:
+    from .simulator import AdversaryPolicy
 
 __all__ = [
     "q_rat_first_slot",
@@ -41,49 +44,39 @@ def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> float:
 def ratchet_multi_slot_delay(
     instance: SystemInstance,
     beta,
-    spread_policy: Sequence[int],
+    policy: AdversaryPolicy,
     trials: int,
     seed: int,
 ) -> MCEstimate:
-    """Monte-Carlo delay frequency for a withholding spread under the ratchet.
+    """Monte-Carlo delay frequency for an adversary policy under the ratchet.
 
-    ``spread_policy[t-1]`` caps how many bundles the cartel withholds in slot
-    ``t``; it withholds ``min(cap, contacts)`` and each withheld bundle flags
-    its lane out of the pool.  Requires a multi-slot horizon; with t* = 1
-    there is no later slot for the ratchet to protect.  All trials run at
-    once: each slot is one hypergeometric draw per trial on that trial's
-    eligible pool.
+    Slot ``t`` withholds ``policy.withhold(t, contacts, W, ...)`` bundles and
+    each flags its lane out of the pool.  Only cartel lanes are flagged, so a
+    path's whole state is its withheld count W: slot ``t`` draws from a pool
+    of a - W cartel and n - a honest lanes.  Requires a multi-slot horizon;
+    with t* = 1 there is no later slot for the ratchet to protect.  All
+    trials run at once, one draw per trial per slot.
     """
     if instance.t_star < 2:
         raise ValueError("ratchet analysis needs t_star >= 2")
-    if len(spread_policy) < instance.t_star:
-        raise ValueError(f"spread policy must cover {instance.t_star} slots")
-    if any(w < 0 for w in spread_policy):
-        raise ValueError("spread policy entries must be nonnegative")
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    n, m, delta, t_star = instance.n, instance.m, instance.delta, instance.t_star
+    n, m = instance.n, instance.m
     marked = cartel_lane_count(n, beta)
 
     # One stream per estimate, keyed [seed, 0] like the contact stream of
-    # simulator.estimate_delay.  Slot one's draw does not depend on the spread
-    # or on kappa, so for a given seed it is shared across both.
+    # simulator.estimate_delay; a random policy draws from it after each
+    # slot's contacts.  Slot one's draw depends on neither the policy nor
+    # kappa, so for a given seed it is shared across both.
     rng = np.random.default_rng([seed, 0])
-    pool_n = np.full(trials, n, dtype=np.int64)
-    pool_cartel = np.full(trials, marked, dtype=np.int64)
     withheld = np.zeros(trials, dtype=np.int64)
-    for t in range(t_star):
-        if pool_n.min() < m:
-            raise ValueError(
-                f"eligible pool shrank below m={m}; instance too small for the spread"
-            )
-        a = rng.hypergeometric(pool_cartel, pool_n - pool_cartel, m)
-        w = np.minimum(spread_policy[t], a)
-        withheld += w
-        pool_n -= w
-        pool_cartel -= w
-    hits = int(np.count_nonzero(withheld > delta))
+    for t in range(1, instance.t_star + 1):
+        if n - withheld.max() < m:
+            raise ValueError(f"eligible pool shrank below m={m}; instance too small")
+        contacts = rng.hypergeometric(marked - withheld, n - marked, m)
+        withheld += policy.withhold(t, contacts, withheld, instance, rng)
+    hits = int(np.count_nonzero(withheld > instance.delta))
     return MCEstimate.from_counts(hits, trials)
 
 

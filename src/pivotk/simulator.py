@@ -174,20 +174,25 @@ class Scripted(AdversaryPolicy):
         return {"kind": self.name, "includes": list(self.includes)}
 
 
+def _counts(obj: dict, key: str) -> tuple[int, ...]:
+    return tuple(json_field(x, f"{key}[{i}]") for i, x in enumerate(obj[key]))
+
+
 def policy_from_config(obj: dict) -> AdversaryPolicy:
+    """The policy a ``to_config`` block names; each number must be a JSON number of its type."""
     kind = obj["kind"]
     if kind == "full_include":
         return FullInclude()
     if kind == "full_withhold":
         return FullWithhold()
     if kind == "stationary_w":
-        return StationaryW(float(obj["w"]))
+        return StationaryW(json_field(obj["w"], "w", kind=float))
     if kind == "minimal_sabotage":
         return MinimalSabotage()
     if kind == "ratchet_spread":
-        return RatchetSpread(tuple(int(c) for c in obj["caps"]))
+        return RatchetSpread(_counts(obj, "caps"))
     if kind == "scripted":
-        return Scripted(tuple(int(x) for x in obj["includes"]))
+        return Scripted(_counts(obj, "includes"))
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -203,7 +208,7 @@ def policy_from_spec(spec: str) -> AdversaryPolicy:
 
     Any malformed spec raises ValueError naming the accepted forms.
     """
-    kind, _, arg = spec.partition(":")
+    kind, sep, arg = spec.partition(":")
     obj = {"kind": kind}
     try:
         if kind == "stationary_w":
@@ -212,7 +217,10 @@ def policy_from_spec(spec: str) -> AdversaryPolicy:
             obj["caps"] = [int(x) for x in arg.split(",")]
         elif kind == "scripted":
             obj["includes"] = [int(x) for x in arg.split(",")]
-        return policy_from_config(obj)
+        policy = policy_from_config(obj)
+        if sep and len(obj) == 1:
+            raise ValueError(f"{kind} takes no argument")
+        return policy
     except ValueError as exc:
         raise ValueError(f"bad policy {spec!r} ({exc}); accepted forms: {_SPEC_FORMS}") from exc
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import settings
 
 from pivotk.geometry import SystemInstance, cartel_lane_count
-from pivotk.probability import cartel_contact_law, contact_sums
+from pivotk.probability import MCEstimate, cartel_contact_law, contact_sums
 from pivotk.simulator import PayoffBreakdown
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
@@ -98,6 +98,32 @@ def exact_ratchet_tail_gt(
                     nxt[step] = nxt.get(step, Fraction(0)) + p * q
         law = nxt
     return sum((p for w, p in law.items() if w > threshold), Fraction(0))
+
+
+def reference_ratchet_estimate(instance, beta, spread, trials: int, seed: int) -> MCEstimate:
+    """The ratchet Monte Carlo for withholding caps ``spread``, on two pool arrays.
+
+    This is the original caps-tuple ``ratchet_multi_slot_delay``.  Each trial
+    keeps its eligible pool size and its cartel lanes in that pool.  Slot t
+    draws a ~ Hypergeom(cartel, pool - cartel, m) from the stream
+    ``[seed, 0]``, and the cartel withholds min(spread[t-1], a), each
+    withheld lane leaving both counts.  A spread shorter than t* withholds
+    nothing after it.
+    """
+    n, m = instance.n, instance.m
+    rng = np.random.default_rng([seed, 0])
+    pool_n = np.full(trials, n, dtype=np.int64)
+    pool_cartel = np.full(trials, cartel_lane_count(n, beta), dtype=np.int64)
+    withheld = np.zeros(trials, dtype=np.int64)
+    for t in range(instance.t_star):
+        if pool_n.min() < m:
+            raise ValueError(f"eligible pool shrank below m={m}")
+        a = rng.hypergeometric(pool_cartel, pool_n - pool_cartel, m)
+        w = np.minimum(spread[t] if t < len(spread) else 0, a)
+        withheld += w
+        pool_n -= w
+        pool_cartel -= w
+    return MCEstimate.from_counts(int(np.count_nonzero(withheld > instance.delta)), trials)
 
 
 def exact_distribution_of_T0(instance, beta, slots: int) -> tuple[list[Fraction], Fraction]:

@@ -88,6 +88,12 @@ class TestGoldenTables:
                 {"sweep": {"kappa_min": 21, "kappa_max": 40}},
                 id="sweep-ratchet",
             ),
+            pytest.param(
+                "sweep-ratchet-eps.csv",
+                ["sweep-ratchet", "--epsilon", "0.01", "--trials", "500"],
+                None,
+                id="sweep-ratchet-eps",
+            ),
         ],
     )
     def test_command_output_matches_golden(self, capsys, tmp_path, golden, argv, config):
@@ -674,7 +680,17 @@ class TestConfigHandling:
         assert captured.err == f"config error: {reason}\n"
 
     @pytest.mark.parametrize(
-        "spec", ["stationary_w", "stationary_w:1.5", "ratchet_spread:-1", "scripted:a", "bogus"]
+        "spec",
+        [
+            "stationary_w",
+            "stationary_w:1.5",
+            "ratchet_spread:-1",
+            "scripted:a",
+            "bogus",
+            "full_withhold:5",
+            "minimal_sabotage:abc",
+            "full_include:",
+        ],
     )
     def test_bad_policy_spec_rejected(self, capsys, spec):
         code = main(["simulate", "--traces", "1", "--policy", spec])
@@ -1267,6 +1283,9 @@ class TestSimulateReplay:
             ("slots", [], "slots must be a nonempty array"),
             ("inclusion_order", {}, "inclusion_order must be an array"),
             ("payoff", [], "payoff must be an object"),
+            ("policy", {"kind": "ratchet_spread", "caps": [True, 0]}, "policy must be a policy block"),
+            ("policy", {"kind": "ratchet_spread", "caps": [1.0, 0]}, "policy must be a policy block"),
+            ("policy", {"kind": "stationary_w", "w": True}, "policy must be a policy block"),
         ],
     )
     def test_replay_checks_every_field(self, capsys, tmp_path, field, value, reason):

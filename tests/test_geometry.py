@@ -80,8 +80,8 @@ class TestContactSchedule:
         inst = SystemInstance(100, 20, 1, 30)
         schedule = ContactSchedule((20,) * 4, kappa=30)
         assert schedule.t_star == inst.t_star
-        assert schedule.slack == inst.delta
-        assert ContactSchedule.static(inst).slack == inst.delta
+        assert schedule.delta_rec == inst.delta
+        assert ContactSchedule.static(inst).delta_rec == inst.delta
 
     def test_two_slot_recovery(self):
         schedule = ContactSchedule((20, 20), kappa=30)
@@ -92,7 +92,7 @@ class TestContactSchedule:
     def test_over_contacting_single_slot(self):
         schedule = ContactSchedule((25,), kappa=20)
         assert schedule.t_star == 1
-        assert schedule.slack == 5
+        assert schedule.delta_rec == 5
 
     def test_unreachable_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestContactSchedule:
     def test_slack_strictly_below_final_slot_contacts(self):
         schedule = ContactSchedule((3, 0, 7, 10), kappa=12)
         assert schedule.t_star == 4
-        assert 0 <= schedule.slack < 10
+        assert 0 <= schedule.delta_rec < 10
 
 
 class TestCartelLaneCount:

@@ -21,8 +21,9 @@ from pivotk.ratchet import (
     q_rat_first_slot,
     ratchet_multi_slot_delay,
 )
+from pivotk.simulator import FullWithhold, MinimalSabotage, RatchetSpread, StationaryW
 
-from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt
+from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt, reference_ratchet_estimate
 
 # Largest allowed distance between a Monte-Carlo frequency and the exact
 # ratchet law, in binomial standard errors sqrt(p(1-p)/trials) of the exact p.
@@ -82,17 +83,17 @@ class TestFirstSlotTail:
 class TestMultiSlotRatchet:
     def test_single_slot_horizon_rejected(self, table_instances, beta):
         with pytest.raises(ValueError):
-            ratchet_multi_slot_delay(table_instances[10], beta, (1,), 10, 0)
+            ratchet_multi_slot_delay(table_instances[10], beta, RatchetSpread((1,)), 10, 0)
 
     def test_no_withholding_never_delays(self, table_instances, beta):
-        est = ratchet_multi_slot_delay(table_instances[30], beta, (0, 0), 500, 1)
+        est = ratchet_multi_slot_delay(table_instances[30], beta, RatchetSpread((0, 0)), 500, 1)
         assert est.frequency == 0.0
 
     def test_bounded_by_static_exact(self, table_instances, beta):
         inst = table_instances[30]
         q0 = float(exact_q0(inst, beta))
         for spread in [(20, 0), (11, 0), (6, 5), (4, 4), (0, 20)]:
-            est = ratchet_multi_slot_delay(inst, beta, spread, 2000, 7)
+            est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), 2000, 7)
             assert est.frequency <= q0 + 3 * max(est.stderr, 1e-4)
 
     def test_all_first_slot_spread_matches_first_slot_tail(self, beta):
@@ -100,7 +101,7 @@ class TestMultiSlotRatchet:
         inst = SystemInstance.from_kappa(100, 20, 38)
         schedule = ContactSchedule.static(inst)
         q_rat = float(q_rat_first_slot(schedule, 100, beta))
-        est = ratchet_multi_slot_delay(inst, beta, (20, 0), 4000, 11)
+        est = ratchet_multi_slot_delay(inst, beta, RatchetSpread((20, 0)), 4000, 11)
         assert est.ci_low - 0.02 <= q_rat <= est.ci_high + 0.02
 
     @pytest.mark.parametrize("kappa", [30, 33, 35, 38, 55])
@@ -110,7 +111,7 @@ class TestMultiSlotRatchet:
         trials = 200_000
         for spread in [(20, 0) + pad, (6, 5) + pad, _even_spread(inst.delta, inst.t_star)]:
             exact = float(exact_ratchet_tail_gt(100, 20, 20, spread, inst.delta))
-            est = ratchet_multi_slot_delay(inst, beta, spread, trials, 2026)
+            est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), trials, 2026)
             se = math.sqrt(exact * (1 - exact) / trials)
             assert abs(est.frequency - exact) <= Z_TOL * se, (spread, exact, est)
 
@@ -120,16 +121,55 @@ class TestMultiSlotRatchet:
         # draws, so the hits can only grow as delta shrinks with kappa.
         freqs = [
             ratchet_multi_slot_delay(
-                SystemInstance.from_kappa(100, 20, kappa), beta, (20, 0), 2000, 5
+                SystemInstance.from_kappa(100, 20, kappa), beta, RatchetSpread((20, 0)), 2000, 5
             ).frequency
             for kappa in range(21, 40)
         ]
         assert freqs == sorted(freqs)
 
     def test_reproducible(self, table_instances, beta):
-        a = ratchet_multi_slot_delay(table_instances[30], beta, (6, 5), 300, 42)
-        b = ratchet_multi_slot_delay(table_instances[30], beta, (6, 5), 300, 42)
+        policy = RatchetSpread((6, 5))
+        a = ratchet_multi_slot_delay(table_instances[30], beta, policy, 300, 42)
+        b = ratchet_multi_slot_delay(table_instances[30], beta, policy, 300, 42)
         assert a == b
+
+    @pytest.mark.parametrize("kappa", [38, 40, 55, 58, 75, 78, 95, 98])
+    def test_policy_estimate_matches_two_array_reference(self, beta, kappa):
+        # t* = 2..5 at delta 0, 2 and 5; the caps cover all-in-slot-one, the
+        # even spread, and a spread shorter than t* that stops withholding.
+        inst = SystemInstance.from_kappa(100, 20, kappa)
+        spreads = [
+            (20,),
+            _even_spread(inst.delta, inst.t_star),
+            _even_spread(inst.delta, inst.t_star - 1),
+        ]
+        for spread in spreads:
+            for seed in range(20):
+                est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), 500, seed)
+                ref = reference_ratchet_estimate(inst, beta, spread, 500, seed)
+                assert est == ref, (spread, seed)
+
+    @pytest.mark.parametrize("kappa", [30, 38, 58, 79])
+    def test_full_withhold_is_every_cap_at_m(self, beta, kappa):
+        inst = SystemInstance.from_kappa(100, 20, kappa)
+        for seed in range(5):
+            full = ratchet_multi_slot_delay(inst, beta, FullWithhold(), 1000, seed)
+            caps = RatchetSpread((inst.m,) * inst.t_star)
+            assert full == ratchet_multi_slot_delay(inst, beta, caps, 1000, seed)
+
+    @pytest.mark.parametrize("policy", [StationaryW(0.5), MinimalSabotage()], ids=lambda p: p.name)
+    def test_random_and_stateful_policies_give_valid_estimates(self, beta, policy):
+        for kappa in (30, 38, 58):
+            inst = SystemInstance.from_kappa(100, 20, kappa)
+            est = ratchet_multi_slot_delay(inst, beta, policy, 1000, 3)
+            assert 0.0 <= est.ci_low <= est.frequency <= est.ci_high <= 1.0
+
+    def test_pool_below_m_rejected(self):
+        # n = 30, m = 20 and a cartel of 15: withholding more than ten
+        # first-slot contacts leaves fewer than m eligible lanes for slot two.
+        inst = SystemInstance.from_kappa(30, 20, 25)
+        with pytest.raises(ValueError, match="below m=20"):
+            ratchet_multi_slot_delay(inst, 0.5, FullWithhold(), 200, 0)
 
 
 class TestHonestMissBound:
