@@ -218,7 +218,7 @@ def policy_from_spec(spec: str) -> AdversaryPolicy:
         elif kind == "scripted":
             obj["includes"] = [int(x) for x in arg.split(",")]
         policy = policy_from_config(obj)
-        if sep and len(obj) == 1:
+        if sep and obj.keys() == {"kind"}:
             raise ValueError(f"{kind} takes no argument")
         return policy
     except ValueError as exc:
