@@ -322,10 +322,9 @@ def _suite_minimax(cfg: AnalysisConfig, inject_fault: bool) -> dict:
     rules += [mechanism.WeightRule.from_weights(row) for row in raw.tolist()]
     if inject_fault:
         # Simulated implementation bug: an unnormalized rule slipped through.
-        bad = mechanism.WeightRule.__new__(mechanism.WeightRule)
-        object.__setattr__(
-            bad, "weights", tuple(Fraction(2, kappa) for _ in range(kappa))
-        )
+        bad = object.__new__(mechanism.WeightRule)
+        object.__setattr__(bad, "scale", kappa)
+        object.__setattr__(bad, "nums", (2,) * kappa)
         rules.append(bad)
     reports = [mechanism.minimax_certificate(kappa, d, rules) for d in (1, 2, 3)]
     return {

@@ -13,10 +13,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
-from .intra_slot import q_micro
+from .geometry import SystemInstance, cartel_lane_count
 from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
-from .ratchet import q_rat_first_slot
 
 __all__ = [
     "DelayRegime",
@@ -149,7 +147,8 @@ def sawtooth_sweep(
     """Per-threshold delay panorama: exact q0, first-slot ratchet tail, race tail.
 
     One row per distinct decode threshold, ordered by kappa.  The t-slot
-    contact sums are built once, up to the largest horizon in the range.
+    contact sums are built once, up to the largest horizon in the range; the
+    ratchet tail P[S_1 > delta] and the race tail P[S_1 >= r] read the first.
     Knife edges (m | kappa) are flagged; there the ratchet tail coincides with
     the single-contact event and the race tail collapses to the all-cartel draw.
     """
@@ -165,8 +164,8 @@ def sawtooth_sweep(
             t_star=inst.t_star,
             delta=inst.delta,
             q0=sums[inst.t_star - 1].tail_gt(inst.delta),
-            q_rat=q_rat_first_slot(ContactSchedule.static(inst), n, beta),
-            q_micro=q_micro(inst, beta),
+            q_rat=sums[0].tail_gt(inst.delta),
+            q_micro=sums[0].tail_ge(inst.r),
             knife_edge=inst.knife_edge,
         )
         for inst in instances

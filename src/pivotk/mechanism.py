@@ -11,9 +11,8 @@ to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Literal, Sequence
 
 __all__ = [
@@ -89,83 +88,48 @@ def pivotal_allocation(owners: Sequence[Owner], K: int, s: int, B) -> PivotalAll
     return PivotalAllocation(tuple(owners[:kappa]), r_idx, per_index * s, per_index * r_idx, budget)
 
 
+@dataclass(frozen=True)
 class WeightRule:
     """A budget-capped rank-based payment rule over the pivotal prefix.
 
-    ``weights[j]`` is the budget fraction paid to the bundle of rank j+1;
-    weights are nonnegative rationals summing to one.  A rule is held as
-    integers, its numerators in rank order over one common scale.
-    :meth:`from_weights` builds that form directly, and ``weights`` is derived
-    from it when first read; a rule given ``weights`` derives the integers
-    from them instead.  Rules are immutable and compare, hash and print by
-    ``weights``.
+    ``nums[j] / scale`` is the budget fraction paid to the bundle of rank
+    j+1: nonnegative integer numerators over one positive scale, summing to
+    it.  Both are divided by their gcd on construction, so equal weights
+    compare and hash equal.  ``weights`` derives the rationals on each read.
     """
 
-    def __init__(self, weights: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "weights", tuple(weights))
-        self._check()
+    scale: int
+    nums: tuple[int, ...]
 
-    def _check(self) -> None:
-        scale, nums = self._ints
+    def __post_init__(self) -> None:
+        scale, nums = self.scale, tuple(self.nums)
         if not nums:
             raise ValueError("need at least one rank")
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
         if min(nums) < 0:
             raise ValueError("weights must be nonnegative")
         if sum(nums) != scale:
-            raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
+            raise ValueError(f"weights sum to {Fraction(sum(nums), scale)}, not 1")
+        g = math.gcd(scale, *nums)
+        object.__setattr__(self, "scale", scale // g)
+        object.__setattr__(self, "nums", tuple([num // g for num in nums]) if g > 1 else nums)
 
-    @cached_property
+    @property
     def weights(self) -> tuple[Fraction, ...]:
-        scale, nums = self._ints
-        return tuple(Fraction(num, scale) for num in nums)
-
-    @cached_property
-    def _ints(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, nums)``: L is the weights' least common denominator and nums
-        their numerators over L, in rank order.
-
-        Computed on first use unless :meth:`from_weights` stored it, so a rule
-        built without ``__init__`` is still checked against its actual weights.
-        """
-        ratios = [w.as_integer_ratio() for w in self.weights]
-        scale = math.lcm(*(den for _, den in ratios))
-        return scale, tuple(num * (scale // den) for num, den in ratios)
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, nums)`` as in ``_ints`` with nums sorted ascending."""
-        scale, nums = self._ints
-        return scale, tuple(sorted(nums))
+        return tuple(Fraction(num, self.scale) for num in self.nums)
 
     @property
     def kappa(self) -> int:
-        return len(self._ints[1])
+        return len(self.nums)
 
     @property
     def is_uniform(self) -> bool:
-        scale, nums = self._scaled
-        return nums[0] * self.kappa == scale == nums[-1] * self.kappa
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash((self.weights,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(weights={self.weights!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return min(self.nums) * self.kappa == self.scale == max(self.nums) * self.kappa
 
     @classmethod
     def uniform(cls, kappa: int) -> "WeightRule":
-        return cls(tuple(Fraction(1, kappa) for _ in range(kappa)))
+        return cls(kappa, (1,) * kappa)
 
     @classmethod
     def from_weights(cls, raw: Sequence) -> "WeightRule":
@@ -179,23 +143,7 @@ class WeightRule:
         total = sum(ws)
         if total <= 0:
             raise ValueError("weights must have positive total")
-        g = math.gcd(*ws)
-        rule = cls.__new__(cls)
-        rule.__dict__["_ints"] = (total // g, tuple([w // g for w in ws]))
-        rule._check()
-        return rule
-
-    @classmethod
-    def slot_decayed(cls, kappa: int, decay) -> "WeightRule":
-        """Earlier ranks paid more, scaled by decay^(rank-1) and renormalized.
-
-        Mixes rank and time effects; provided for experimentation only, with
-        no deterrence analysis attached.
-        """
-        d = Fraction(decay)
-        if not 0 < d <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-        return cls.from_weights([d**j for j in range(kappa)])
+        return cls(total, tuple(ws))
 
 
 def removal_floor(rule: WeightRule, d: int) -> Fraction:
@@ -206,8 +154,7 @@ def removal_floor(rule: WeightRule, d: int) -> Fraction:
     """
     if not 1 <= d <= rule.kappa:
         raise ValueError(f"d={d} outside [1, {rule.kappa}]")
-    scale, nums = rule._scaled
-    return Fraction(sum(nums[:d]), scale)
+    return Fraction(sum(sorted(rule.nums)[:d]), rule.scale)
 
 
 @dataclass(frozen=True)
@@ -241,12 +188,11 @@ def minimax_certificate(
     for i, rule in enumerate(trial_rules):
         if rule.kappa != kappa:
             raise ValueError(f"rule {i} has {rule.kappa} ranks, expected {kappa}")
-        # floor = sum(nums[:d]) / L against the ceiling d / kappa, cross-multiplied
-        scale, nums = rule._scaled
-        floor_scaled = sum(nums[:d]) * kappa
-        if floor_scaled > d * scale:
+        # floor = (d smallest nums) / scale against the ceiling d / kappa, cross-multiplied
+        floor_scaled = sum(sorted(rule.nums)[:d]) * kappa
+        if floor_scaled > d * rule.scale:
             violations.append(i)
-        elif floor_scaled == d * scale and not rule.is_uniform:
+        elif floor_scaled == d * rule.scale and not rule.is_uniform:
             false_eq.append(i)
     return MinimaxReport(
         kappa=kappa,

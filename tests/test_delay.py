@@ -15,8 +15,11 @@ from pivotk.delay import (
     no_delay_upper,
     sawtooth_sweep,
 )
-from pivotk.geometry import SystemInstance, cartel_lane_count
+from pivotk.config import AnalysisConfig
+from pivotk.geometry import ContactSchedule, SystemInstance, cartel_lane_count
+from pivotk.intra_slot import q_micro
 from pivotk.probability import kl_divergence
+from pivotk.ratchet import q_rat_first_slot
 
 from conftest import exact_convolved_tail_gt, knife_edge_grid
 
@@ -207,6 +210,24 @@ class TestSawtoothSweep:
         rows = sawtooth_sweep(n, m, beta, range(1, m + 1))
         assert [r.t_star for r in rows] == [1] * m
         assert [r.q0 for r in rows] == [r.q_rat for r in rows]
+
+    @pytest.mark.parametrize("scale", ["default", "n1000"])
+    def test_single_slot_tails_match_their_functions(self, scale):
+        # The sweep reads both tails off S_1; the standalone functions build
+        # a schedule and a contact law of their own.
+        if scale == "default":
+            cfg = AnalysisConfig.default()
+            n, m, beta = cfg.instance.n, cfg.instance.m, cfg.beta
+            kappas = range(cfg.sweep_min, cfg.sweep_max + 1)
+        else:
+            n, m, beta, kappas = 1000, 200, 0.2, range(1, 1001)
+        rows = sawtooth_sweep(n, m, beta, kappas)
+        assert [r.kappa for r in rows] == list(kappas)
+        for row in rows:
+            inst = SystemInstance.from_kappa(n, m, row.kappa)
+            q_rat = q_rat_first_slot(ContactSchedule.static(inst), n, beta)
+            assert row.q_rat.hex() == q_rat.hex(), row.kappa
+            assert row.q_micro.hex() == q_micro(inst, beta).hex(), row.kappa
 
     def test_empty_range_rejected(self, beta):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,11 +24,13 @@ from pivotk.mechanism import (
 
 # Rules whose weights have unequal denominators, some with zero weights.
 UNEQUAL_DENOMINATOR_RULES = [
-    WeightRule.slot_decayed(5, Fraction(2, 3)),
-    WeightRule((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
-    WeightRule((Fraction(0), Fraction(1, 3), Fraction(2, 3))),
-    WeightRule((Fraction(0), Fraction(0), Fraction(1))),
-    WeightRule((Fraction(1, 10), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(33, 70))),
+    WeightRule.from_weights([Fraction(2, 3) ** j for j in range(5)]),
+    WeightRule.from_weights((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+    WeightRule.from_weights((Fraction(0), Fraction(1, 3), Fraction(2, 3))),
+    WeightRule.from_weights((Fraction(0), Fraction(0), Fraction(1))),
+    WeightRule.from_weights(
+        (Fraction(1, 10), Fraction(0), Fraction(3, 7), Fraction(0), Fraction(33, 70))
+    ),
 ]
 
 
@@ -60,9 +63,10 @@ def reference_paid_to(owners, K, s, B, owner):
 
 
 def unnormalized_rule(kappa):
-    """Every weight 2/kappa, built without running ``__init__``'s checks."""
-    bad = WeightRule.__new__(WeightRule)
-    object.__setattr__(bad, "weights", tuple(Fraction(2, kappa) for _ in range(kappa)))
+    """Every weight 2/kappa, built without running ``__post_init__``'s checks."""
+    bad = object.__new__(WeightRule)
+    object.__setattr__(bad, "scale", kappa)
+    object.__setattr__(bad, "nums", (2,) * kappa)
     return bad
 
 
@@ -196,13 +200,30 @@ class TestWeightRules:
 
     def test_rejects_unnormalized_or_negative(self):
         with pytest.raises(ValueError, match=r"^weights sum to 5/6, not 1$"):
-            WeightRule((Fraction(1, 2), Fraction(1, 3)))
+            WeightRule(6, (3, 2))
+        with pytest.raises(ValueError, match=r"^weights sum to 2, not 1$"):
+            WeightRule(3, (3, 3))
         with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
-            WeightRule((Fraction(3, 2), Fraction(-1, 2)))
+            WeightRule(2, (3, -1))
         with pytest.raises(ValueError, match=r"^weights must be nonnegative$"):
-            WeightRule((Fraction(1, 2), Fraction(-1, 3)))  # checked before the sum
+            WeightRule(6, (3, -2))  # checked before the sum
         with pytest.raises(ValueError, match=r"^need at least one rank$"):
-            WeightRule(())
+            WeightRule(1, ())
+
+    @pytest.mark.parametrize(
+        "scale, nums", [(0, (0,)), (0, (0, 0)), (0, (1,)), (-2, (-2,)), (-3, (1, -4))]
+    )
+    def test_nonpositive_scale_rejected(self, scale, nums):
+        with pytest.raises(ValueError, match=rf"^scale must be positive, got {scale}$"):
+            WeightRule(scale, nums)
+
+    def test_stored_form_is_reduced_integers(self):
+        rule = WeightRule(12, (6, 0, 3, 3))
+        assert [f.name for f in dataclasses.fields(rule)] == ["scale", "nums"]
+        assert (rule.scale, rule.nums) == (4, (2, 0, 1, 1))
+        assert rule == WeightRule(4, (2, 0, 1, 1)) == WeightRule.from_weights([2, 0, 1, 1])
+        assert repr(rule) == "WeightRule(scale=4, nums=(2, 0, 1, 1))"
+        assert WeightRule(5, [1, 4]).nums == (1, 4)  # a list is stored as a tuple
 
     @pytest.mark.parametrize("rule", UNEQUAL_DENOMINATOR_RULES)
     def test_floor_matches_fraction_reference(self, rule):
@@ -228,7 +249,9 @@ class TestWeightRules:
     @settings(max_examples=300, deadline=None)
     def test_integer_form_matches_fraction_rules(self, raw):
         total = sum(raw)
-        reference = WeightRule(tuple(Fraction(w, total) for w in raw))
+        reference = WeightRule(total, tuple(raw))  # unreduced when gcd(raw) > 1
+        assert reference.weights == tuple(Fraction(w, total) for w in raw)
+        assert math.gcd(reference.scale, *reference.nums) == 1
         for rule in (
             WeightRule.from_weights(raw),
             WeightRule.from_weights([Fraction(w) for w in raw]),
@@ -236,7 +259,6 @@ class TestWeightRules:
             assert rule == reference
             assert hash(rule) == hash(reference)
             assert repr(rule) == repr(reference)
-            assert rule._scaled == reference._scaled
             assert rule.weights == reference.weights
             assert all(type(w) is Fraction for w in rule.weights)
 
@@ -251,6 +273,8 @@ class TestWeightRules:
         monkeypatch.setattr(mechanism, "Fraction", CountingFraction)
         rule = WeightRule.from_weights([5, 0, 3, 3, 1])
         uniform = WeightRule.from_weights([2, 2, 2, 2, 2])
+        assert WeightRule(24, (10, 0, 6, 6, 2)) == rule
+        assert WeightRule.uniform(5) == uniform
         assert built == []
         assert rule.kappa == 5
         assert not rule.is_uniform and uniform.is_uniform
@@ -260,7 +284,6 @@ class TestWeightRules:
         report = minimax_certificate(5, 2, [uniform, rule])
         assert report.passed
         assert len(built) == 2  # the ceiling itself
-        assert "weights" not in vars(rule) and "weights" not in vars(uniform)
         assert rule.weights == (Fraction(5, 12), 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 12))
 
     def test_negative_weight_with_positive_total_rejected(self):
@@ -270,18 +293,20 @@ class TestWeightRules:
 
     def test_rule_is_frozen(self):
         rule = WeightRule.from_weights([1, 2])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rule.weights = (Fraction(1),)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del rule.weights
+        for name, value in (("scale", 6), ("nums", (2, 4)), ("weights", (Fraction(1),))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rule, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rule, name)
+        assert (rule.scale, rule.nums) == (3, (1, 2))
 
     def test_nonpositive_integer_total_rejected(self):
         for raw in ([0, 0, 0], [2, -3], []):
             with pytest.raises(ValueError, match=r"^weights must have positive total$"):
                 WeightRule.from_weights(raw)
 
-    def test_slot_decay_constructor(self):
-        rule = WeightRule.slot_decayed(3, Fraction(1, 2))
+    def test_fraction_powers_normalized(self):
+        rule = WeightRule.from_weights([Fraction(1, 2) ** j for j in range(3)])
         assert rule.weights == (Fraction(4, 7), Fraction(2, 7), Fraction(1, 7))
 
     @given(raw=st.lists(st.integers(0, 50), min_size=1, max_size=10))
@@ -348,7 +373,7 @@ class TestMinimaxCertificate:
         weights = [Fraction(1, kappa)] * kappa
         weights[0] += eps
         weights[1] -= eps
-        rule = WeightRule(tuple(weights))
+        rule = WeightRule.from_weights(weights)
         for d in range(1, kappa):
             assert removal_floor(rule, d) < Fraction(d, kappa)
 
