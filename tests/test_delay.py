@@ -211,11 +211,11 @@ class TestSawtoothSweep:
         assert [r.t_star for r in rows] == [1] * m
         assert [r.q0 for r in rows] == [r.q_rat for r in rows]
 
-    @pytest.mark.parametrize("scale", ["default", "n1000"])
-    def test_single_slot_tails_match_their_functions(self, scale):
+    @pytest.mark.parametrize("config", ["default", "n1000"])
+    def test_single_slot_tails_match_their_functions(self, config):
         # The sweep reads both tails off S_1; the standalone functions build
         # a schedule and a contact law of their own.
-        if scale == "default":
+        if config == "default":
             cfg = AnalysisConfig.default()
             n, m, beta = cfg.instance.n, cfg.instance.m, cfg.beta
             kappas = range(cfg.sweep_min, cfg.sweep_max + 1)
