@@ -20,7 +20,7 @@ from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .probability import binomial_pmf_vector, cartel_contact_law, chernoff_tail_bound, contact_sums
+from .probability import binomial_pmf_vector, cartel_contact_law, contact_sums
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -388,19 +388,17 @@ def _suite_pathwise(cfg: AnalysisConfig) -> dict:
 
 
 def _suite_bound_dominance(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
+    """The KL bound caps q0 where delay is rare and 1 - q0 where it is likely."""
     failures = []
-    marked = cartel_lane_count(cfg.instance.n, cfg.beta)
-    beta_frac = marked / cfg.instance.n
+    m = cfg.instance.m
+    beta_frac = cartel_lane_count(cfg.instance.n, cfg.beta) / cfg.instance.n
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
-        inst = SystemInstance.from_kappa(cfg.instance.n, cfg.instance.m, kappa)
-        q0 = sweep[kappa].q0
-        theta0 = inst.delta / (inst.t_star * inst.m)
-        if 0.0 < beta_frac < 1.0 and theta0 > beta_frac:
-            bound = chernoff_tail_bound(inst.t_star, inst.m, theta0, beta_frac, "upper")
-            if q0 > bound + 1e-12:
-                failures.append(kappa)
-        bound = delay.no_delay_upper(inst, cfg.beta)
-        if (1.0 - q0) > bound + 1e-12:
+        row = sweep[kappa]
+        theta0 = row.delta / (row.t_star * m)
+        regime, bound = delay.kl_delay_bound(row.t_star, m, theta0, beta_frac)
+        if regime is delay.DelayRegime.DELAY_RARE and row.q0 > bound + 1e-12:
+            failures.append(kappa)
+        if regime is delay.DelayRegime.DELAY_LIKELY and (1.0 - row.q0) > bound + 1e-12:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}
 

@@ -19,6 +19,7 @@ from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
 __all__ = [
     "DelayRegime",
     "DelayReport",
+    "kl_delay_bound",
     "exact_q0",
     "knife_edge_q0",
     "fluid_delay_report",
@@ -77,6 +78,22 @@ class DelayReport:
     theta_w: float
 
 
+def kl_delay_bound(
+    t_star: int, m: int, theta: float, beta_frac: float
+) -> tuple[DelayRegime, float | None]:
+    """The regime of delay density ``theta`` against the cartel share, and its KL bound.
+
+    exp(-t* m D(theta || beta_frac)) caps the delay probability in DELAY_RARE
+    (theta above the share) and the on-time probability in DELAY_LIKELY
+    (theta below it).  DEGENERATE, with no bound, when the share is 0 or 1 or
+    theta equals it.
+    """
+    if not 0.0 < beta_frac < 1.0 or theta == beta_frac:
+        return DelayRegime.DEGENERATE, None
+    regime = DelayRegime.DELAY_RARE if theta > beta_frac else DelayRegime.DELAY_LIKELY
+    return regime, chernoff_tail_bound(t_star, m, theta, beta_frac)
+
+
 def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
     """Delay report for the stationary inclusion-rate model.
 
@@ -99,18 +116,7 @@ def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
         return DelayReport(0.0, None, DelayRegime.IMPOSSIBLE, theta_w)
 
     exact = contact_sums(law, instance.t_star)[-1].tail_ge(math.floor(threshold) + 1)
-
-    if not 0.0 < beta_frac < 1.0:
-        return DelayReport(exact, None, DelayRegime.DEGENERATE, theta_w)
-
-    if theta_w > beta_frac:
-        bound = chernoff_tail_bound(instance.t_star, instance.m, theta_w, beta_frac, "upper")
-        regime = DelayRegime.DELAY_RARE
-    elif theta_w < beta_frac:
-        bound = chernoff_tail_bound(instance.t_star, instance.m, theta_w, beta_frac, "lower")
-        regime = DelayRegime.DELAY_LIKELY
-    else:
-        return DelayReport(exact, None, DelayRegime.DEGENERATE, theta_w)
+    regime, bound = kl_delay_bound(instance.t_star, instance.m, theta_w, beta_frac)
     return DelayReport(exact, bound, regime, theta_w)
 
 
@@ -119,15 +125,13 @@ def no_delay_upper(instance: SystemInstance, beta) -> float:
 
     exp(-t* m D(delta/(t* m) || beta)): staying within the slack requires the
     cartel's contact rate to undershoot its share, which is exponentially
-    unlikely as the horizon grows.  Vacuous (returns 1) when the slack
-    fraction is not below the cartel share.
+    unlikely as the horizon grows.  Vacuous (returns 1) outside DELAY_LIKELY,
+    that is when the slack fraction is not below the cartel share.
     """
-    marked = cartel_lane_count(instance.n, beta)
-    beta_frac = marked / instance.n
+    beta_frac = cartel_lane_count(instance.n, beta) / instance.n
     frac = instance.delta / (instance.t_star * instance.m)
-    if not 0.0 < beta_frac < 1.0 or frac >= beta_frac:
-        return 1.0
-    return chernoff_tail_bound(instance.t_star, instance.m, frac, beta_frac, "lower")
+    regime, bound = kl_delay_bound(instance.t_star, instance.m, frac, beta_frac)
+    return bound if regime is DelayRegime.DELAY_LIKELY else 1.0
 
 
 @dataclass(frozen=True)

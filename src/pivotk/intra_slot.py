@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import SystemInstance
-from .probability import DiscreteDistribution, cartel_contact_law, kl_divergence
+from .probability import DiscreteDistribution, cartel_contact_law, chernoff_tail_bound
 
 __all__ = [
     "RaceModel",
@@ -48,6 +48,11 @@ class RaceModel:
             raise ValueError("seal_deadline must lie in (0, slot_duration]")
         if not self.reaction_time >= 0:
             raise ValueError("reaction_time must be nonnegative")
+        if not 1.0 - math.exp(-self.rate * self.seal_deadline) > 0:
+            raise ValueError(
+                "rate * seal_deadline is too small: 1 - exp(-rate * seal_deadline) rounds "
+                "to 0, so raise rate or seal_deadline"
+            )
 
     @property
     def p(self) -> float:
@@ -138,7 +143,7 @@ def g_inc_upper(
     ratio = instance.r / instance.m
     kl_alt = None
     if 0.0 < beta_frac < 1.0 and ratio > beta_frac:
-        kl_alt = math.exp(-instance.m * kl_divergence(ratio, beta_frac))
+        kl_alt = chernoff_tail_bound(1, instance.m, ratio, beta_frac)
 
     knife_exact = knife_power = None
     if instance.knife_edge:

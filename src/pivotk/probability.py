@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -326,25 +325,14 @@ def kl_divergence(theta: float, beta: float) -> float:
     return acc
 
 
-def chernoff_tail_bound(
-    t: int, m: int, theta: float, beta: float, side: Literal["upper", "lower"]
-) -> float:
+def chernoff_tail_bound(t: int, m: int, theta: float, beta: float) -> float:
     """exp(-t m D(theta||beta)), the binomial KL exponent for a t-slot sum.
 
-    ``side="upper"`` bounds P[S/(tm) >= theta] and requires theta > beta;
-    ``side="lower"`` bounds P[S/(tm) <= theta] and requires theta < beta.
-    theta == beta is allowed on either side and gives the vacuous bound 1.
+    It bounds P[S/(tm) >= theta] when theta > beta and P[S/(tm) <= theta]
+    when theta < beta; theta == beta gives the vacuous bound 1.
     """
     if t < 1 or m < 1:
         raise ValueError("t and m must be positive")
-    if side == "upper":
-        if theta < beta:
-            raise ValueError("upper-tail bound needs theta >= beta")
-    elif side == "lower":
-        if theta > beta:
-            raise ValueError("lower-tail bound needs theta <= beta")
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     return math.exp(-t * m * kl_divergence(theta, beta))
 
 

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -242,6 +242,16 @@ class Trace:
     ``inclusion_order`` holds one ``(slot, lane, owner)`` row per included
     bundle in resolution order: slots ascend, lanes ascend within a slot, and
     no ``(slot, lane)`` cell holds two bundles.
+
+    The outcome fields follow from ``slots`` and ``inclusion_order``, so they
+    are computed here, never passed in.  The inclusion time T is the first
+    slot whose included bundles bring the total to kappa (None if none does),
+    and a decoded trace ends by slot max(T, t*) + 1.  W counts the cartel
+    bundles withheld through slot t* (0 if the trace stops before it), a
+    trace is delayed when W exceeds the slack, truncated when it never
+    decoded, and the pivotal cartel count is the cartel's rows among the
+    first kappa (None when there are fewer).  Raises ValueError, naming
+    ``slots``, for a decoded trace that runs on.
     """
 
     instance: SystemInstance
@@ -250,11 +260,39 @@ class Trace:
     seed: int
     slots: tuple[SlotRecord, ...]
     inclusion_order: tuple[InclusionRow, ...]
-    inclusion_time: int | None
-    withheld_at_horizon: int
-    pivotal_cartel_count: int | None
-    delayed: bool
-    truncated: bool
+    inclusion_time: int | None = field(init=False)
+    withheld_at_horizon: int = field(init=False)
+    pivotal_cartel_count: int | None = field(init=False)
+    delayed: bool = field(init=False)
+    truncated: bool = field(init=False)
+
+    def __post_init__(self):
+        instance, slots = self.instance, self.slots
+        t_star, kappa = instance.t_star, instance.kappa
+        inclusion_time = None
+        included = 0
+        for t, s in enumerate(slots, start=1):
+            included += s.contacts_honest + s.included_cartel
+            if included >= kappa:
+                inclusion_time = t
+                break
+        if inclusion_time is not None and len(slots) > max(inclusion_time, t_star) + 1:
+            raise ValueError(
+                f"slots must end by slot {max(inclusion_time, t_star) + 1}, one past the later of "
+                f"the inclusion slot {inclusion_time} and t*={t_star}; got {len(slots)} slots"
+            )
+        withheld = (
+            sum([s.contacts_cartel - s.included_cartel for s in slots[:t_star]])
+            if len(slots) >= t_star
+            else 0
+        )
+        owners = [owner for _, _, owner in self.inclusion_order[:kappa]]
+        pivotal = cartel_prefix_count(owners, kappa) if len(owners) == kappa else None
+        object.__setattr__(self, "inclusion_time", inclusion_time)
+        object.__setattr__(self, "withheld_at_horizon", withheld)
+        object.__setattr__(self, "pivotal_cartel_count", pivotal)
+        object.__setattr__(self, "delayed", withheld > instance.delta)
+        object.__setattr__(self, "truncated", inclusion_time is None)
 
     @property
     def t_star(self) -> int:
@@ -312,53 +350,6 @@ def run_trace(
     )
 
 
-def _derived_fields(
-    instance: SystemInstance,
-    slots: Sequence[SlotRecord],
-    pivotal_owners: Sequence[Owner],
-) -> dict:
-    """The trace fields that follow from its slots and rows.
-
-    ``pivotal_owners`` are the owners of the first kappa rows, or of all
-    rows when there are fewer.  The inclusion time T is the first slot whose
-    included bundles bring the total to kappa (None if none does), and a
-    decoded trace ends by slot max(T, t*) + 1.  W counts the cartel bundles
-    withheld through slot t* (0 if the trace stops before it), a trace is
-    delayed when W exceeds the slack, truncated when it never decoded, and
-    the pivotal cartel count is the cartel's rows among the first kappa.
-    Raises ValueError, naming ``slots``, for a decoded trace that runs on.
-    """
-    t_star = instance.t_star
-    inclusion_time = None
-    included = 0
-    for t, s in enumerate(slots, start=1):
-        included += s.contacts_honest + s.included_cartel
-        if included >= instance.kappa:
-            inclusion_time = t
-            break
-    if inclusion_time is not None and len(slots) > max(inclusion_time, t_star) + 1:
-        raise ValueError(
-            f"slots must end by slot {max(inclusion_time, t_star) + 1}, one past the later of "
-            f"the inclusion slot {inclusion_time} and t*={t_star}; got {len(slots)} slots"
-        )
-    withheld = (
-        sum([s.contacts_cartel - s.included_cartel for s in slots[:t_star]])
-        if len(slots) >= t_star
-        else 0
-    )
-    return {
-        "inclusion_time": inclusion_time,
-        "withheld_at_horizon": withheld,
-        "pivotal_cartel_count": (
-            cartel_prefix_count(pivotal_owners, instance.kappa)
-            if len(pivotal_owners) == instance.kappa
-            else None
-        ),
-        "delayed": withheld > instance.delta,
-        "truncated": inclusion_time is None,
-    }
-
-
 def _replay(
     instance: SystemInstance,
     cartel_set: frozenset,
@@ -404,24 +395,21 @@ def _replay(
         if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
             break
 
-    owners = [owner for _, _, owner in rows[:kappa]]
-    derived = _derived_fields(instance, slots, owners)
-    if inclusion_time is not None and (inclusion_time > t_star) != derived["delayed"]:
-        raise RuntimeError(
-            "delay/deficit equivalence violated: "
-            f"T={inclusion_time}, t*={t_star}, W={derived['withheld_at_horizon']}, "
-            f"delta={instance.delta}"
-        )
-
-    return Trace(
+    trace = Trace(
         instance=instance,
         cartel_lanes=len(cartel_set),
         policy_config=policy.to_config(),
         seed=seed,
         slots=tuple(slots),
         inclusion_order=tuple(rows),
-        **derived,
     )
+    if inclusion_time is not None and (inclusion_time > t_star) != trace.delayed:
+        raise RuntimeError(
+            "delay/deficit equivalence violated: "
+            f"T={inclusion_time}, t*={t_star}, W={trace.withheld_at_horizon}, "
+            f"delta={instance.delta}"
+        )
+    return trace
 
 
 def estimate_delay(
@@ -493,6 +481,9 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
 # --- serialization ---------------------------------------------------------
 
 _PAYOFF_FIELDS = ("fee_revenue", "bounty_revenue", "mev_option", "total")
+_OUTCOME_FIELDS = (
+    "inclusion_time", "withheld_at_horizon", "pivotal_cartel_count", "delayed", "truncated"
+)
 
 
 def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> str:
@@ -518,7 +509,7 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
         "pivotal_cartel_count": trace.pivotal_cartel_count,
         "delayed": trace.delayed,
         "truncated": trace.truncated,
-        "payoff": {field: getattr(payoff, field) for field in _PAYOFF_FIELDS},
+        "payoff": {name: getattr(payoff, name) for name in _PAYOFF_FIELDS},
         "econ": econ.to_config(),
     }
     return json.dumps(obj, separators=(",", ":"))
@@ -527,13 +518,13 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
 def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconParams]:
     """Read back a :func:`trace_to_json` line with its stored payoff and econ.
 
-    This is the one schema of a trace line: every field must have the type
-    and range :func:`trace_to_json` writes, the ``inclusion_order`` rows must
-    be in resolution order, and the fields a run derives from its slots and
-    rows (:func:`_derived_fields`, and each slot's row counts) must agree
-    with them.  Raises KeyError for a missing field and
-    ValueError, naming the field, for a bad value or for a line without the
-    payoff and econ blocks a replay checks.
+    This is the one schema of a trace line: every input field must have the
+    type and range :func:`trace_to_json` writes, the ``inclusion_order`` rows
+    must be in resolution order, each slot's row counts must agree with its
+    ``slots`` row, and each outcome field must equal, in value and JSON type,
+    the one :class:`Trace` computes from the slots and rows.  Raises KeyError
+    for a missing field and ValueError, naming the field, for a bad value or
+    for a line without the payoff and econ blocks a replay checks.
     """
     obj = json.loads(line)
     if not isinstance(obj, dict) or obj.get("format") != 1 or type(obj["format"]) is not int:
@@ -616,9 +607,6 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
                 f"cartel, as slots row {t} gives; got {rows} with {cartel} cartel"
             )
 
-    for field in ("delayed", "truncated"):
-        if type(obj[field]) is not bool:
-            raise ValueError(f"{field} must be true or false, got {obj[field]!r}")
     trace = Trace(
         instance=instance,
         cartel_lanes=cartel_lanes,
@@ -626,20 +614,13 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
         seed=seed,
         slots=tuple(SlotRecord(*row) for row in raw_slots),
         inclusion_order=tuple(order),
-        inclusion_time=json_field(obj["inclusion_time"], "inclusion_time", 1, horizon, True),
-        withheld_at_horizon=json_field(obj["withheld_at_horizon"], "withheld_at_horizon", 0),
-        pivotal_cartel_count=json_field(
-            obj["pivotal_cartel_count"], "pivotal_cartel_count", 0, instance.kappa, True
-        ),
-        delayed=obj["delayed"],
-        truncated=obj["truncated"],
     )
-    derived = _derived_fields(instance, trace.slots, owners[: instance.kappa])
-    for field, value in derived.items():
-        if getattr(trace, field) != value:
+    for name in _OUTCOME_FIELDS:
+        stored, value = obj[name], getattr(trace, name)
+        if not (type(stored) is type(value) and stored == value):  # true != 1, 1.0 != 1
             raise ValueError(
-                f"{field} must be {json.dumps(value)} by the slots and inclusion_order "
-                f"fields, got {json.dumps(obj[field])}"
+                f"{name} must be {json.dumps(value)} by the slots and inclusion_order "
+                f"fields, got {json.dumps(stored)}"
             )
 
     if "payoff" not in obj or "econ" not in obj:
@@ -649,10 +630,10 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     p = obj["payoff"]
     if not isinstance(p, dict):
         raise ValueError(f"payoff must be an object, got {p!r}")
-    values = [p[field] for field in _PAYOFF_FIELDS]
-    for field, value in zip(_PAYOFF_FIELDS, values):
+    values = [p[name] for name in _PAYOFF_FIELDS]
+    for name, value in zip(_PAYOFF_FIELDS, values):
         if type(value) is not float:
-            raise ValueError(f"payoff.{field} must be a float, got {value!r}")
+            raise ValueError(f"payoff.{name} must be a float, got {value!r}")
     econ = EconParams.from_config(obj["econ"])
     econ.bundle_price_at(instance.s)  # must be finite at the trace's s
     return trace, PayoffBreakdown(*values), econ

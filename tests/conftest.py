@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from pivotk.delay import DelayRegime
 from pivotk.geometry import SystemInstance, cartel_lane_count
-from pivotk.probability import MCEstimate, cartel_contact_law, contact_sums
+from pivotk.probability import MCEstimate, cartel_contact_law, contact_sums, kl_divergence
 from pivotk.simulator import PayoffBreakdown
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
@@ -379,6 +380,56 @@ def reference_payoff_of_trace(trace, econ) -> PayoffBreakdown:
         bounty = g**trace.inclusion_time * float(share)
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
+
+
+def _sided_chernoff_bound(t, m, theta, beta, side):
+    """exp(-t m D(theta||beta)) for the named tail, refusing the wrong side of beta."""
+    if (side == "upper" and theta < beta) or (side == "lower" and theta > beta):
+        raise ValueError(f"{side}-tail bound on the wrong side of beta: theta={theta}")
+    return math.exp(-t * m * kl_divergence(theta, beta))
+
+
+def reference_fluid_bound(t_star, m, theta_w, beta_frac):
+    """``fluid_delay_report``'s regime and KL bound, each tail's side picked by hand."""
+    if not 0.0 < beta_frac < 1.0:
+        return DelayRegime.DEGENERATE, None
+    if theta_w > beta_frac:
+        bound = _sided_chernoff_bound(t_star, m, theta_w, beta_frac, "upper")
+        return DelayRegime.DELAY_RARE, bound
+    if theta_w < beta_frac:
+        bound = _sided_chernoff_bound(t_star, m, theta_w, beta_frac, "lower")
+        return DelayRegime.DELAY_LIKELY, bound
+    return DelayRegime.DEGENERATE, None
+
+
+def reference_no_delay_upper(instance, beta) -> float:
+    """The lower-tail bound on staying on time, or 1 unless the slack fraction is below beta."""
+    beta_frac = cartel_lane_count(instance.n, beta) / instance.n
+    frac = instance.delta / (instance.t_star * instance.m)
+    if not 0.0 < beta_frac < 1.0 or frac >= beta_frac:
+        return 1.0
+    return _sided_chernoff_bound(instance.t_star, instance.m, frac, beta_frac, "lower")
+
+
+def reference_bound_dominance(n, m, beta, rows) -> list[int]:
+    """Kappas whose sweep row breaks a KL bound, one instance per row.
+
+    The upper-tail bound must cap q0 where the slack fraction exceeds beta,
+    and :func:`reference_no_delay_upper` must cap 1 - q0 everywhere, both
+    within 1e-12.
+    """
+    failures = []
+    beta_frac = cartel_lane_count(n, beta) / n
+    for row in rows:
+        inst = SystemInstance.from_kappa(n, m, row.kappa)
+        theta0 = inst.delta / (inst.t_star * inst.m)
+        if 0.0 < beta_frac < 1.0 and theta0 > beta_frac:
+            bound = _sided_chernoff_bound(inst.t_star, inst.m, theta0, beta_frac, "upper")
+            if row.q0 > bound + 1e-12:
+                failures.append(row.kappa)
+        if (1.0 - row.q0) > reference_no_delay_upper(inst, beta) + 1e-12:
+            failures.append(row.kappa)
+    return failures
 
 
 @pytest.fixture(scope="session")

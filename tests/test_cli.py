@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,11 +12,13 @@ import re
 import numpy as np
 import pytest
 
-from pivotk import cli, mechanism, ratchet, simulator
+from pivotk import cli, delay, mechanism, ratchet, simulator
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import coalition_sufficient_bounty
+
+from conftest import reference_bound_dominance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -34,6 +37,12 @@ BYTE_CONFIG = {
         "gamma": 0.99,
     },
 }
+
+
+RACE_RATE_TOO_SMALL = (
+    "race: rate * seal_deadline is too small: 1 - exp(-rate * seal_deadline) rounds to 0, "
+    "so raise rate or seal_deadline"
+)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -666,8 +675,15 @@ class TestConfigHandling:
             ({"rate": 0}, "race: rate must be positive"),
             # JSON has no NaN, so the field check rejects it before RaceModel's
             ({"rate": float("nan")}, "race.rate must be a finite number, got nan"),
+            # positive, but 1 - exp(-rate * seal_deadline), the arrival law's
+            # normaliser, rounds to 0
+            ({"rate": 1e-300, "reaction_time": 0.0}, RACE_RATE_TOO_SMALL),
+            ({"rate": 1e-17, "reaction_time": 0.0}, RACE_RATE_TOO_SMALL),
         ],
-        ids=["slot_duration", "seal_deadline", "reaction_time", "rate", "rate-nan"],
+        ids=[
+            "slot_duration", "seal_deadline", "reaction_time", "rate", "rate-nan",
+            "rate-1e-300", "rate-1e-17",
+        ],
     )
     @pytest.mark.parametrize("command", ["sweep-race", "table-main"])
     def test_bad_race_timing_rejected(self, capsys, tmp_path, race, reason, command):
@@ -946,6 +962,38 @@ class TestVerifyCommand:
         failed = [name for name, suite in summary["suites"].items() if not suite["passed"]]
         assert failed == ["honest_miss"]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"beta": 0.0},
+            {"beta": 0.5},
+            {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_max": 1000}},
+        ],
+        ids=["default", "beta-0", "beta-0.5", "n1000"],
+    )
+    def test_bound_dominance_matches_side_explicit_reference(self, config):
+        cfg = AnalysisConfig.from_dict(config)
+        sweep = cli._sweep_by_kappa(cfg, range(cfg.sweep_min, cfg.sweep_max + 1))
+        want = reference_bound_dominance(cfg.instance.n, cfg.instance.m, cfg.beta, sweep.values())
+        assert cli._suite_bound_dominance(cfg, sweep) == {"passed": not want, "failures": want}
+
+    @pytest.mark.parametrize("regime", ["rare", "likely"])
+    def test_bound_dominance_catches_a_broken_bound(self, regime):
+        # Default config (n = 100, m = 20, beta 0.2).  At kappa 30 (t* = 2,
+        # delta = 10) delta/(t* m) = 0.25 is above beta and the bound caps q0;
+        # at kappa 38 (delta = 2) it is 0.05 and the bound caps 1 - q0.
+        cfg = AnalysisConfig.default()
+        sweep = cli._sweep_by_kappa(cfg, range(cfg.sweep_min, cfg.sweep_max + 1))
+        assert cli._suite_bound_dominance(cfg, sweep) == {"passed": True, "failures": []}
+        kappa = {"rare": 30, "likely": 38}[regime]
+        row = sweep[kappa]
+        _, bound = delay.kl_delay_bound(row.t_star, 20, row.delta / (row.t_star * 20), 0.2)
+        pushed = bound + 2e-12  # past the suite's 1e-12 slack
+        sweep[kappa] = dataclasses.replace(row, q0=pushed if regime == "rare" else 1.0 - pushed)
+        assert cli._suite_bound_dominance(cfg, sweep) == {"passed": False, "failures": [kappa]}
+        assert reference_bound_dominance(100, 20, 0.2, sweep.values()) == [kappa]
+
     def test_saturated_delay_probabilities(self, capsys, tmp_path):
         # q0 saturates at 1 for kappas 200 and 600; before the tails were
         # clamped it read just above 1 and mc_exact died in math.sqrt.
@@ -1014,6 +1062,9 @@ SIMULATE_N1000_CONFIG = {
     "econ": {"bounty": 50.0},
 }
 SIMULATE_N1000_POLICIES = ["full_withhold", "stationary_w:0.5", "minimal_sabotage"]
+
+
+BY_ROWS = "by the slots and inclusion_order fields"  # how a wrong outcome field is reported
 
 
 def replay_edited_golden(capsys, tmp_path, edit) -> tuple[int, str]:
@@ -1261,18 +1312,18 @@ class TestSimulateReplay:
     @pytest.mark.parametrize(
         "field, value, reason",
         [
-            ("inclusion_time", "x", "inclusion_time must be an integer in [1, 4] or null, got 'x'"),
-            ("inclusion_time", True, "inclusion_time must be an integer in [1, 4] or null, got True"),
-            ("inclusion_time", 5, "inclusion_time must be an integer in [1, 4] or null, got 5"),
-            ("pivotal_cartel_count", 13, "pivotal_cartel_count must be an integer in [0, 12] or null"),
-            ("pivotal_cartel_count", 2.0, "pivotal_cartel_count must be an integer in [0, 12] or null"),
-            ("withheld_at_horizon", -1, "withheld_at_horizon must be an integer >= 0, got -1"),
+            ("inclusion_time", "x", f'inclusion_time must be 3 {BY_ROWS}, got "x"'),
+            ("inclusion_time", True, f"inclusion_time must be 3 {BY_ROWS}, got true"),
+            ("inclusion_time", 5, f"inclusion_time must be 3 {BY_ROWS}, got 5"),
+            ("pivotal_cartel_count", 13, f"pivotal_cartel_count must be 3 {BY_ROWS}, got 13"),
+            ("pivotal_cartel_count", 2.0, f"pivotal_cartel_count must be 3 {BY_ROWS}, got 2.0"),
+            ("withheld_at_horizon", -1, f"withheld_at_horizon must be 0 {BY_ROWS}, got -1"),
             ("cartel_lanes", False, "cartel_lanes must be an integer in [0, 20], got False"),
             ("seed", [1], "seed must be an integer >= 0 or a list of two or more, got [1]"),
             ("seed", [1, "2"], "seed must be an integer >= 0 or a list of two or more"),
             ("seed", -4, "seed must be an integer >= 0 or a list of two or more"),
-            ("delayed", 1, "delayed must be true or false, got 1"),
-            ("truncated", None, "truncated must be true or false, got None"),
+            ("delayed", 1, f"delayed must be false {BY_ROWS}, got 1"),
+            ("truncated", None, f"truncated must be false {BY_ROWS}, got null"),
             ("policy", {"kind": "stationary_w", "w": "0.5"}, "policy must be a policy block"),
             ("policy", "full_withhold", "policy must be a policy block"),
             ("instance", {"n": 20, "m": 5, "s": True, "K": 12}, "instance: s must be a positive"),
@@ -1325,8 +1376,18 @@ class TestSimulateReplay:
             ({"pivotal_cartel_count": None}, "pivotal_cartel_count must be 3 by the slots"),
             ({"truncated": True}, "truncated must be false by the slots"),
             ({"delayed": True}, "delayed must be false by the slots"),
+            # each stored value must also have the JSON type of the derived one
+            ({"delayed": 0}, f"delayed must be false {BY_ROWS}, got 0"),
+            ({"pivotal_cartel_count": 3.0}, f"pivotal_cartel_count must be 3 {BY_ROWS}, got 3.0"),
+            (
+                {"withheld_at_horizon": False},
+                f"withheld_at_horizon must be 0 {BY_ROWS}, got false",
+            ),
         ],
-        ids=["found-edit", "pivotal-count", "pivotal-null", "truncated", "delayed"],
+        ids=[
+            "found-edit", "pivotal-count", "pivotal-null", "truncated", "delayed", "delayed-zero",
+            "pivotal-float", "withheld-bool",
+        ],
     )
     def test_replay_checks_derived_fields(self, capsys, tmp_path, edit, reason):
         code, err = replay_edited_golden(capsys, tmp_path, lambda line: line.update(edit))

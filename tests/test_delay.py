@@ -11,6 +11,7 @@ from pivotk.delay import (
     DelayRegime,
     exact_q0,
     fluid_delay_report,
+    kl_delay_bound,
     knife_edge_q0,
     no_delay_upper,
     sawtooth_sweep,
@@ -21,7 +22,16 @@ from pivotk.intra_slot import q_micro
 from pivotk.probability import kl_divergence
 from pivotk.ratchet import q_rat_first_slot
 
-from conftest import exact_convolved_tail_gt, knife_edge_grid
+from conftest import (
+    exact_convolved_tail_gt,
+    knife_edge_grid,
+    reference_fluid_bound,
+    reference_no_delay_upper,
+)
+
+
+def _hex(bound):
+    return None if bound is None else bound.hex()
 
 
 class TestExactQ0:
@@ -184,6 +194,47 @@ class TestNoDelayUpper:
     def test_vanishes_at_deep_horizons(self, beta):
         inst = SystemInstance.from_kappa(100, 20, 1200)
         assert no_delay_upper(inst, beta) < 1e-40
+
+
+class TestKlDelayBound:
+    def test_three_regimes(self):
+        assert kl_delay_bound(2, 20, 0.25, 0.2) == (
+            DelayRegime.DELAY_RARE, math.exp(-40 * kl_divergence(0.25, 0.2))
+        )
+        assert kl_delay_bound(2, 20, 0.05, 0.2) == (
+            DelayRegime.DELAY_LIKELY, math.exp(-40 * kl_divergence(0.05, 0.2))
+        )
+        for theta, beta_frac in [(0.2, 0.2), (0.25, 0.0), (0.25, 1.0)]:
+            assert kl_delay_bound(2, 20, theta, beta_frac) == (DelayRegime.DEGENERATE, None)
+
+    def test_matches_the_side_explicit_rules_bit_for_bit(self):
+        # fluid_delay_report and no_delay_upper against the rules that picked
+        # each tail by hand; n = 100, m = 20, kappa 32, w = 0 puts
+        # delta/(t* m) = 8/40 on beta 0.2 exactly.
+        seen = set()
+        for n in (10, 20, 50, 100):
+            for m in (n // 5, n // 2):
+                for kappa in range(1, 3 * m + 1):
+                    inst = SystemInstance.from_kappa(n, m, kappa)
+                    for beta in (0.0, 0.2, 0.5):
+                        beta_frac = cartel_lane_count(n, beta) / n
+                        assert no_delay_upper(inst, beta).hex() == (
+                            reference_no_delay_upper(inst, beta).hex()
+                        ), (inst, beta)
+                        for w in (0.0, 0.25, 0.5, 0.75):
+                            report = fluid_delay_report(inst, beta, w)
+                            if report.regime is DelayRegime.IMPOSSIBLE:
+                                continue
+                            want = reference_fluid_bound(inst.t_star, m, report.theta_w, beta_frac)
+                            got = (report.regime, _hex(report.kl_bound))
+                            assert got == (want[0], _hex(want[1])), (inst, beta, w)
+                            seen.add((report.regime, beta, report.theta_w == beta_frac))
+        assert {
+            (DelayRegime.DEGENERATE, 0.0, False),
+            (DelayRegime.DEGENERATE, 0.2, True),
+            (DelayRegime.DELAY_RARE, 0.2, False),
+            (DelayRegime.DELAY_LIKELY, 0.2, False),
+        } <= seen
 
 
 class TestSawtoothSweep:

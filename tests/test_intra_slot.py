@@ -214,6 +214,9 @@ class TestRaceModelValidation:
             ((0.0, 1.0, 0.1, 2.0), "slot_duration must be positive"),
             ((1.0, 1.0, 0.1, math.nan), "rate must be positive"),
             ((1.0, 1.0, math.nan, 2.0), "reaction_time must be nonnegative"),
+            # positive timings whose arrival-law normaliser rounds to 0
+            ((1.0, 1.0, 0.0, 1e-300), "1 - exp(-rate * seal_deadline) rounds to 0"),
+            ((1e-300, 1e-300, 0.0, 1.0), "1 - exp(-rate * seal_deadline) rounds to 0"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 RaceModel(*timings)

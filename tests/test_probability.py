@@ -616,19 +616,11 @@ class TestKlDivergence:
 
 class TestChernoffBound:
     def test_equal_arguments_give_vacuous_bound(self):
-        assert chernoff_tail_bound(3, 20, 0.2, 0.2, "upper") == 1.0
+        assert chernoff_tail_bound(3, 20, 0.2, 0.2) == 1.0
 
     def test_composes_with_divergence(self):
         expected = math.exp(-20 * kl_divergence(0.55, 0.2))
-        assert chernoff_tail_bound(1, 20, 0.55, 0.2, "upper") == pytest.approx(expected)
-
-    def test_wrong_side_rejected(self):
-        with pytest.raises(ValueError):
-            chernoff_tail_bound(1, 20, 0.1, 0.2, "upper")
-        with pytest.raises(ValueError):
-            chernoff_tail_bound(1, 20, 0.3, 0.2, "lower")
-        with pytest.raises(ValueError):
-            chernoff_tail_bound(1, 20, 0.3, 0.2, "sideways")
+        assert chernoff_tail_bound(1, 20, 0.55, 0.2) == pytest.approx(expected)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_dominates_exact_upper_tail(self, t):
@@ -640,7 +632,7 @@ class TestChernoffBound:
             if theta <= 0.2:
                 continue
             exact = dist.tail_ge(threshold)
-            bound = chernoff_tail_bound(t, 20, theta, 0.2, "upper")
+            bound = chernoff_tail_bound(t, 20, theta, 0.2)
             assert exact <= bound + 1e-12
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -652,7 +644,7 @@ class TestChernoffBound:
             if theta >= 0.2:
                 continue
             exact = 1.0 - dist.tail_ge(threshold + 1)  # P[S <= threshold]
-            bound = chernoff_tail_bound(t, 20, theta, 0.2, "lower")
+            bound = chernoff_tail_bound(t, 20, theta, 0.2)
             assert exact <= bound + 1e-12
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import pathlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from pivotk.simulator import (
     MinimalSabotage,
     RatchetSpread,
     Scripted,
+    SlotRecord,
     StationaryW,
+    Trace,
     _replay,
     estimate_delay,
     minimal_sabotage_exhaustive,
@@ -39,6 +44,11 @@ from conftest import (
     reference_sabotage_report,
 )
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+OUTCOME_FIELDS = [
+    "inclusion_time", "withheld_at_horizon", "pivotal_cartel_count", "delayed", "truncated"
+]
+PRIMARY_FIELDS = ["instance", "cartel_lanes", "policy_config", "seed", "slots", "inclusion_order"]
 PATHS = 8  # sample paths per oracle cross-check run
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
 ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
@@ -341,6 +351,32 @@ class TestSerialization:
         )
         assert loaded == trace
         assert payoff_of_trace(loaded, ECON) == stored
+
+
+    def test_outcome_fields_are_computed_not_passed(self):
+        assert [f.name for f in fields(Trace) if not f.init] == OUTCOME_FIELDS
+        trace = run_trace(SMALL, 0.25, StationaryW(0.5), seed=7)
+        primary = {name: getattr(trace, name) for name in PRIMARY_FIELDS}
+        assert Trace(**primary) == trace
+        with pytest.raises(TypeError):
+            Trace(**primary, delayed=True)
+
+    @pytest.mark.parametrize("golden", ["simulate.jsonl", "simulate-n1000.jsonl"])
+    def test_golden_outcome_fields_follow_from_primary_fields(self, golden):
+        lines = (GOLDEN / golden).read_text().splitlines()
+        for i, line in enumerate(lines, start=1):
+            obj = json.loads(line)
+            trace = Trace(
+                instance=SystemInstance.from_config(obj["instance"]),
+                cartel_lanes=obj["cartel_lanes"],
+                policy_config=obj["policy"],
+                seed=obj["seed"],
+                slots=tuple(SlotRecord(*row) for row in obj["slots"]),
+                inclusion_order=tuple(tuple(row) for row in obj["inclusion_order"]),
+            )
+            for name in OUTCOME_FIELDS:
+                value, stored = getattr(trace, name), obj[name]
+                assert (type(value), value) == (type(stored), stored), (golden, i, name)
 
 
 class TestTheoremBattery:
