@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,34 @@ class TestDeriveInstance:
                     assert inst.delta == prev.delta - 1
             prev = inst
 
+    def test_derived_fields_match_closed_forms(self):
+        for m in (1, 3, 20):
+            for s in (1, 2, 3, 7):
+                for K in range(1, 8 * m * s + 2):
+                    inst = SystemInstance(100, m, s, K)
+                    kappa = -(-K // s)
+                    t_star = -(-kappa // m)
+                    delta = t_star * m - kappa
+                    assert (inst.kappa, inst.t_star, inst.delta) == (kappa, t_star, delta)
+                    assert (inst.r, inst.r_idx) == (m - delta, K - (kappa - 1) * s)
+                    assert inst.knife_edge == (delta == 0)
+
+    def test_replace_recomputes_derived_fields(self):
+        inst = SystemInstance(100, 20, 3, 30)
+        moved = dataclasses.replace(inst, K=90)
+        assert (moved.kappa, moved.t_star, moved.delta) == (30, 2, 10)
+        assert moved == SystemInstance(100, 20, 3, 90)
+        assert dataclasses.replace(moved, K=30) == inst
+
+    def test_repr_shows_primary_fields_only(self):
+        assert repr(SystemInstance(100, 20, 3, 30)) == "SystemInstance(n=100, m=20, s=3, K=30)"
+
+    def test_derived_fields_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            SystemInstance(100, 20, 1, 30, kappa=30)
+        with pytest.raises(TypeError):
+            SystemInstance(n=100, m=20, s=1, K=30, t_star=2)
+
     @given(n=st.integers(1, 500), m=st.integers(1, 500), kappa=st.integers(1, 2000))
     @settings(max_examples=200, deadline=None)
     def test_derived_identities(self, n, m, kappa):
@@ -75,7 +104,44 @@ class TestDeriveInstance:
         assert inst.r == inst.kappa - (inst.t_star - 1) * m
 
 
+def slot_by_slot_horizon(per_slot_contacts, kappa):
+    """(t_star, total_by_horizon, delta_rec) from a running sum, slot by slot."""
+    acc = 0
+    for t, c in enumerate(per_slot_contacts, start=1):
+        acc += c
+        if acc >= kappa:
+            return t, acc, acc - kappa
+    raise AssertionError("threshold never reached")
+
+
 class TestContactSchedule:
+    @pytest.mark.parametrize(
+        "per_slot, kappa",
+        [
+            ((0, 0, 5, 0, 9), 5),
+            ((0, 0, 5, 0, 9), 6),
+            ((0, 20), 1),
+            ((3, 0, 0, 0, 7, 10), 11),
+            ((50,), 1),
+            ((50, 50, 50), 51),
+            ((7, 7, 7), 21),
+        ],
+    )
+    def test_horizon_matches_slot_by_slot_sum(self, per_slot, kappa):
+        schedule = ContactSchedule(per_slot, kappa)
+        got = (schedule.t_star, schedule.total_by_horizon, schedule.delta_rec)
+        assert got == slot_by_slot_horizon(per_slot, kappa)
+
+    @given(per_slot=st.lists(st.integers(0, 30), min_size=1, max_size=8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_horizon_matches_slot_by_slot_sum_random(self, per_slot, data):
+        if sum(per_slot) == 0:
+            per_slot = [*per_slot, 1]
+        kappa = data.draw(st.integers(1, sum(per_slot)))
+        schedule = ContactSchedule(tuple(per_slot), kappa)
+        got = (schedule.t_star, schedule.total_by_horizon, schedule.delta_rec)
+        assert got == slot_by_slot_horizon(per_slot, kappa)
+
     def test_uniform_matches_static_instance(self):
         inst = SystemInstance(100, 20, 1, 30)
         schedule = ContactSchedule((20,) * 4, kappa=30)
@@ -88,6 +154,7 @@ class TestContactSchedule:
         assert schedule.t_star == 2
         assert schedule.total_by_horizon == 40
         assert schedule.delta_rec == 10
+        assert repr(schedule) == "ContactSchedule(per_slot_contacts=(20, 20), kappa=30)"
 
     def test_over_contacting_single_slot(self):
         schedule = ContactSchedule((25,), kappa=20)

@@ -241,6 +241,35 @@ class TestHonestMissBound:
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "n, kappas",
+        [(1000, range(1, 1001)), (10_000, range(2001, 10_001, 40))],
+        ids=["n1000", "n10000-t2-5"],
+    )
+    def test_positive_rate_is_the_convolved_tail_bit_for_bit(self, n, kappas):
+        # One reference law S_1 + Bin(t* m, 0.01) per horizon, built here
+        # independently of the bound's own per-horizon law.
+        m = n // 5
+        law = contact_sums(cartel_contact_law(n, 0.2, m), 1)[0]
+        reference = {}
+        for kappa in kappas:
+            schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
+            if schedule.t_star not in reference:
+                misses = binomial_pmf_vector(schedule.t_star * m, 0.01)
+                reference[schedule.t_star] = law.convolve(misses)
+            exact = reference[schedule.t_star].tail_gt(schedule.delta_rec)
+            assert honest_miss_delay_bound(schedule, 0.01, law).hex() == exact.hex(), kappa
+
+    def test_equal_laws_built_separately_give_the_same_bound(self, table_instances):
+        schedule = ContactSchedule.static(table_instances[30])
+        law = contact_law_dist()
+        twin = DiscreteDistribution(law.offset, law.masses.tolist())
+        shifted = DiscreteDistribution(law.offset + 1, law.masses.tolist())
+        for eps in (0.01, 0.05):
+            bound = honest_miss_delay_bound(schedule, eps, law)
+            assert honest_miss_delay_bound(schedule, eps, twin).hex() == bound.hex()
+            assert honest_miss_delay_bound(schedule, eps, shifted) > bound
+
     def test_invalid_rate_rejected(self, table_instances):
         schedule = ContactSchedule.static(table_instances[30])
         with pytest.raises(ValueError):
