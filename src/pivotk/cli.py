@@ -20,7 +20,7 @@ from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from .incentives import EconParams
-from .probability import binomial_pmf_vector, cartel_contact_law, contact_sums
+from .probability import cartel_contact_law, contact_sums
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -423,15 +423,9 @@ def _suite_honest_miss(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) ->
     failures = []
     n, m = cfg.instance.n, cfg.instance.m
     law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
-    # The bound at rate 0.01 is the epsilon-0 bound of law + Bin(t* m, 0.01), a
-    # law shared by every kappa of one horizon t*: one convolution per horizon.
-    with_misses = {}
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
-        if schedule.t_star not in with_misses:
-            misses = binomial_pmf_vector(schedule.total_by_horizon, 0.01)
-            with_misses[schedule.t_star] = law.convolve(misses)
-        bound = ratchet.honest_miss_delay_bound(schedule, 0.0, with_misses[schedule.t_star])
+        bound = ratchet.honest_miss_delay_bound(schedule, 0.01, law)
         if not sweep[kappa].q_rat - 1e-12 <= bound <= 1.0:
             failures.append(kappa)
     return {"passed": not failures, "failures": failures}

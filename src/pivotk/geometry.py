@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import difflib
+import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -106,6 +108,9 @@ class SystemInstance:
     m: int
     s: int
     K: int
+    kappa: int = field(init=False, repr=False)
+    t_star: int = field(init=False, repr=False)
+    delta: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n", "m", "s", "K"):
@@ -114,18 +119,11 @@ class SystemInstance:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.m > self.n:
             raise ValueError(f"m={self.m} exceeds lane count n={self.n}")
-
-    @property
-    def kappa(self) -> int:
-        return -(-self.K // self.s)
-
-    @property
-    def t_star(self) -> int:
-        return -(-self.kappa // self.m)
-
-    @property
-    def delta(self) -> int:
-        return self.t_star * self.m - self.kappa
+        kappa = -(-self.K // self.s)
+        t_star = -(-kappa // self.m)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "t_star", t_star)
+        object.__setattr__(self, "delta", t_star * self.m - kappa)
 
     @property
     def r(self) -> int:
@@ -167,6 +165,8 @@ class ContactSchedule:
 
     per_slot_contacts: tuple[int, ...]
     kappa: int
+    t_star: int = field(init=False, repr=False)
+    total_by_horizon: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kappa <= 0:
@@ -175,31 +175,15 @@ class ContactSchedule:
             raise ValueError("schedule is empty")
         if any(c < 0 for c in self.per_slot_contacts):
             raise ValueError("per-slot contact counts must be nonnegative")
-        if sum(self.per_slot_contacts) < self.kappa:
+        cumulative = list(itertools.accumulate(self.per_slot_contacts))
+        if cumulative[-1] < self.kappa:
             raise ValueError(
-                f"schedule delivers {sum(self.per_slot_contacts)} contacts, "
-                f"never reaching kappa={self.kappa}"
+                f"schedule delivers {cumulative[-1]} contacts, never reaching kappa={self.kappa}"
             )
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for c in self.per_slot_contacts:
-            acc += c
-            out.append(acc)
-        return tuple(out)
-
-    @property
-    def t_star(self) -> int:
-        for t, acc in enumerate(self.cumulative, start=1):
-            if acc >= self.kappa:
-                return t
-        raise AssertionError("unreachable: construction guarantees the threshold")
-
-    @property
-    def total_by_horizon(self) -> int:
-        return self.cumulative[self.t_star - 1]
+        # Counts are nonnegative, so the running totals never fall.
+        t = bisect.bisect_left(cumulative, self.kappa)
+        object.__setattr__(self, "t_star", t + 1)
+        object.__setattr__(self, "total_by_horizon", cumulative[t])
 
     @property
     def delta_rec(self) -> int:

@@ -8,6 +8,7 @@ shrinks the cartel's effective fraction slot over slot.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,12 +91,22 @@ def honest_miss_delay_bound(
     Honest misses add an independent Bin(M, epsilon) of lost bundles on top of
     the strategic withholding law, where M is the schedule's planned contact
     total by the horizon: P[W + Bin(M, eps) > delta_rec].  Bin(M, 0) is the
-    point mass at 0, so at ``epsilon == 0`` this is the law's own tail.
+    point mass at 0, so at ``epsilon == 0`` this is the law's own tail.  The
+    convolved law depends on (W, M, eps) and not on kappa, so it is built once
+    and its exact suffix sums serve every kappa of a horizon.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
     if epsilon == 0.0:
         return withheld_law.tail_gt(schedule.delta_rec)
-    total = schedule.total_by_horizon
-    combined = withheld_law.convolve(binomial_pmf_vector(total, epsilon))
+    combined = _with_misses(
+        withheld_law.offset, withheld_law.masses.tobytes(), schedule.total_by_horizon, epsilon
+    )
     return combined.tail_gt(schedule.delta_rec)
+
+
+@functools.lru_cache(maxsize=8)  # a sweep reads one law per horizon t*, for each of its kappas
+def _with_misses(offset: int, masses: bytes, total: int, epsilon: float) -> DiscreteDistribution:
+    """The law W + Bin(total, epsilon), keyed by W's value: laws are unhashable."""
+    withheld_law = DiscreteDistribution(offset, np.frombuffer(masses))
+    return withheld_law.convolve(binomial_pmf_vector(total, epsilon))

@@ -17,6 +17,7 @@ from pivotk.probability import (
     contact_sums,
 )
 from pivotk.ratchet import (
+    _with_misses,
     honest_miss_delay_bound,
     q_rat_first_slot,
     ratchet_multi_slot_delay,
@@ -269,6 +270,16 @@ class TestHonestMissBound:
             bound = honest_miss_delay_bound(schedule, eps, law)
             assert honest_miss_delay_bound(schedule, eps, twin).hex() == bound.hex()
             assert honest_miss_delay_bound(schedule, eps, shifted) > bound
+
+    def test_one_convolved_law_per_horizon(self):
+        # kappa 21..40 share t* = 2: one law is built, the other 19 read it.
+        _with_misses.cache_clear()
+        law = contact_law_dist()
+        for kappa in range(21, 41):
+            schedule = ContactSchedule.static(SystemInstance.from_kappa(100, 20, kappa))
+            honest_miss_delay_bound(schedule, 0.01, law)
+        info = _with_misses.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
     def test_invalid_rate_rejected(self, table_instances):
         schedule = ContactSchedule.static(table_instances[30])
