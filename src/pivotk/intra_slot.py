@@ -60,12 +60,14 @@ class RaceModel:
 
         (1 - e^(-rate c)) / (1 - e^(-rate d)) for the cutoff c = d - reaction
         time before the deadline d; 0 when the reaction time uses up the window.
+        Both differences are taken with ``expm1``, which keeps their digits
+        when rate * d is small.
         """
         cutoff = self.seal_deadline - self.reaction_time
         if cutoff <= 0:
             return 0.0
-        total = 1.0 - math.exp(-self.rate * self.seal_deadline)
-        return min((1.0 - math.exp(-self.rate * cutoff)) / total, 1.0)
+        total = math.expm1(-self.rate * self.seal_deadline)
+        return min(math.expm1(-self.rate * cutoff) / total, 1.0)
 
 
 def q_micro(instance: SystemInstance, beta) -> float:

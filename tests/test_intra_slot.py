@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -28,17 +29,17 @@ def exp_race(seal=1.0, reaction=0.1, rate=4.0, slot=None):
 
 
 def renormalized_exponential_p(slot, seal, reaction, rate):
-    """The per-bundle probability as the callable-CDF race model computed it.
+    """The per-bundle probability as a callable arrival CDF.
 
-    The arrival CDF was 1 - e^(-rate t) over its value at the deadline, with
-    t clamped into [0, seal], read at the cutoff seal - reaction and clamped
-    to at most 1.
+    The CDF is 1 - e^(-rate t) over its value at the deadline, with t clamped
+    into [0, seal] and both differences taken with ``math.expm1``, read at the
+    cutoff seal - reaction and clamped to at most 1.
     """
-    total = 1.0 - math.exp(-rate * seal)
+    total = math.expm1(-rate * seal)
 
     def cdf(t):
         t = min(max(t, 0.0), seal)
-        return (1.0 - math.exp(-rate * t)) / total
+        return math.expm1(-rate * t) / total
 
     cutoff = seal - reaction
     return 0.0 if cutoff <= 0 else min(float(cdf(cutoff)), 1.0)
@@ -234,3 +235,15 @@ class TestRaceModelValidation:
                     assert got.hex() == renormalized_exponential_p(*timings).hex(), timings
                     cases += 1
         assert cases == 315
+
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12, 1e-15])
+    def test_p_keeps_its_digits_at_small_rates(self, rate):
+        # (1 - e^(-rate/2)) / (1 - e^(-rate)) = 1 / (1 + e^(-rate/2)), read to
+        # 40 digits; two cancelling 1 - exp differences lost up to 11 % here.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = float(1 / (1 + (-decimal.Decimal(rate) / 2).exp()))
+        got = RaceModel(1.0, 1.0, 0.5, rate).p
+        assert abs(got - exact) <= math.ulp(exact)
+        if rate == 1e-9:
+            assert got == 0.500000000125
