@@ -103,6 +103,12 @@ class TestGoldenTables:
                 None,
                 id="sweep-ratchet-eps",
             ),
+            pytest.param(
+                "sweep-ratchet-eps-n1000.csv",
+                ["sweep-ratchet", "--epsilon", "0.01", "--trials", "50"],
+                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
+                id="sweep-ratchet-eps-n1000",
+            ),
         ],
     )
     def test_command_output_matches_golden(self, capsys, tmp_path, golden, argv, config):
