@@ -322,7 +322,9 @@ def kl_divergence(theta: float, beta: float) -> float:
         acc += theta * math.log(theta / beta)
     if theta < 1.0:
         acc += (1.0 - theta) * math.log((1.0 - theta) / (1.0 - beta))
-    return acc
+    # D >= 0 (Gibbs' inequality), but near theta == beta the two rounded
+    # terms can cancel to a value just below 0.
+    return max(acc, 0.0)
 
 
 def chernoff_tail_bound(t: int, m: int, theta: float, beta: float) -> float:

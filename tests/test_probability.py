@@ -9,7 +9,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pivotk.probability import (
@@ -609,6 +609,7 @@ class TestKlDivergence:
         theta=st.floats(0.0, 1.0),
         beta=st.floats(0.01, 0.99),
     )
+    @example(theta=0.01, beta=0.010000000000000002)  # the terms cancel to -2.2e-18 unclamped
     @settings(max_examples=200, deadline=None)
     def test_nonnegative(self, theta, beta):
         assert kl_divergence(theta, beta) >= 0.0
