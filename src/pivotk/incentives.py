@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
-from .probability import DiscreteDistribution, cartel_contact_law
+from .probability import cartel_contact_law, shortfall_tails
 
 __all__ = [
     "EconParams",
@@ -476,33 +476,25 @@ def distribution_of_T0(instance: SystemInstance, beta) -> InclusionTimeLaw:
 
     Only honest contacts accumulate on-chain, so T > t exactly when the
     cartel's cumulative contacts exceed the rest: P[T > t] = P[S_t > t m - kappa],
-    with S_t built as ``contact_sums`` builds it, and at t* that is ``exact_q0``.
-    The tail is tested at the caps max(t*+8, 2t*), 2x that, 4x that, ..., and
-    the law ends at the first cap whose tail is below 1e-12.
+    read by :func:`shortfall_tails` from the sums ``contact_sums`` builds, and
+    at t* that is ``exact_q0``.  The tail is tested at the caps
+    max(t*+8, 2t*), 2x that, 4x that, ..., and the law ends at the first cap
+    whose tail is below 1e-12.
     """
-    slot = DiscreteDistribution.from_law(cartel_contact_law(instance.n, beta, instance.m))
-    m, kappa, t_star = instance.m, instance.kappa, instance.t_star
+    law = cartel_contact_law(instance.n, beta, instance.m)
+    t_star = instance.t_star
     tails: list[float] = []
     cap = max(t_star + 8, 2 * t_star)
-    s_t, t = slot, 1  # S_t, the cartel's contacts in t slots
-    while True:
-        if t >= t_star:  # below t*, t m < kappa and the tail is 1
-            tails.append(s_t.tail_gt(t * m - kappa))
+    for t, tail in enumerate(shortfall_tails(law, instance.kappa, t_star), t_star):
+        tails.append(tail)
         if t == cap:
-            if tails[-1] < 1e-12:
+            if tail < 1e-12:
                 break
-            # slot.offset == m: every drawn lane is the cartel's, so no honest
-            # bundle ever arrives and every tail is 1.
-            if cap > 65536 * t_star or slot.offset == m:
+            # Every drawn lane is the cartel's, so no honest bundle ever
+            # arrives and every tail is 1.
+            if cap > 65536 * t_star or law.support_min == instance.m:
                 raise ValueError("inclusion-time law does not concentrate; check parameters")
             cap *= 2
-        t += 1
-        if t * slot.support_max <= t * m - kappa:
-            # Neither S_t nor any later sum can exceed its threshold: at least
-            # m - slot.support_max >= 0 honest contacts arrive in every slot.
-            tails += [0.0] * (cap - t + 1)
-            break
-        s_t = s_t.convolve(slot)
     return InclusionTimeLaw(t_star=t_star, tails=tuple(tails))
 
 

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from pivotk import cli, delay, mechanism, ratchet, simulator
+from pivotk import cli, delay, mechanism, probability, ratchet, simulator
 from pivotk.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
@@ -50,6 +50,65 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+GOLDEN_COMMANDS = [
+    pytest.param("sweep.csv", ["sweep"], None, id="sweep"),
+    pytest.param(
+        "sweep-n1000.csv",
+        ["sweep", "--format", "csv"],
+        {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
+        id="sweep-n1000",
+    ),
+    pytest.param("sweep-race.csv", ["sweep-race"], None, id="sweep-race"),
+    pytest.param(
+        "sweep-race-n1000.csv",
+        ["sweep-race"],
+        {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 150, "kappa_max": 450}},
+        id="sweep-race-n1000",
+    ),
+    pytest.param(
+        "table-main.json", ["table-main", "--format", "json"], None, id="table-main-json"
+    ),
+    pytest.param(
+        "table-coalition.json",
+        ["table-coalition", "--format", "json"],
+        None,
+        id="table-coalition-json",
+    ),
+    pytest.param(
+        "table-cost.json", ["table-cost", "--format", "json"], None, id="table-cost-json"
+    ),
+    pytest.param("advise.json", ["advise", "--format", "json"], None, id="advise"),
+    pytest.param("verify.json", ["verify", "--trials", "1000"], None, id="verify"),
+    pytest.param(
+        "sweep-ratchet.csv",
+        ["sweep-ratchet", "--trials", "200"],
+        {"sweep": {"kappa_min": 21, "kappa_max": 40}},
+        id="sweep-ratchet",
+    ),
+    pytest.param(
+        "sweep-ratchet-eps.csv",
+        ["sweep-ratchet", "--epsilon", "0.01", "--trials", "500"],
+        None,
+        id="sweep-ratchet-eps",
+    ),
+    pytest.param(
+        "sweep-ratchet-eps-n1000.csv",
+        ["sweep-ratchet", "--epsilon", "0.01", "--trials", "50"],
+        {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
+        id="sweep-ratchet-eps-n1000",
+    ),
+]
+
+
+def with_config(tmp_path, argv, config) -> list[str]:
+    """``argv`` reading ``config`` from a file in ``tmp_path``; unchanged if None."""
+    if config is None:
+        return list(argv)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return [*argv, "--config", str(cfg_path)]
+
+
 class TestGoldenTables:
     @pytest.mark.parametrize("command", ["table-main", "table-coalition", "table-cost"])
     @pytest.mark.parametrize("fmt", ["table", "csv"])
@@ -60,65 +119,22 @@ class TestGoldenTables:
         assert code == EXIT_OK
         assert out == expected
 
-    @pytest.mark.parametrize(
-        "golden, argv, config",
-        [
-            pytest.param("sweep.csv", ["sweep"], None, id="sweep"),
-            pytest.param(
-                "sweep-n1000.csv",
-                ["sweep", "--format", "csv"],
-                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
-                id="sweep-n1000",
-            ),
-            pytest.param("sweep-race.csv", ["sweep-race"], None, id="sweep-race"),
-            pytest.param(
-                "sweep-race-n1000.csv",
-                ["sweep-race"],
-                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 150, "kappa_max": 450}},
-                id="sweep-race-n1000",
-            ),
-            pytest.param(
-                "table-main.json", ["table-main", "--format", "json"], None, id="table-main-json"
-            ),
-            pytest.param(
-                "table-coalition.json",
-                ["table-coalition", "--format", "json"],
-                None,
-                id="table-coalition-json",
-            ),
-            pytest.param(
-                "table-cost.json", ["table-cost", "--format", "json"], None, id="table-cost-json"
-            ),
-            pytest.param("advise.json", ["advise", "--format", "json"], None, id="advise"),
-            pytest.param("verify.json", ["verify", "--trials", "1000"], None, id="verify"),
-            pytest.param(
-                "sweep-ratchet.csv",
-                ["sweep-ratchet", "--trials", "200"],
-                {"sweep": {"kappa_min": 21, "kappa_max": 40}},
-                id="sweep-ratchet",
-            ),
-            pytest.param(
-                "sweep-ratchet-eps.csv",
-                ["sweep-ratchet", "--epsilon", "0.01", "--trials", "500"],
-                None,
-                id="sweep-ratchet-eps",
-            ),
-            pytest.param(
-                "sweep-ratchet-eps-n1000.csv",
-                ["sweep-ratchet", "--epsilon", "0.01", "--trials", "50"],
-                {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 1, "kappa_max": 1000}},
-                id="sweep-ratchet-eps-n1000",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("golden, argv, config", GOLDEN_COMMANDS)
     def test_command_output_matches_golden(self, capsys, tmp_path, golden, argv, config):
-        if config is not None:
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(cfg_path)]
-        code, out = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *with_config(tmp_path, argv, config))
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("golden, argv, config", GOLDEN_COMMANDS)
+    def test_cold_and_warm_runs_print_the_same_bytes(self, capsys, tmp_path, golden, argv, config):
+        # Cold: no contact-sum chain or slot law is cached yet.  Warm: the
+        # same command again in the same process reads every sum it built.
+        argv = with_config(tmp_path, argv, config)
+        probability._chain.cache_clear()
+        probability._slot_law.cache_clear()
+        cold = run_cli(capsys, *argv)
+        warm = run_cli(capsys, *argv)
+        assert cold == warm == (EXIT_OK, (GOLDEN / golden).read_text())
 
     def test_sweep_n10000_matches_recorded_digest(self, capsys, tmp_path):
         # The 10 000-row CSV (~500 KB) is pinned by its sha256, not a golden file.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,16 +13,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pivotk import delay, incentives
+from pivotk.geometry import SystemInstance
 from pivotk.probability import (
+    NEG_INF,
     DiscreteDistribution,
     HypergeomLaw,
     MCEstimate,
+    _chain,
     _mass_surely_ok,
     binomial_pmf_vector,
     cartel_contact_law,
     chernoff_tail_bound,
     contact_sums,
     kl_divergence,
+    log_binomial_pmf,
+    shortfall_tails,
 )
 
 from conftest import (
@@ -330,6 +337,102 @@ class TestConvolution:
             for threshold in range(-1, t * draws + 1):
                 exact = exact_convolved_tail_gt(population, successes, draws, t, threshold)
                 assert dist.tail_gt(threshold) == pytest.approx(float(exact), abs=1e-12)
+
+
+def count_convolutions(monkeypatch) -> list[int]:
+    """Patch DiscreteDistribution.convolve to count its calls; returns the counter."""
+    calls = [0]
+    convolve = DiscreteDistribution.convolve
+
+    def counted(self, other):
+        calls[0] += 1
+        return convolve(self, other)
+
+    monkeypatch.setattr(DiscreteDistribution, "convolve", counted)
+    return calls
+
+
+class TestContactSumChain:
+    """contact_sums builds each S_t once per law and keeps it in one chain."""
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    @pytest.mark.parametrize("beta", [0.2, 0.35])
+    def test_cached_chain_equals_fresh_convolutions(self, n, beta):
+        _chain.cache_clear()
+        law = cartel_contact_law(n, beta, n // 5)
+        short = contact_sums(law, 2)
+        sums = contact_sums(law, 6)  # extends the cached chain from S_2
+        assert sums[:2] == short and all(a is b for a, b in zip(sums, short))
+        fresh = [DiscreteDistribution.from_law(law).masses]
+        for _ in range(5):
+            fresh.append(np.convolve(fresh[-1], fresh[0]))
+        for dist, masses in zip(sums, fresh):
+            assert [x.hex() for x in dist.masses.tolist()] == [x.hex() for x in masses.tolist()]
+
+    def test_second_call_convolves_nothing(self, monkeypatch):
+        _chain.cache_clear()
+        n, m = 1000, 200
+        cap = 10  # distribution_of_T0's first cap at t* = 2
+        calls_of = {
+            "contact_sums": lambda: contact_sums(cartel_contact_law(n, 0.2, m), cap),
+            "exact_q0": lambda: delay.exact_q0(SystemInstance.from_kappa(n, m, 990), 0.2),
+            "sawtooth_sweep": lambda: delay.sawtooth_sweep(n, m, 0.2, range(150, 650, 7)),
+            "fluid_delay_report": lambda: delay.fluid_delay_report(
+                SystemInstance.from_kappa(n, m, 550), 0.2, 0.1
+            ),
+            "distribution_of_T0": lambda: incentives.distribution_of_T0(
+                SystemInstance.from_kappa(n, m, 350), 0.2
+            ),
+        }
+        calls = count_convolutions(monkeypatch)
+        for call in calls_of.values():
+            call()
+        assert calls[0] == cap - 1  # each of S_2..S_10 once
+        for name, call in calls_of.items():
+            before = calls[0]
+            assert call() == call(), name
+            assert calls[0] == before, name
+
+    def test_sums_past_the_horizon_stay_transient(self, monkeypatch):
+        # At t* = 100 the law reads S_100..S_200; the chain keeps S_1..S_100,
+        # and every call convolves only the sums past it.
+        _chain.cache_clear()
+        inst = SystemInstance.from_kappa(100, 20, 2000)
+        law = cartel_contact_law(100, 0.2, 20)
+        first = incentives.distribution_of_T0(inst, 0.2)
+        assert inst.t_star == 100 and len(first.tails) == 101
+        assert len(_chain(law)) == 100
+        calls = count_convolutions(monkeypatch)
+        assert incentives.distribution_of_T0(inst, 0.2) == first
+        assert calls[0] == 100 and len(_chain(law)) == 100
+        for t in range(100, 106):
+            tail = contact_sums(law, t)[-1].tail_gt(t * inst.m - inst.kappa)
+            assert first.tails[t - 100].hex() == tail.hex(), t
+
+    @pytest.mark.parametrize(
+        "law, kappa, t",
+        [
+            (HypergeomLaw(30, 25, 10), 30, 3),  # support from 5: tails of 1 past t
+            (HypergeomLaw(100, 20, 20), 10, 1),
+            (HypergeomLaw(1000, 200, 200), 350, 2),
+            (HypergeomLaw(10_000, 2_000, 2_000), 1_000, 1),  # all 0.0 from u = 2
+        ],
+    )
+    def test_shortfall_tails_read_past_the_chain_as_tail_gt(self, law, kappa, t):
+        _chain.cache_clear()
+        got = list(itertools.islice(shortfall_tails(law, kappa, t), 10))
+        assert len(_chain(law)) == t
+        want = [contact_sums(law, u)[-1].tail_gt(u * law.draws - kappa) for u in range(t, t + 10)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_retained_sums_keep_one_float_tail_array(self):
+        _chain.cache_clear()
+        sums = contact_sums(cartel_contact_law(10_000, 0.2, 2_000), 6)
+        for dist in sums:
+            dist.tail_gt(1_000)
+            assert dist._tails.typecode == "d"
+            assert set(vars(dist)) == {"offset", "masses", "tails", "_tails"}
+        assert _chain.cache_info().maxsize == 8
 
 
 class TestDiscreteDistribution:
@@ -690,6 +793,18 @@ class TestBinomialTail:
     def test_degenerate_p(self):
         assert binomial_tail_ge(5, 0.0, 1) == 0.0
         assert binomial_tail_ge(5, 1.0, 5) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 20, 2_000, 10_000])
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.3, 0.5, 0.99, 1.0])
+    def test_pmf_vector_evaluates_only_the_nonzero_run(self, n, p):
+        # Every mass equals exp of its log-mass, zeros included, as when all
+        # n + 1 log-masses were evaluated.
+        full = [
+            math.exp(lp) if (lp := log_binomial_pmf(n, p, k)) != NEG_INF else 0.0
+            for k in range(n + 1)
+        ]
+        got = binomial_pmf_vector(n, p).masses.tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in full]
 
     def test_zero_p_is_a_point_mass(self):
         assert binomial_pmf_vector(7, 0.0) == DiscreteDistribution(0, (1.0,))
