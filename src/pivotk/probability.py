@@ -340,9 +340,9 @@ def shortfall_tails(law: HypergeomLaw, kappa: int, t: int) -> Iterator[float]:
     convolved from the last and dropped after one tail read, so the chain
     never grows past t.  That read is ``math.fsum`` of the masses clamped into
     [0, 1], the bits :meth:`DiscreteDistribution.tail_ge` reads, and builds
-    no tail table.  Once u times S_1's top value is at most u d - kappa, no later sum can
-    exceed its threshold (d >= S_1's top value), and the rest are 0.0 with no
-    convolution.
+    no tail table.  Once u times S_1's top value is at most u d - kappa, no
+    later sum can exceed its threshold (d >= S_1's top value), and the rest
+    are 0.0 with no convolution.
     """
     slot = DiscreteDistribution.from_law(law)
     for u in itertools.count(t):
