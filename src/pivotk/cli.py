@@ -513,7 +513,7 @@ def cmd_advise(args) -> int:
     phi_star = incentives.phi_threshold(inst, cfg.beta, cfg.econ, q0)
     t0 = incentives.distribution_of_T0(inst, cfg.beta)
     ir_ceiling = incentives.sender_ir_bound(
-        inst, cfg.beta, cfg.econ, q0, t0.expected_discount(cfg.econ.gamma)
+        inst, cfg.econ, q0, t0.expected_discount(cfg.econ.gamma)
     )
 
     report: dict = {
@@ -695,8 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -22,28 +22,25 @@ __all__ = [
 _FLOAT_MAX = sys.float_info.max
 
 
-def json_field(value, field: str, lo=None, hi=None, nullable: bool = False, kind: type = int):
+def json_field(value, field: str, lo=None, hi=None, kind: type = int):
     """``value`` if it is a JSON integer (``kind=int``) or number (``kind=float``).
 
-    It must also lie in [lo, hi] where those bounds are given, or be None
-    when ``nullable``.  JSON booleans are neither integers nor numbers, a
-    number must be finite (Python's ``json`` reads ``NaN`` and ``Infinity``,
-    which JSON does not have), and an accepted number comes back as a float.
-    Raises ValueError naming ``field``.
+    It must also lie in [lo, hi] where those bounds are given.  JSON booleans
+    are neither integers nor numbers, a number must be finite (Python's
+    ``json`` reads ``NaN`` and ``Infinity``, which JSON does not have), and an
+    accepted number comes back as a float.  Raises ValueError naming ``field``.
     """
     if type(value) is kind or (kind is float and type(value) is int):
         if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             raise ValueError(f"{field} must be a finite number, got {value!r}")
         if (lo is None or value >= lo) and (hi is None or value <= hi):
             return kind(value)
-    elif value is None and nullable:
-        return value
     want = "an integer" if kind is int else "a number"
     if hi is not None:
         want += f" in [{lo}, {hi}]"
     elif lo is not None:
         want += f" >= {lo}"
-    raise ValueError(f"{field} must be {want}{' or null' if nullable else ''}, got {value!r}")
+    raise ValueError(f"{field} must be {want}, got {value!r}")
 
 
 def check_keys(block: Mapping, accepted: Sequence[str], name: str | None) -> None:

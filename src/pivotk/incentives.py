@@ -424,7 +424,6 @@ def phi_threshold(
 
 def sender_ir_bound(
     instance: SystemInstance,
-    beta,
     econ: EconParams,
     q0: float,
     expected_discount_T0: float,

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ _CONTACT_STREAM = 0
 _POLICY_STREAM = 1
 
 
+@dataclass(frozen=True)
 class AdversaryPolicy:
     """How many of the cartel's contacted bundles to withhold, slot by slot.
 
@@ -61,6 +62,9 @@ class AdversaryPolicy:
     ``contacts`` and ``withheld_so_far`` may be ints (one trace) or numpy
     arrays (one entry per sample path); ``instance`` is the geometry and
     ``rng`` the policy's own stream.
+
+    Each kind is a frozen dataclass whose fields are its config keys after
+    ``kind`` and its spec argument, so policies compare and hash by value.
     """
 
     name = "abstract"
@@ -84,9 +88,15 @@ class AdversaryPolicy:
         return withheld
 
     def to_config(self) -> dict:
-        return {"kind": self.name}
+        """The policy's config block: its kind, then each field, a tuple as a list."""
+        obj = {"kind": self.name}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            obj[f.name] = list(value) if isinstance(value, tuple) else value
+        return obj
 
 
+@dataclass(frozen=True)
 class FullInclude(AdversaryPolicy):
     name = "full_include"
 
@@ -94,6 +104,7 @@ class FullInclude(AdversaryPolicy):
         return np.zeros_like(contacts)
 
 
+@dataclass(frozen=True)
 class FullWithhold(AdversaryPolicy):
     name = "full_withhold"
 
@@ -118,9 +129,6 @@ class StationaryW(AdversaryPolicy):
     def include_flags(self, t, contacts, withheld_so_far, instance, rng):
         # a coin per lane, so the withheld lanes are random, not the lowest
         return (rng.random(contacts) < self.w).tolist()
-
-    def to_config(self):
-        return {"kind": self.name, "w": self.w}
 
 
 @dataclass(frozen=True)
@@ -150,9 +158,6 @@ class RatchetSpread(AdversaryPolicy):
         cap = self.caps[t - 1] if t <= len(self.caps) else 0
         return np.minimum(contacts, cap)
 
-    def to_config(self):
-        return {"kind": self.name, "caps": list(self.caps)}
-
 
 @dataclass(frozen=True)
 class Scripted(AdversaryPolicy):
@@ -170,30 +175,27 @@ class Scripted(AdversaryPolicy):
             return np.zeros_like(contacts)
         return np.maximum(contacts - self.includes[t - 1], 0)
 
-    def to_config(self):
-        return {"kind": self.name, "includes": list(self.includes)}
 
-
-def _counts(obj: dict, key: str) -> tuple[int, ...]:
-    return tuple(json_field(x, f"{key}[{i}]") for i, x in enumerate(obj[key]))
+_POLICY_KINDS = {
+    cls.name: cls
+    for cls in (FullInclude, FullWithhold, StationaryW, MinimalSabotage, RatchetSpread, Scripted)
+}
 
 
 def policy_from_config(obj: dict) -> AdversaryPolicy:
-    """The policy a ``to_config`` block names; each number must be a JSON number of its type."""
+    """The policy a ``to_config`` block names; each field is read by its declared type.
+
+    A ``float`` must be a JSON number, a ``tuple[int, ...]`` an array of JSON integers.
+    """
     kind = obj["kind"]
-    if kind == "full_include":
-        return FullInclude()
-    if kind == "full_withhold":
-        return FullWithhold()
-    if kind == "stationary_w":
-        return StationaryW(json_field(obj["w"], "w", kind=float))
-    if kind == "minimal_sabotage":
-        return MinimalSabotage()
-    if kind == "ratchet_spread":
-        return RatchetSpread(_counts(obj, "caps"))
-    if kind == "scripted":
-        return Scripted(_counts(obj, "includes"))
-    raise ValueError(f"unknown policy kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _POLICY_KINDS):
+        raise ValueError(f"unknown policy kind {kind!r}")
+    cls = _POLICY_KINDS[kind]
+    return cls(*(  # annotations are strings in this module
+        json_field(obj[f.name], f.name, kind=float) if f.type == "float"
+        else tuple(json_field(x, f"{f.name}[{i}]") for i, x in enumerate(obj[f.name]))
+        for f in fields(cls)
+    ))
 
 
 _SPEC_FORMS = (
@@ -206,17 +208,14 @@ _SPEC_FORMS = (
 def policy_from_spec(spec: str) -> AdversaryPolicy:
     """A policy from its command-line form, ``kind`` or ``kind:arg``.
 
-    Any malformed spec raises ValueError naming the accepted forms.
+    ``arg`` is the kind's one field, if any: a number or comma-separated
+    integers.  Any malformed spec raises ValueError naming the accepted forms.
     """
     kind, sep, arg = spec.partition(":")
     obj = {"kind": kind}
     try:
-        if kind == "stationary_w":
-            obj["w"] = float(arg)
-        elif kind == "ratchet_spread":
-            obj["caps"] = [int(x) for x in arg.split(",")]
-        elif kind == "scripted":
-            obj["includes"] = [int(x) for x in arg.split(",")]
+        for f in fields(_POLICY_KINDS.get(kind, AdversaryPolicy)):
+            obj[f.name] = float(arg) if f.type == "float" else [int(x) for x in arg.split(",")]
         policy = policy_from_config(obj)
         if sep and obj.keys() == {"kind"}:
             raise ValueError(f"{kind} takes no argument")
@@ -256,7 +255,7 @@ class Trace:
 
     instance: SystemInstance
     cartel_lanes: int
-    policy_config: dict
+    policy: AdversaryPolicy
     seed: int
     slots: tuple[SlotRecord, ...]
     inclusion_order: tuple[InclusionRow, ...]
@@ -398,7 +397,7 @@ def _replay(
     trace = Trace(
         instance=instance,
         cartel_lanes=len(cartel_set),
-        policy_config=policy.to_config(),
+        policy=policy,
         seed=seed,
         slots=tuple(slots),
         inclusion_order=tuple(rows),
@@ -497,7 +496,7 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
         "format": 1,
         "instance": trace.instance.to_config(),
         "cartel_lanes": trace.cartel_lanes,
-        "policy": trace.policy_config,
+        "policy": trace.policy.to_config(),
         "seed": trace.seed,
         "slots": [
             [s.contacts_cartel, s.contacts_honest, s.included_cartel]
@@ -540,13 +539,14 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     n, m = instance.n, instance.m
     cartel_lanes = json_field(obj["cartel_lanes"], "cartel_lanes", 0, n)
 
-    policy = obj["policy"]
+    block = obj["policy"]
     try:
-        canonical = isinstance(policy, dict) and policy_from_config(policy).to_config() == policy
+        policy = policy_from_config(block)
+        canonical = policy.to_config() == block
     except (KeyError, TypeError, ValueError):
         canonical = False
     if not canonical:
-        raise ValueError(f"policy must be a policy block as simulate writes it, got {policy!r}")
+        raise ValueError(f"policy must be a policy block as simulate writes it, got {block!r}")
 
     seed = obj["seed"]
     if not (
@@ -610,7 +610,7 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
     trace = Trace(
         instance=instance,
         cartel_lanes=cartel_lanes,
-        policy_config=policy,
+        policy=policy,
         seed=seed,
         slots=tuple(SlotRecord(*row) for row in raw_slots),
         inclusion_order=tuple(order),
@@ -661,7 +661,6 @@ class _WithholdPattern(AdversaryPolicy):
     """Include flags per slot, in lane order, for the first slots; include the rest."""
 
     flags: tuple[tuple[bool, ...], ...]
-    name = "withhold_pattern"
 
     def include_flags(self, t, contacts, withheld_so_far, instance, rng):
         return self.flags[t - 1] if t <= len(self.flags) else (True,) * contacts

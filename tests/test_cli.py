@@ -767,9 +767,7 @@ class TestParserReuse:
         ids=["bad-choice", "missing-required", "bad-type", "bad-command"],
     )
     def test_parse_error_leaves_next_call_alone(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == EXIT_CONFIG  # a usage error, not a property failure
         capsys.readouterr()
         code, out = run_cli(capsys, "sweep")
         assert code == EXIT_OK

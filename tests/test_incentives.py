@@ -449,23 +449,19 @@ class TestInclusionTimeLaw:
         inst = table_instances[30]
         q0 = float(exact_q0(inst, beta))
         law = distribution_of_T0(inst, beta)
-        bound = sender_ir_bound(
-            inst, beta, PAPER_ECON, q0, law.expected_discount(PAPER_ECON.gamma)
-        )
+        bound = sender_ir_bound(inst, PAPER_ECON, q0, law.expected_discount(PAPER_ECON.gamma))
         _, b_ratchet = bounty_proxies(inst, beta, PAPER_ECON, q0, 8.0e-5)
         assert bound > b_ratchet  # the ratchet-priced bounty is IR-affordable
 
-    def test_ir_bound_degenerate(self, table_instances, beta):
+    def test_ir_bound_degenerate(self, table_instances):
         inst = table_instances[30]
         g_star = PAPER_ECON.gamma**inst.t_star
-        assert sender_ir_bound(inst, beta, PAPER_ECON, 0.0, g_star) == pytest.approx(0.0)
+        assert sender_ir_bound(inst, PAPER_ECON, 0.0, g_star) == pytest.approx(0.0)
 
-    def test_ir_bound_monotone_in_exposure(self, table_instances, beta):
+    def test_ir_bound_monotone_in_exposure(self, table_instances):
         inst = table_instances[30]
         values = [
-            sender_ir_bound(
-                inst, beta, EconParams.normalized(1.0, av, 0.99), 0.136, 0.97
-            )
+            sender_ir_bound(inst, EconParams.normalized(1.0, av, 0.99), 0.136, 0.97)
             for av in (1.0, 10.0, 100.0)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))

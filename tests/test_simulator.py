@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
@@ -48,7 +49,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 OUTCOME_FIELDS = [
     "inclusion_time", "withheld_at_horizon", "pivotal_cartel_count", "delayed", "truncated"
 ]
-PRIMARY_FIELDS = ["instance", "cartel_lanes", "policy_config", "seed", "slots", "inclusion_order"]
+PRIMARY_FIELDS = ["instance", "cartel_lanes", "policy", "seed", "slots", "inclusion_order"]
 PATHS = 8  # sample paths per oracle cross-check run
 SMALL = SystemInstance.from_kappa(20, 5, 12)  # t*=3, delta=3
 ECON = EconParams.normalized(fee=1.0, alpha_v=40.0, gamma=0.95, bounty=24.0)
@@ -155,6 +156,9 @@ class TestRunTrace:
         ):
             rebuilt = policy_from_config(policy.to_config())
             assert rebuilt.to_config() == policy.to_config()
+            # policies compare and hash by value, not by identity
+            assert rebuilt == policy
+            assert hash(rebuilt) == hash(policy)
 
 
 DETERMINISTIC_POLICIES = {
@@ -325,14 +329,13 @@ class TestInclusionRows:
 
 class TestSerialization:
     def test_round_trip_with_exact_payoff_replay(self):
-        for seed in range(10):
-            trace = run_trace(SMALL, 0.25, StationaryW(0.6), seed=seed)
+        policies = [policy_from_spec(spec) for spec in SIX_POLICIES]
+        for policy, seed in itertools.product(policies, range(10)):
+            trace = run_trace(SMALL, 0.25, policy, seed=seed)
             payoff = payoff_of_trace(trace, ECON)
             line = trace_to_json(trace, payoff, econ=ECON)
             loaded, stored, econ = trace_from_json_with_econ(line)
-            assert loaded.slots == trace.slots
-            assert loaded.inclusion_time == trace.inclusion_time
-            assert loaded.delayed == trace.delayed
+            assert loaded == trace
             fresh = payoff_of_trace(loaded, econ)
             assert fresh.fee_revenue == stored.fee_revenue
             assert fresh.bounty_revenue == stored.bounty_revenue
@@ -369,7 +372,7 @@ class TestSerialization:
             trace = Trace(
                 instance=SystemInstance.from_config(obj["instance"]),
                 cartel_lanes=obj["cartel_lanes"],
-                policy_config=obj["policy"],
+                policy=policy_from_config(obj["policy"]),
                 seed=obj["seed"],
                 slots=tuple(SlotRecord(*row) for row in obj["slots"]),
                 inclusion_order=tuple(tuple(row) for row in obj["inclusion_order"]),
