@@ -404,12 +404,28 @@ def _suite_bound_dominance(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]
 
 
 def _suite_ratchet_improvement(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) -> dict:
+    """q_rat <= q0 within 1e-15, and q_rat < q0 wherever some path separates them.
+
+    S_t* >= S_1 on every path, so q0 - q_rat = P[S_1 <= delta < S_t*].  With
+    [lo, hi] the support of S_1, that is positive exactly when lo <= delta and
+    min(hi, delta) + (t* - 1) hi > delta.  At a multi-slot kappa off the knife
+    edge the strict check requires q_rat < q0 where it is positive and
+    q_rat == q0 where it is 0.
+    """
+    law = cartel_contact_law(cfg.instance.n, cfg.beta, cfg.instance.m)
+    lo, hi = law.support_min, law.support_max
+
+    def separated(r: delay.SweepRow) -> bool:
+        return lo <= r.delta < min(hi, r.delta) + (r.t_star - 1) * hi
+
     rows = [sweep[kappa] for kappa in range(cfg.sweep_min, cfg.sweep_max + 1)]
     weak = [r.kappa for r in rows if r.q_rat > r.q0 + 1e-15]
     strict = [
         r.kappa
         for r in rows
-        if r.t_star >= 2 and not r.knife_edge and not r.q_rat < r.q0
+        if r.t_star >= 2
+        and not r.knife_edge
+        and not (r.q_rat < r.q0 if separated(r) else r.q_rat == r.q0)
     ]
     return {
         "passed": not weak and not strict,
@@ -626,9 +642,13 @@ def cmd_replay(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, formats=("table", "csv", "json")) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, formats=("table", "csv", "json"), seeded: bool = False
+) -> None:
+    """--config, --format and --out; --seed too for the commands that draw random numbers."""
     p.add_argument("--config", help="path to a JSON analysis config")
-    p.add_argument("--seed", type=int, help="override the config RNG seed")
+    if seeded:
+        p.add_argument("--seed", type=int, help="override the config RNG seed")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -658,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-ratchet", help="multi-slot ratchet Monte-Carlo sweep CSV")
-    _add_common(p, formats=("csv",))
+    _add_common(p, formats=("csv",), seeded=True)
     p.add_argument("--trials", type=int, help="override MC trials per kappa")
     p.add_argument("--epsilon", type=float, default=0.0, help="honest miss rate column")
     p.set_defaults(func=cmd_sweep_ratchet)
@@ -668,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_race)
 
     p = sub.add_parser("verify", help="run the full property battery")
-    _add_common(p, formats=("json",))
+    _add_common(p, formats=("json",), seeded=True)
     p.add_argument("--trials", type=int, help="override MC trials")
     p.add_argument(
         "--inject-fault",
@@ -682,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_advise)
 
     p = sub.add_parser("simulate", help="write traces as line-delimited JSON")
-    _add_common(p, formats=("jsonl",))
+    _add_common(p, formats=("jsonl",), seeded=True)
     p.add_argument("--policy", default="full_withhold", help="e.g. stationary_w:0.5")
     p.add_argument("--traces", type=int, default=10)
     p.set_defaults(func=cmd_simulate)

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .geometry import SystemInstance, cartel_lane_count
+from .geometry import SystemInstance
 from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "exact_q0",
     "knife_edge_q0",
     "fluid_delay_report",
-    "no_delay_upper",
     "SweepRow",
     "sawtooth_sweep",
 ]
@@ -118,20 +117,6 @@ def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
     exact = contact_sums(law, instance.t_star)[-1].tail_ge(math.floor(threshold) + 1)
     regime, bound = kl_delay_bound(instance.t_star, instance.m, theta_w, beta_frac)
     return DelayReport(exact, bound, regime, theta_w)
-
-
-def no_delay_upper(instance: SystemInstance, beta) -> float:
-    """Upper bound on the on-time probability under full withholding.
-
-    exp(-t* m D(delta/(t* m) || beta)): staying within the slack requires the
-    cartel's contact rate to undershoot its share, which is exponentially
-    unlikely as the horizon grows.  Vacuous (returns 1) outside DELAY_LIKELY,
-    that is when the slack fraction is not below the cartel share.
-    """
-    beta_frac = cartel_lane_count(instance.n, beta) / instance.n
-    frac = instance.delta / (instance.t_star * instance.m)
-    regime, bound = kl_delay_bound(instance.t_star, instance.m, frac, beta_frac)
-    return bound if regime is DelayRegime.DELAY_LIKELY else 1.0
 
 
 @dataclass(frozen=True)

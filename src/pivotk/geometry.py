@@ -187,10 +187,6 @@ class ContactSchedule:
         """The recovery slack: contacts planned by the horizon beyond kappa."""
         return self.total_by_horizon - self.kappa
 
-    @property
-    def first_slot_contacts(self) -> int:
-        return self.per_slot_contacts[0]
-
     @classmethod
     def static(cls, instance: SystemInstance) -> "ContactSchedule":
         """The fixed-m sender truncated at its horizon."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
 from .probability import cartel_contact_law, shortfall_tails
@@ -30,12 +30,6 @@ __all__ = [
     "InclusionTimeLaw",
     "distribution_of_T0",
     "bounty_proxies",
-    "BountyPrior",
-    "BayesBountyResult",
-    "bayesian_optimal_bounty",
-    "AttackItem",
-    "KnapsackResult",
-    "knapsack_select",
 ]
 
 
@@ -509,181 +503,3 @@ def bounty_proxies(
         raise ValueError("need a positive cartel fraction")
     scale = econ.mev_exposure / bf
     return scale * q0, scale * q_rat
-
-
-@dataclass(frozen=True)
-class BountyPrior:
-    """Posted-bounty problem under a prior over the cartel's response threshold.
-
-    The cartel includes iff the posted bounty clears an unknown threshold
-    with CDF ``cdf`` supported on ``[support_lo, support_hi]``; ``u_include``
-    and ``u_withhold`` are the sender's utilities in the two outcomes, gross
-    of the bounty transfer.
-    """
-
-    cdf: Callable[[float], float]
-    support_lo: float
-    support_hi: float
-    u_include: float
-    u_withhold: float
-
-    def __post_init__(self) -> None:
-        if self.support_hi < self.support_lo:
-            raise ValueError("empty support")
-
-    def utility(self, bounty: float) -> float:
-        fb = float(self.cdf(bounty))
-        fb = min(max(fb, 0.0), 1.0)
-        return fb * (self.u_include - bounty) + (1.0 - fb) * self.u_withhold
-
-    @classmethod
-    def uniform(
-        cls, lo: float, hi: float, u_include: float, u_withhold: float
-    ) -> "BountyPrior":
-        if hi <= lo:
-            raise ValueError("uniform prior needs lo < hi")
-
-        def cdf(b: float) -> float:
-            return min(max((b - lo) / (hi - lo), 0.0), 1.0)
-
-        return cls(cdf, lo, hi, u_include, u_withhold)
-
-    @classmethod
-    def point(cls, b0: float, u_include: float, u_withhold: float) -> "BountyPrior":
-        return cls(lambda b: 1.0 if b >= b0 else 0.0, b0, b0, u_include, u_withhold)
-
-
-@dataclass(frozen=True)
-class BayesBountyResult:
-    bounty: float
-    utility: float
-    foc_residual: float | None
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bayesian_optimal_bounty(
-    prior: BountyPrior, grid_resolution: float = 1e-3
-) -> BayesBountyResult:
-    """Maximize F(B)(U_inc - B) + (1-F(B))U_wh over posted bounties.
-
-    Grid search over the prior's support at ``grid_resolution``, then
-    golden-section refinement around the best cell.  When inclusion is not
-    worth inducing the optimum is to post nothing.  The first-order-condition
-    residual f(B)(U_inc - U_wh - B) - F(B) is reported via a central
-    finite-difference density estimate; it is meaningful only for priors
-    with a density.
-    """
-    if grid_resolution <= 0:
-        raise ValueError("grid resolution must be positive")
-    if prior.u_include < prior.u_withhold:
-        return BayesBountyResult(0.0, prior.utility(0.0), None)
-
-    lo = min(0.0, prior.support_lo)
-    hi = prior.support_hi
-    if hi <= lo:
-        candidates = [lo, prior.support_lo, prior.support_hi]
-    else:
-        steps = int(math.ceil((hi - lo) / grid_resolution))
-        candidates = [lo + i * (hi - lo) / steps for i in range(steps + 1)]
-        candidates.append(prior.support_lo)
-    best = max(candidates, key=prior.utility)
-
-    # Golden-section pass inside the bracketing cells around the grid optimum.
-    a = max(lo, best - grid_resolution)
-    b = min(hi, best + grid_resolution)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = prior.utility(x1), prior.utility(x2)
-    for _ in range(80):
-        if b - a < 1e-12:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = prior.utility(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = prior.utility(x1)
-    refined = max([best, a, b, x1, x2], key=prior.utility)
-    util = prior.utility(refined)
-
-    h = max(grid_resolution * 1e-3, 1e-9)
-    density = (float(prior.cdf(refined + h)) - float(prior.cdf(refined - h))) / (2 * h)
-    foc = density * (prior.u_include - prior.u_withhold - refined) - float(
-        prior.cdf(refined)
-    )
-    return BayesBountyResult(refined, util, foc)
-
-
-@dataclass(frozen=True)
-class AttackItem:
-    """A candidate attack: incremental gain versus private capacity cost."""
-
-    gain: float
-    cost: float
-
-    def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError("attack cost must be nonnegative")
-
-
-@dataclass(frozen=True)
-class KnapsackResult:
-    selected: tuple[int, ...]
-    total_gain: float
-    total_cost: float
-
-
-def knapsack_select(
-    items: Sequence[AttackItem], capacity: float, cost_resolution: float = 1e-3
-) -> KnapsackResult:
-    """Exact 0-1 knapsack over attack candidates with a capacity budget.
-
-    Costs are used as-is when integral, otherwise quantized to
-    ``cost_resolution`` units before the dynamic program.  Items with
-    nonpositive gain are never selected.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    if cost_resolution <= 0:
-        raise ValueError("cost resolution must be positive")
-
-    integral = float(capacity).is_integer() and all(
-        float(it.cost).is_integer() for it in items
-    )
-    unit = 1.0 if integral else cost_resolution
-    cap = int(round(capacity / unit))
-    if cap * max(len(items), 1) > 20_000_000:
-        raise ValueError("capacity grid too fine; raise cost_resolution")
-
-    usable = [
-        (i, it, int(round(it.cost / unit)))
-        for i, it in enumerate(items)
-        if it.gain > 0
-    ]
-    usable = [(i, it, c) for (i, it, c) in usable if c <= cap]
-
-    best = [0.0] * (cap + 1)
-    choice: list[list[bool]] = [[False] * (cap + 1) for _ in usable]
-    for row, (_, it, c) in enumerate(usable):
-        prev = best[:]
-        for budget in range(cap, c - 1, -1):
-            cand = prev[budget - c] + it.gain
-            if cand > prev[budget]:
-                best[budget] = cand
-                choice[row][budget] = True
-    # back-walk the selections
-    picked = []
-    budget = cap
-    for row in range(len(usable) - 1, -1, -1):
-        if choice[row][budget]:
-            idx, it, c = usable[row]
-            picked.append(idx)
-            budget -= c
-    picked.sort()
-    total_gain = sum(items[i].gain for i in picked)
-    total_cost = sum(items[i].cost for i in picked)
-    return KnapsackResult(tuple(picked), total_gain, total_cost)

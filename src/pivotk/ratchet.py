@@ -14,32 +14,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
-from .probability import (
-    DiscreteDistribution,
-    MCEstimate,
-    binomial_pmf_vector,
-    cartel_contact_law,
-)
+from .probability import DiscreteDistribution, MCEstimate, binomial_pmf_vector
 
 if TYPE_CHECKING:
     from .simulator import AdversaryPolicy
 
 __all__ = [
-    "q_rat_first_slot",
     "ratchet_multi_slot_delay",
     "honest_miss_delay_bound",
 ]
-
-
-def q_rat_first_slot(schedule: ContactSchedule, n: int, beta) -> float:
-    """Delay probability when withholding is confined to slot one.
-
-    Flagged lanes never see another ticket, so the attack must beat the
-    schedule's recovery slack with the first slot's contacts alone:
-    P[A_1 > delta_rec] under the single-slot contact law.
-    """
-    law = cartel_contact_law(n, beta, schedule.first_slot_contacts)
-    return DiscreteDistribution.from_law(law).tail_gt(schedule.delta_rec)
 
 
 def ratchet_multi_slot_delay(
@@ -91,9 +74,11 @@ def honest_miss_delay_bound(
     Honest misses add an independent Bin(M, epsilon) of lost bundles on top of
     the strategic withholding law, where M is the schedule's planned contact
     total by the horizon: P[W + Bin(M, eps) > delta_rec].  Bin(M, 0) is the
-    point mass at 0, so at ``epsilon == 0`` this is the law's own tail.  The
-    convolved law depends on (W, M, eps) and not on kappa, so it is built once
-    and its exact suffix sums serve every kappa of a horizon.
+    point mass at 0, so at ``epsilon == 0`` this is the law's own tail; with
+    the first slot's contact law that is the ratchet tail
+    q_rat = P[A_1 > delta_rec].  The convolved law depends on (W, M, eps) and
+    not on kappa, so it is built once and its exact suffix sums serve every
+    kappa of a horizon.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")

@@ -762,6 +762,17 @@ class TestParserReuse:
         assert out == (GOLDEN / "sweep.csv").read_text()
 
     @pytest.mark.parametrize(
+        "command",
+        ["table-main", "table-coalition", "table-cost", "sweep", "sweep-race", "advise"],
+    )
+    def test_seed_only_where_random_numbers_are_drawn(self, capsys, command):
+        # These commands draw no random number, so they take no --seed.
+        assert main([command, "--seed", "5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 5" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [["sweep", "--format", "yaml"], ["replay"], ["simulate", "--traces", "x"], ["no-such-command"]],
         ids=["bad-choice", "missing-required", "bad-type", "bad-command"],
@@ -1013,6 +1024,45 @@ class TestVerifyCommand:
         sweep[kappa] = dataclasses.replace(row, q0=pushed if regime == "rare" else 1.0 - pushed)
         assert cli._suite_bound_dominance(cfg, sweep) == {"passed": False, "failures": [kappa]}
         assert reference_bound_dominance(100, 20, 0.2, sweep.values()) == [kappa]
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"beta": 0.0}, {"instance": {"n": 20, "m": 20, "kappa": 30}}],
+        ids=["no-cartel", "every-lane-contacted"],
+    )
+    def test_degenerate_slot_laws_pass(self, capsys, tmp_path, config):
+        # With no cartel lane, or with m = n so that S_1 is the point mass
+        # at a, no path has S_1 <= delta < S_t*, and q_rat == q0 exactly.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
+        summary = json.loads(out)
+        assert summary["suites"]["ratchet_improvement"] == {
+            "passed": True, "weak_failures": [], "strict_failures": [],
+        }
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "config, kappa, q_rat",
+        [
+            # kappa 30 (t* = 2, delta = 10): S_1 in [0, 20] can end at 10 and
+            # S_2 pass it, so q_rat must fall strictly below q0.
+            ({}, 30, "q0"),
+            # No cartel lane: q0 = q_rat = 0.0, so any other q_rat is wrong,
+            # even one within the weak check's 1e-15.
+            ({"beta": 0.0}, 30, 1e-300),
+        ],
+        ids=["separable-but-equal", "inseparable-but-unequal"],
+    )
+    def test_ratchet_improvement_catches_a_wrong_tail(self, config, kappa, q_rat):
+        cfg = AnalysisConfig.from_dict(config)
+        sweep = cli._sweep_by_kappa(cfg, range(cfg.sweep_min, cfg.sweep_max + 1))
+        assert cli._suite_ratchet_improvement(cfg, sweep)["passed"] is True
+        row = sweep[kappa]
+        sweep[kappa] = dataclasses.replace(row, q_rat=row.q0 if q_rat == "q0" else q_rat)
+        assert cli._suite_ratchet_improvement(cfg, sweep) == {
+            "passed": False, "weak_failures": [], "strict_failures": [kappa],
+        }
 
     def test_saturated_delay_probabilities(self, capsys, tmp_path):
         # q0 saturates at 1 for kappas 200 and 600; before the tails were

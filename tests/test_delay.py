@@ -13,14 +13,13 @@ from pivotk.delay import (
     fluid_delay_report,
     kl_delay_bound,
     knife_edge_q0,
-    no_delay_upper,
     sawtooth_sweep,
 )
 from pivotk.config import AnalysisConfig
 from pivotk.geometry import ContactSchedule, SystemInstance, cartel_lane_count
 from pivotk.intra_slot import q_micro
-from pivotk.probability import kl_divergence
-from pivotk.ratchet import q_rat_first_slot
+from pivotk.probability import DiscreteDistribution, cartel_contact_law, kl_divergence
+from pivotk.ratchet import honest_miss_delay_bound
 
 from conftest import (
     exact_convolved_tail_gt,
@@ -32,6 +31,12 @@ from conftest import (
 
 def _hex(bound):
     return None if bound is None else bound.hex()
+
+
+def _slack_bound(inst, beta):
+    """kl_delay_bound at the full-withholding slack fraction delta / (t* m)."""
+    beta_frac = cartel_lane_count(inst.n, beta) / inst.n
+    return kl_delay_bound(inst.t_star, inst.m, inst.delta / (inst.t_star * inst.m), beta_frac)
 
 
 class TestExactQ0:
@@ -180,20 +185,29 @@ class TestFluidDelayReport:
 
 
 class TestNoDelayUpper:
+    # In DELAY_LIKELY, kl_delay_bound at the slack fraction caps the on-time
+    # probability 1 - q0 under full withholding.
     def test_dominates_on_time_probability(self, beta):
+        likely = 0
         for kappa in range(1, 121):
             inst = SystemInstance.from_kappa(100, 20, kappa)
-            bound = no_delay_upper(inst, beta)
+            regime, bound = _slack_bound(inst, beta)
+            if regime is not DelayRegime.DELAY_LIKELY:
+                continue
+            likely += 1
             on_time = 1.0 - float(exact_q0(inst, beta))
             assert on_time <= bound + 1e-12
+        assert likely > 0
 
     def test_vacuous_when_slack_fraction_large(self, beta):
         inst = SystemInstance.from_kappa(100, 20, 10)  # delta/(t*m) = 0.5 > beta
-        assert no_delay_upper(inst, beta) == 1.0
+        assert _slack_bound(inst, beta)[0] is DelayRegime.DELAY_RARE
 
     def test_vanishes_at_deep_horizons(self, beta):
         inst = SystemInstance.from_kappa(100, 20, 1200)
-        assert no_delay_upper(inst, beta) < 1e-40
+        regime, bound = _slack_bound(inst, beta)
+        assert regime is DelayRegime.DELAY_LIKELY
+        assert bound < 1e-40
 
 
 class TestKlDelayBound:
@@ -208,9 +222,10 @@ class TestKlDelayBound:
             assert kl_delay_bound(2, 20, theta, beta_frac) == (DelayRegime.DEGENERATE, None)
 
     def test_matches_the_side_explicit_rules_bit_for_bit(self):
-        # fluid_delay_report and no_delay_upper against the rules that picked
-        # each tail by hand; n = 100, m = 20, kappa 32, w = 0 puts
-        # delta/(t* m) = 8/40 on beta 0.2 exactly.
+        # fluid_delay_report and the on-time bound (kl_delay_bound in
+        # DELAY_LIKELY, else 1) against the rules that picked each tail by
+        # hand; n = 100, m = 20, kappa 32, w = 0 puts delta/(t* m) = 8/40 on
+        # beta 0.2 exactly.
         seen = set()
         for n in (10, 20, 50, 100):
             for m in (n // 5, n // 2):
@@ -218,9 +233,11 @@ class TestKlDelayBound:
                     inst = SystemInstance.from_kappa(n, m, kappa)
                     for beta in (0.0, 0.2, 0.5):
                         beta_frac = cartel_lane_count(n, beta) / n
-                        assert no_delay_upper(inst, beta).hex() == (
-                            reference_no_delay_upper(inst, beta).hex()
-                        ), (inst, beta)
+                        regime, bound = _slack_bound(inst, beta)
+                        on_time = bound if regime is DelayRegime.DELAY_LIKELY else 1.0
+                        assert on_time.hex() == reference_no_delay_upper(inst, beta).hex(), (
+                            inst, beta,
+                        )
                         for w in (0.0, 0.25, 0.5, 0.75):
                             report = fluid_delay_report(inst, beta, w)
                             if report.regime is DelayRegime.IMPOSSIBLE:
@@ -264,8 +281,8 @@ class TestSawtoothSweep:
 
     @pytest.mark.parametrize("config", ["default", "n1000"])
     def test_single_slot_tails_match_their_functions(self, config):
-        # The sweep reads both tails off S_1; the standalone functions build
-        # a schedule and a contact law of their own.
+        # The sweep reads both tails off S_1; the honest-miss bound at
+        # epsilon 0 and q_micro build a schedule and a contact law of their own.
         if config == "default":
             cfg = AnalysisConfig.default()
             n, m, beta = cfg.instance.n, cfg.instance.m, cfg.beta
@@ -274,9 +291,10 @@ class TestSawtoothSweep:
             n, m, beta, kappas = 1000, 200, 0.2, range(1, 1001)
         rows = sawtooth_sweep(n, m, beta, kappas)
         assert [r.kappa for r in rows] == list(kappas)
+        law = DiscreteDistribution.from_law(cartel_contact_law(n, beta, m))
         for row in rows:
             inst = SystemInstance.from_kappa(n, m, row.kappa)
-            q_rat = q_rat_first_slot(ContactSchedule.static(inst), n, beta)
+            q_rat = honest_miss_delay_bound(ContactSchedule.static(inst), 0.0, law)
             assert row.q_rat.hex() == q_rat.hex(), row.kappa
             assert row.q_micro.hex() == q_micro(inst, beta).hex(), row.kappa
 

@@ -1,4 +1,4 @@
-"""Incentive closed forms: shares, thresholds, coalition bounds, Bayes, knapsack."""
+"""Incentive closed forms: shares, IC thresholds, coalition bounds, the T0 law, bounty proxies."""
 
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from hypothesis import strategies as st
 from pivotk.delay import exact_q0, fluid_delay_report
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import (
-    AttackItem,
-    BountyPrior,
     EconParams,
-    bayesian_optimal_bounty,
     bounty_gap_lower,
     bounty_proxies,
     coalition_loss_floor,
@@ -27,7 +24,6 @@ from pivotk.incentives import (
     fee_revenue_upper,
     ic_stationary_check,
     ic_stationary_profile,
-    knapsack_select,
     knife_edge_bounty_threshold,
     phi_threshold,
     pi_share,
@@ -483,63 +479,3 @@ class TestBountyProxies:
         )
         assert b_ratchet == pytest.approx(0.02, rel=5e-3)
         assert b_ratchet / 50.0 == pytest.approx(4.0e-4, rel=5e-3)
-
-
-class TestBayesianBounty:
-    def test_uniform_prior_closed_form(self):
-        prior = BountyPrior.uniform(0.0, 1.0, u_include=1.0, u_withhold=0.0)
-        out = bayesian_optimal_bounty(prior, grid_resolution=1e-3)
-        assert out.bounty == pytest.approx(0.5, abs=1e-3)
-        assert out.utility == pytest.approx(0.25, abs=1e-6)
-        assert out.foc_residual == pytest.approx(0.0, abs=1e-3)
-
-    def test_point_prior_posts_exactly_threshold(self):
-        prior = BountyPrior.point(0.3, u_include=1.0, u_withhold=0.0)
-        out = bayesian_optimal_bounty(prior, grid_resolution=1e-3)
-        assert out.bounty == pytest.approx(0.3, abs=1e-3)
-
-    def test_withholding_preferred_posts_nothing(self):
-        prior = BountyPrior.uniform(0.0, 1.0, u_include=0.2, u_withhold=0.9)
-        out = bayesian_optimal_bounty(prior, grid_resolution=1e-3)
-        assert out.bounty == 0.0
-
-
-class TestKnapsack:
-    def test_zero_capacity(self):
-        items = [AttackItem(5.0, 1.0)]
-        assert knapsack_select(items, 0).selected == ()
-
-    def test_reference_point(self):
-        items = [AttackItem(10, 5), AttackItem(6, 3), AttackItem(5, 3)]
-        out = knapsack_select(items, 6)
-        assert out.selected == (1, 2)
-        assert out.total_gain == pytest.approx(11.0)
-
-    def test_single_item(self):
-        assert knapsack_select([AttackItem(3.0, 2.0)], 2).selected == (0,)
-        assert knapsack_select([AttackItem(-3.0, 2.0)], 2).selected == ()
-        assert knapsack_select([AttackItem(3.0, 5.0)], 2).selected == ()
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            knapsack_select([], -1.0)
-
-    def test_fractional_costs(self):
-        items = [AttackItem(4.0, 0.5), AttackItem(5.0, 0.75), AttackItem(3.0, 0.25)]
-        out = knapsack_select(items, 1.0, cost_resolution=1e-3)
-        assert out.total_gain == pytest.approx(8.0)  # items 1 and 2
-
-    def test_matches_exhaustive_enumeration(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            size = rng.randint(1, 12)
-            items = [
-                AttackItem(rng.randint(-3, 15), rng.randint(0, 10)) for _ in range(size)
-            ]
-            capacity = rng.randint(0, 25)
-            best = 0.0
-            for mask in range(1 << size):
-                chosen = [items[i] for i in range(size) if mask >> i & 1]
-                if sum(it.cost for it in chosen) <= capacity:
-                    best = max(best, sum(it.gain for it in chosen))
-            assert knapsack_select(items, capacity).total_gain == pytest.approx(best)

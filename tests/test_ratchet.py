@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pivotk.cli import _even_spread
-from pivotk.delay import exact_q0
+from pivotk.delay import exact_q0, sawtooth_sweep
 from pivotk.geometry import ContactSchedule, SystemInstance
 from pivotk.probability import (
     DiscreteDistribution,
@@ -19,7 +19,6 @@ from pivotk.probability import (
 from pivotk.ratchet import (
     _with_misses,
     honest_miss_delay_bound,
-    q_rat_first_slot,
     ratchet_multi_slot_delay,
 )
 from pivotk.simulator import FullWithhold, MinimalSabotage, RatchetSpread, StationaryW
@@ -34,51 +33,53 @@ def contact_law_dist(n=100, marked=20, m=20):
     return DiscreteDistribution.from_law(HypergeomLaw(n, marked, m))
 
 
+def first_slot_tail(schedule, beta, n=100):
+    """q_rat of any schedule: the first slot's contact law past the recovery slack."""
+    law = cartel_contact_law(n, beta, schedule.per_slot_contacts[0])
+    return honest_miss_delay_bound(schedule, 0.0, DiscreteDistribution.from_law(law))
+
+
+def sweep_q_rat(beta, kappas):
+    """q_rat of the static schedules, read off the sweep at n = 100, m = 20."""
+    return {row.kappa: row.q_rat for row in sawtooth_sweep(100, 20, beta, kappas)}
+
+
 class TestFirstSlotTail:
-    def test_two_slot_operating_point(self, table_instances, beta):
-        schedule = ContactSchedule.static(table_instances[30])
-        assert float(q_rat_first_slot(schedule, 100, beta)) == pytest.approx(
-            8.0e-5, rel=5e-3
-        )
+    def test_two_slot_operating_point(self, beta):
+        assert sweep_q_rat(beta, [30])[30] == pytest.approx(8.0e-5, rel=5e-3)
 
     def test_knife_edge_single_contact_suffices(self, table_instances, beta):
         schedule = ContactSchedule.static(table_instances[100])
         assert schedule.delta_rec == 0
-        assert float(q_rat_first_slot(schedule, 100, beta)) == pytest.approx(
-            0.993, abs=5e-4
-        )
+        assert sweep_q_rat(beta, [100])[100] == pytest.approx(0.993, abs=5e-4)
 
     def test_recovery_slack_beyond_first_slot(self, beta):
         schedule = ContactSchedule((20, 40), kappa=30)  # delta_rec = 30 > m1
-        assert float(q_rat_first_slot(schedule, 100, beta)) == 0.0
+        assert first_slot_tail(schedule, beta) == 0.0
 
     def test_time_varying_schedule_uses_first_slot_draws(self, beta):
         # over-contacting slot one both widens the draw and adds slack
         schedule = ContactSchedule((25,), kappa=20)
-        assert q_rat_first_slot(schedule, 100, beta) == float(
-            exact_hypergeom_tail_ge(100, 20, 25, 6)
-        )
+        assert first_slot_tail(schedule, beta) == float(exact_hypergeom_tail_ge(100, 20, 25, 6))
 
     def test_improves_on_static_for_multi_slot(self, beta):
         # strict improvement everywhere the horizon is multi-slot with slack
+        q_rats = sweep_q_rat(beta, range(21, 121))
         for kappa in range(21, 121):
             inst = SystemInstance.from_kappa(100, 20, kappa)
             if inst.t_star < 2:
                 continue
-            schedule = ContactSchedule.static(inst)
-            q_rat = float(q_rat_first_slot(schedule, 100, beta))
+            q_rat = q_rats[kappa]
             q0 = float(exact_q0(inst, beta))
             assert q_rat <= q0 + 1e-15
             if not inst.knife_edge:
                 assert q_rat < q0
 
     def test_coincides_for_single_slot(self, beta):
+        q_rats = sweep_q_rat(beta, range(1, 21))
         for kappa in range(1, 21):
             inst = SystemInstance.from_kappa(100, 20, kappa)
-            schedule = ContactSchedule.static(inst)
-            assert float(q_rat_first_slot(schedule, 100, beta)) == pytest.approx(
-                float(exact_q0(inst, beta)), rel=1e-12
-            )
+            assert q_rats[kappa] == pytest.approx(float(exact_q0(inst, beta)), rel=1e-12)
 
 
 class TestMultiSlotRatchet:
@@ -100,8 +101,7 @@ class TestMultiSlotRatchet:
     def test_all_first_slot_spread_matches_first_slot_tail(self, beta):
         # With delta=2 the first-slot tail is large enough for MC to see.
         inst = SystemInstance.from_kappa(100, 20, 38)
-        schedule = ContactSchedule.static(inst)
-        q_rat = float(q_rat_first_slot(schedule, 100, beta))
+        q_rat = sweep_q_rat(beta, [38])[38]
         est = ratchet_multi_slot_delay(inst, beta, RatchetSpread((20, 0)), 4000, 11)
         assert est.ci_low - 0.02 <= q_rat <= est.ci_high + 0.02
 
@@ -175,14 +175,13 @@ class TestMultiSlotRatchet:
 
 class TestHonestMissBound:
     def test_zero_rate_reduces_to_first_slot_tail(self, beta):
+        q_rats = sweep_q_rat(beta, (25, 30, 38, 50))
         for kappa in (25, 30, 38, 50):
             inst = SystemInstance.from_kappa(100, 20, kappa)
             schedule = ContactSchedule.static(inst)
             law = contact_law_dist()
             bound = honest_miss_delay_bound(schedule, 0.0, law)
-            assert bound == pytest.approx(
-                float(q_rat_first_slot(schedule, 100, beta)), abs=1e-12
-            )
+            assert bound.hex() == q_rats[kappa].hex()
 
     @pytest.mark.parametrize(
         "n, kappas",
