@@ -18,9 +18,9 @@ import numpy as np
 
 from . import delay, incentives, intra_slot, mechanism, ratchet, simulator
 from .config import AnalysisConfig, ConfigError
-from .geometry import ContactSchedule, SystemInstance, cartel_lane_count
+from .geometry import ContactSchedule, SystemInstance, cartel_lane_count, cartel_share
 from .incentives import EconParams
-from .probability import cartel_contact_law, contact_sums
+from .probability import DiscreteDistribution, cartel_contact_law
 from .reporting import (
     displayed_fee_units,
     format_fee_units,
@@ -196,12 +196,13 @@ def cmd_table_cost(args) -> int:
     # reader can reproduce every cell from the printed delay table.
     q0_shown = float(format_probability(row.q0).replace("~1", "1"))
     q_rat_shown = float(format_probability(row.q_rat).replace("~1", "1"))
+    share = cartel_share(cfg.instance.n, cfg.beta)
     rows = [
         {
             "alpha_v_usd": tier,
-            "b_static_usd": tier / cfg.beta * q0_shown,
-            "b_ratchet_usd": tier / cfg.beta * q_rat_shown,
-            "ratio": row.q_rat / cfg.beta,
+            "b_static_usd": tier / share * q0_shown,
+            "b_ratchet_usd": tier / share * q_rat_shown,
+            "ratio": row.q_rat / share,
         }
         for tier in cfg.mev_tiers_usd
     ]
@@ -250,7 +251,7 @@ def cmd_sweep_ratchet(args) -> int:
             f"lanes let first-slot withholding leave {n - min(m, marked)} < m "
             f"eligible lanes; use n >= {m + min(m, marked)} or kappa_max <= {m}"
         )
-    first_slot_law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
+    first_slot_law = DiscreteDistribution.from_law(cartel_contact_law(n, cfg.beta, m))
     for row in delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)):
         if row.t_star < 2:
             continue
@@ -294,15 +295,15 @@ def cmd_sweep_race(args) -> int:
     rows = []
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         inst = SystemInstance.from_kappa(cfg.instance.n, m, kappa)
-        upper = intra_slot.g_inc_upper(inst, cfg.beta, rho_bar, cfg.econ.gamma)
-        tail = upper.feasibility_tail
+        tail = intra_slot.q_micro(inst, cfg.beta)
+        upper = intra_slot.g_inc_upper(inst, tail, rho_bar, cfg.econ.gamma)
         floor = intra_slot.g_inc_floor(inst, rho_floors[inst.r], tail, cfg.econ.gamma)
         rows.append(
             {
                 "kappa": kappa,
                 "r": inst.r,
                 "q_micro": tail,
-                "g_inc_upper": upper.value,
+                "g_inc_upper": upper,
                 "g_inc_floor": floor,
             }
         )
@@ -391,7 +392,7 @@ def _suite_bound_dominance(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]
     """The KL bound caps q0 where delay is rare and 1 - q0 where it is likely."""
     failures = []
     m = cfg.instance.m
-    beta_frac = cartel_lane_count(cfg.instance.n, cfg.beta) / cfg.instance.n
+    beta_frac = cartel_share(cfg.instance.n, cfg.beta)
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         row = sweep[kappa]
         theta0 = row.delta / (row.t_star * m)
@@ -438,7 +439,7 @@ def _suite_honest_miss(cfg: AnalysisConfig, sweep: dict[int, delay.SweepRow]) ->
     """Misses at honest-miss rate 0.01 only add delay: q_rat - 1e-12 <= bound <= 1."""
     failures = []
     n, m = cfg.instance.n, cfg.instance.m
-    law = contact_sums(cartel_contact_law(n, cfg.beta, m), 1)[0]
+    law = DiscreteDistribution.from_law(cartel_contact_law(n, cfg.beta, m))
     for kappa in range(cfg.sweep_min, cfg.sweep_max + 1):
         schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
         bound = ratchet.honest_miss_delay_bound(schedule, 0.01, law)

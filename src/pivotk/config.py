@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
-from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
+from .geometry import SystemInstance, cartel_share, check_keys, json_field
 from .incentives import EconParams
 from .intra_slot import RaceModel
 
@@ -126,7 +126,7 @@ class AnalysisConfig:
         beta = json_field(obj.get("beta", 0.2), "beta", kind=float)
         _require(0.0 <= beta < 1.0, "beta must lie in [0, 1)")
         try:
-            cartel_lane_count(instance.n, beta)
+            share = cartel_share(instance.n, beta)
         except ValueError as exc:
             raise ConfigError(f"beta: {exc}") from exc
 
@@ -139,9 +139,8 @@ class AnalysisConfig:
         econ = EconParams.from_config(econ_obj)
         econ.bundle_price_at(instance.s)  # must be finite at the config's s
         # bounty_proxies prices a probability at alpha*v / (cartel lanes / n).
-        fraction = cartel_lane_count(instance.n, beta) / instance.n
         _require(
-            fraction == 0 or math.isfinite(econ.mev_exposure / fraction),
+            share == 0 or math.isfinite(econ.mev_exposure / share),
             f"{econ.mev_exposure_keys} / beta, the bounty proxies' scale, must be finite; "
             f"got {econ.mev_exposure!r} / {beta!r}",
         )
@@ -163,9 +162,9 @@ class AnalysisConfig:
 
         tiers = _array(obj, "mev_tiers_usd", [5.0, 50.0, 5000.0], kind=float)
         _require(all(t > 0 for t in tiers), "mev_tiers_usd must be positive")
-        for i, tier in enumerate(tiers):  # table-cost prices each tier / beta
+        for i, tier in enumerate(tiers):  # table-cost prices each tier / (cartel lanes / n)
             _require(
-                beta == 0 or math.isfinite(tier / beta),
+                share == 0 or math.isfinite(tier / share),
                 f"mev_tiers_usd[{i}] / beta must be finite; got {tier!r} / {beta!r}",
             )
 

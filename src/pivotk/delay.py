@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .geometry import SystemInstance
+from .geometry import SystemInstance, cartel_share
 from .probability import cartel_contact_law, chernoff_tail_bound, contact_sums
 
 __all__ = [
@@ -94,17 +94,18 @@ def kl_delay_bound(
 
 
 def fluid_delay_report(instance: SystemInstance, beta, w: float) -> DelayReport:
-    """Delay report for the stationary inclusion-rate model.
+    """Delay report for the fluid approximation of partial withholding.
 
     Under inclusion rate ``w`` the withheld mass is (1-w) of the cartel's
-    contacts, so delay means S > delta/(1-w).  The threshold comparison is
-    done in exact rational arithmetic; the strict event never depends on a
-    float rounding at the boundary.
+    contacts, so delay means S > delta/(1-w).  This is not the binomial
+    thinning of ``StationaryW(w)``, which includes each bundle independently.
+    The threshold comparison is done in exact rational arithmetic; the strict
+    event never depends on a float rounding at the boundary.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("w must lie in [0, 1); w = 1 never delays")
     law = cartel_contact_law(instance.n, beta, instance.m)
-    beta_frac = law.successes / instance.n
+    beta_frac = cartel_share(instance.n, beta)
     tm = instance.t_star * instance.m
 
     one_minus_w = Fraction(1) - Fraction.from_float(float(w))

@@ -14,6 +14,7 @@ __all__ = [
     "SystemInstance",
     "ContactSchedule",
     "cartel_lane_count",
+    "cartel_share",
     "json_field",
     "check_keys",
 ]
@@ -84,6 +85,11 @@ def cartel_lane_count(n: int, beta) -> int:
     if not 0 <= count <= n:
         raise ValueError(f"cartel size {count} outside [0, {n}]")
     return count
+
+
+def cartel_share(n: int, beta) -> float:
+    """The cartel's lane share ``cartel_lane_count(n, beta) / n``, the beta every rule uses."""
+    return cartel_lane_count(n, beta) / n
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Closed-form incentive quantities: payoffs, IC thresholds, coalition bounds.
+"""Closed-form incentive quantities: shares, IC thresholds, coalition bounds.
 
 Sign conventions: margins are reported as computed, including negative ones.
 Infeasibility is a finding, not an error.
@@ -10,14 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .geometry import SystemInstance, cartel_lane_count, check_keys, json_field
+from .geometry import SystemInstance, cartel_share, check_keys, json_field
 from .probability import cartel_contact_law, shortfall_tails
 
 __all__ = [
     "EconParams",
     "pi_share",
-    "fee_revenue_upper",
-    "bounty_gap_lower",
     "ICCheck",
     "ic_stationary_check",
     "KnifeEdgeThreshold",
@@ -217,10 +215,6 @@ class EconParams:
         )
 
 
-def _beta_fraction(instance: SystemInstance, beta) -> float:
-    return cartel_lane_count(instance.n, beta) / instance.n
-
-
 def pi_share(w: float, beta: float) -> float:
     """Cartel's long-run share of included bundles at inclusion rate w.
 
@@ -232,31 +226,6 @@ def pi_share(w: float, beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     return w * beta / (1.0 - beta + w * beta)
-
-
-def fee_revenue_upper(w: float, beta: float, m: int, fee: float, gamma: float) -> float:
-    """Upper bound on discounted fee revenue: f * w * beta * m / (1 - gamma)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return fee * w * beta * m / (1.0 - gamma)
-
-
-def bounty_gap_lower(
-    w: float, instance: SystemInstance, beta, bounty: float, gamma: float
-) -> float:
-    """Lower bound on the bounty revenue the cartel forfeits by playing w < 1.
-
-    gamma^t* (beta - pi(w) - m/kappa) * B.  The m/kappa slack is the terminal
-    slot error of the share estimate; the value may be negative, in which
-    case the bound is uninformative for this w.
-    """
-    bf = _beta_fraction(instance, beta)
-    share = pi_share(w, bf) if w > 0 else 0.0
-    return (
-        gamma**instance.t_star
-        * (bf - share - instance.m / instance.kappa)
-        * bounty
-    )
 
 
 @dataclass(frozen=True)
@@ -283,7 +252,7 @@ def ic_stationary_check(
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("the check compares full inclusion against w < 1")
-    bf = _beta_fraction(instance, beta)
+    bf = cartel_share(instance.n, beta)
     share = pi_share(w, bf) if w > 0 else 0.0
     lhs = (bf - share - instance.m / instance.kappa) * econ.bounty
     rhs = econ.mev_exposure * q_w
@@ -341,7 +310,7 @@ def knife_edge_bounty_threshold(
     """
     if instance.delta != 0:
         raise ValueError("threshold applies only to zero-slack instances")
-    bf = _beta_fraction(instance, beta)
+    bf = cartel_share(instance.n, beta)
     g = econ.gamma
     f = econ.proposer_fee(instance.s)
     kappa, t_star, m = instance.kappa, instance.t_star, instance.m
@@ -406,7 +375,7 @@ def phi_threshold(
     phi* = alpha*v*gamma^t* * q0 * (1-gamma) / (c*L(s)*beta*m*(1-gamma^t*)).
     Values above 1 mean no feasible share suffices and a bounty is required.
     """
-    bf = _beta_fraction(instance, beta)
+    bf = cartel_share(instance.n, beta)
     price = econ.bundle_price_at(instance.s)
     if price <= 0 or bf <= 0:
         raise ValueError("need positive bundle price and cartel fraction")
@@ -498,7 +467,7 @@ def bounty_proxies(
 
     Conservative expected-value pricing that ignores fees and discounting.
     """
-    bf = _beta_fraction(instance, beta)
+    bf = cartel_share(instance.n, beta)
     if bf <= 0:
         raise ValueError("need a positive cartel fraction")
     scale = econ.mev_exposure / bf

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import SystemInstance
-from .probability import DiscreteDistribution, cartel_contact_law, chernoff_tail_bound
+from .probability import DiscreteDistribution, cartel_contact_law
 
 __all__ = [
     "RaceModel",
@@ -20,7 +20,6 @@ __all__ = [
     "rho_floors",
     "g_inc_upper",
     "g_inc_floor",
-    "WithinSlotUpper",
 ]
 
 
@@ -113,46 +112,16 @@ def rho_floors(r_max: int, race: RaceModel) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WithinSlotUpper:
-    """Upper bound on the discounted within-slot MEV weight.
+def g_inc_upper(instance: SystemInstance, tail: float, rho_bar: float, gamma: float) -> float:
+    """Bound the within-slot MEV weight by feasibility times conditional success.
 
-    ``value`` is rho_bar * gamma^(t*-1) * P[A >= r].  ``kl_alternative`` is the
-    closed-form exponent bound exp(-m D(r/m || beta)) when r/m > beta, and
-    ``knife_edge_exact``/``knife_edge_beta_power`` give the exact full-hit
-    probability and its beta^m cap when the slack is zero.
+    rho_bar * gamma^(t*-1) * tail, with ``tail`` the race's feasibility tail
+    P[A >= r], the figure :func:`q_micro` computes.
     """
-
-    value: float
-    feasibility_tail: float
-    kl_alternative: float | None
-    knife_edge_exact: float | None
-    knife_edge_beta_power: float | None
-
-
-def g_inc_upper(
-    instance: SystemInstance, beta, rho_bar: float, gamma: float
-) -> WithinSlotUpper:
-    """Bound the within-slot MEV weight by feasibility times conditional success."""
-    if not 0.0 <= rho_bar <= 1.0:
-        raise ValueError("rho_bar must lie in [0, 1]")
-    law = cartel_contact_law(instance.n, beta, instance.m)
-    slot = DiscreteDistribution.from_law(law)
-    tail = slot.tail_ge(instance.r)
-    value = rho_bar * gamma ** (instance.t_star - 1) * tail
-
-    beta_frac = law.successes / instance.n
-    ratio = instance.r / instance.m
-    kl_alt = None
-    if 0.0 < beta_frac < 1.0 and ratio > beta_frac:
-        kl_alt = chernoff_tail_bound(1, instance.m, ratio, beta_frac)
-
-    knife_exact = knife_power = None
-    if instance.knife_edge:
-        knife_exact = slot.pmf(instance.m)
-        knife_power = beta_frac**instance.m
-
-    return WithinSlotUpper(value, tail, kl_alt, knife_exact, knife_power)
+    for name, v in (("rho_bar", rho_bar), ("tail", tail)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    return rho_bar * gamma ** (instance.t_star - 1) * tail
 
 
 def g_inc_floor(

@@ -208,6 +208,16 @@ class TestGoldenTables:
         assert [row[2] for row in rows] == ["$0.002", "$0.02", "$2.00"]
         assert {row[3] for row in rows} == {"0.04%"}
 
+    def test_cost_rows_priced_per_cartel_lane_share(self, capsys, tmp_path):
+        # both betas name the same 20 of 100 lanes, so every cell is the same
+        docs = []
+        for beta in (0.2, 0.2000000000001):
+            argv = with_config(tmp_path, ["table-cost", "--format", "json"], {"beta": beta})
+            code, out = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            docs.append(json.loads(out)["rows"])
+        assert docs[0] == docs[1]
+
 
 class TestConfigHandling:
     def test_json_output_round_trips_config(self, capsys, tmp_path):
@@ -810,6 +820,23 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "kappa,r,q_micro,g_inc_upper,g_inc_floor"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "config",
+        [None, {"instance": {"n": 1000, "m": 200}, "sweep": {"kappa_min": 150, "kappa_max": 450}}],
+        ids=["default", "n1000"],
+    )
+    def test_race_sweep_tail_matches_sweep(self, capsys, tmp_path, config):
+        # sweep reads P[S_1 >= r] off its contact sums, sweep-race through q_micro
+        columns = []
+        for command in ("sweep", "sweep-race"):
+            code, out = run_cli(capsys, *with_config(tmp_path, [command, "--format", "csv"], config))
+            assert code == EXIT_OK
+            header, *lines = out.strip().splitlines()
+            col = header.split(",").index("q_micro")
+            columns.append([float(line.split(",")[col]).hex() for line in lines])
+        assert len(columns[0]) > 1
+        assert columns[0] == columns[1]
 
     def test_ratchet_sweep_small(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

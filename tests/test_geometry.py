@@ -13,6 +13,7 @@ from pivotk.geometry import (
     ContactSchedule,
     SystemInstance,
     cartel_lane_count,
+    cartel_share,
 )
 
 
@@ -190,3 +191,12 @@ class TestCartelLaneCount:
     def test_bounds(self):
         assert cartel_lane_count(10, 0.0) == 0
         assert cartel_lane_count(10, 1.0) == 10
+
+    def test_share_is_lane_count_over_n(self):
+        assert cartel_share(100, 0.2) == 0.2
+        # a beta within the 1e-9 tolerance names the same 20 lanes and the same share
+        assert cartel_share(100, 0.2000000000001) == 0.2
+        assert cartel_share(3, Fraction(1, 3)) == 1 / 3
+        assert cartel_share(10, 0.0) == 0.0
+        with pytest.raises(ValueError, match="nearest integral cartel size is 21"):
+            cartel_share(100, 0.207)

@@ -15,13 +15,11 @@ from pivotk.delay import exact_q0, fluid_delay_report
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import (
     EconParams,
-    bounty_gap_lower,
     bounty_proxies,
     coalition_loss_floor,
     coalition_sufficient_bounty,
     distribution_of_T0,
     equal_share,
-    fee_revenue_upper,
     ic_stationary_check,
     ic_stationary_profile,
     knife_edge_bounty_threshold,
@@ -162,20 +160,6 @@ class TestShares:
     def test_pi_share_interior(self):
         assert pi_share(0.5, 0.2) == pytest.approx(0.1 / 0.9)
 
-    def test_fee_revenue_upper(self):
-        assert fee_revenue_upper(0.0, 0.2, 20, 1.0, 0.99) == 0.0
-        assert fee_revenue_upper(1.0, 0.2, 20, 1.0, 0.99) == pytest.approx(400.0)
-        assert fee_revenue_upper(1.0, 0.2, 20, 2.0, 0.99) == pytest.approx(800.0)
-
-    def test_bounty_gap_lower(self, table_instances, beta):
-        full = bounty_gap_lower(1.0, table_instances[100], beta, 100.0, 1.0)
-        assert full == pytest.approx(-0.2 * 100)  # -m/kappa * B
-        boundary = bounty_gap_lower(0.0, table_instances[100], beta, 100.0, 1.0)
-        assert boundary == pytest.approx(0.0, abs=1e-12)
-        small = SystemInstance.from_kappa(100, 20, 10)  # m/kappa = 2 > beta
-        for w in (0.0, 0.5, 0.9):
-            assert bounty_gap_lower(w, small, beta, 50.0, 0.99) < 0
-
 
 class TestStationaryIC:
     def test_no_bounty_fails_under_positive_threat(self, table_instances, beta):
@@ -194,6 +178,12 @@ class TestStationaryIC:
         assert check.lhs == pytest.approx(0.0, abs=1e-9)
         assert check.rhs == pytest.approx(99.3)
         assert not check.satisfied
+
+    def test_gap_negative_when_slack_term_exceeds_beta(self, beta):
+        small = SystemInstance.from_kappa(100, 20, 10)  # m/kappa = 2 > beta
+        econ = EconParams.normalized(fee=1.0, alpha_v=100.0, gamma=0.99, bounty=50.0)
+        for w in (0.0, 0.5, 0.9):
+            assert ic_stationary_check(small, beta, econ, w, q_w=0.0).lhs < 0
 
     def test_monotone_in_bounty_when_gap_positive(self, beta):
         # At kappa=200 the share gap beta - pi(w) - m/kappa stays positive up

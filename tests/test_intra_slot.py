@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from pivotk.geometry import SystemInstance
+from pivotk.delay import DelayRegime, kl_delay_bound
+from pivotk.geometry import SystemInstance, cartel_lane_count, cartel_share
 from pivotk.intra_slot import (
     RaceModel,
     g_inc_floor,
@@ -18,7 +19,6 @@ from pivotk.intra_slot import (
     rho_bar,
     rho_floors,
 )
-from pivotk.geometry import cartel_lane_count
 from pivotk.probability import kl_divergence
 
 from conftest import knife_edge_grid
@@ -150,37 +150,54 @@ class TestRaceSupremum:
 
 class TestMevBounds:
     def test_zero_conditional_success(self, table_instances, beta):
-        out = g_inc_upper(table_instances[30], beta, 0.0, 0.99)
-        assert out.value == 0.0
+        inst = table_instances[30]
+        assert g_inc_upper(inst, q_micro(inst, beta), 0.0, 0.99) == 0.0
 
     def test_unit_normalization_recovers_feasibility_tail(self, table_instances, beta):
         inst = table_instances[30]
-        out = g_inc_upper(inst, beta, 1.0, 1.0)
-        assert out.value == pytest.approx(float(q_micro(inst, beta)), rel=1e-12)
+        tail = q_micro(inst, beta)
+        assert g_inc_upper(inst, tail, 1.0, 1.0) == tail
 
     def test_kl_alternative_present_when_deficit_fraction_large(self, table_instances, beta):
         inst = table_instances[30]  # r/m = 0.5 > beta
-        out = g_inc_upper(inst, beta, 1.0, 0.99)
-        expected = math.exp(-20 * kl_divergence(0.5, 0.2))
-        assert out.kl_alternative == pytest.approx(expected, rel=1e-12)
-        assert float(out.feasibility_tail) <= out.kl_alternative
+        regime, bound = kl_delay_bound(1, inst.m, inst.r / inst.m, cartel_share(inst.n, beta))
+        assert regime is DelayRegime.DELAY_RARE
+        assert bound == pytest.approx(math.exp(-20 * kl_divergence(0.5, 0.2)), rel=1e-12)
+        assert q_micro(inst, beta) <= bound
 
     def test_knife_edge_exact_and_power_bound(self, table_instances, beta):
-        out = g_inc_upper(table_instances[20], beta, 1.0, 0.99)
-        assert out.knife_edge_exact == pytest.approx(1.0 / math.comb(100, 20), rel=1e-9)
-        assert out.knife_edge_beta_power == pytest.approx(0.2**20, rel=1e-12)
-        assert out.knife_edge_exact <= out.knife_edge_beta_power
+        inst = table_instances[20]  # r = m = 20: every contact lands on a cartel lane
+        tail = q_micro(inst, beta)
+        assert tail == float(Fraction(1, math.comb(100, 20)))
+        assert tail <= cartel_share(inst.n, beta) ** inst.m
 
     def test_knife_edge_exact_is_correctly_rounded(self):
-        # P[A = m] = C(a, m) / C(n, m): every contact lands on a cartel lane
+        # at zero slack r = m, so P[A >= r] = P[A = m] = C(a, m) / C(n, m),
+        # which the exact share power (a/n)^m caps
         cases = 0
         for inst, beta in knife_edge_grid():
             marked = cartel_lane_count(inst.n, beta)
             exact = Fraction(math.comb(marked, inst.m), math.comb(inst.n, inst.m))
-            got = g_inc_upper(inst, beta, 1.0, 0.99).knife_edge_exact
-            assert got == float(exact), (inst, beta)
+            assert q_micro(inst, beta) == float(exact), (inst, beta)
+            assert exact <= Fraction(marked, inst.n) ** inst.m, (inst, beta)
             cases += 1
         assert cases > 300
+
+    @pytest.mark.parametrize("n", [100, 1_000])
+    @pytest.mark.parametrize("beta", [0.2, 0.5])
+    def test_kl_bound_caps_race_tail_on_grid(self, n, beta):
+        m = n // 5
+        share = cartel_share(n, beta)
+        checked = 0
+        for kappa in range(1, 3 * m + 1):
+            inst = SystemInstance.from_kappa(n, m, kappa)
+            if not inst.r / m > share:
+                continue
+            regime, bound = kl_delay_bound(1, m, inst.r / m, share)
+            assert regime is DelayRegime.DELAY_RARE, kappa
+            assert q_micro(inst, beta) <= bound, kappa
+            checked += 1
+        assert checked > m
 
     def test_floor_zero_without_visibility(self, table_instances):
         assert g_inc_floor(table_instances[30], 0.5, 0.0, 0.99) == 0.0
@@ -188,17 +205,26 @@ class TestMevBounds:
     def test_sandwich(self, table_instances, beta):
         inst = table_instances[30]
         race = exp_race()
-        upper = g_inc_upper(inst, beta, rho_bar(inst.m, race), 0.99)
-        rho_floor = rho_floors(inst.r, race)[inst.r]
-        floor = g_inc_floor(inst, rho_floor, float(upper.feasibility_tail), 0.99)
-        assert floor <= upper.value + 1e-15
+        tail = q_micro(inst, beta)
+        upper = g_inc_upper(inst, tail, rho_bar(inst.m, race), 0.99)
+        floor = g_inc_floor(inst, rho_floors(inst.r, race)[inst.r], tail, 0.99)
+        assert floor <= upper + 1e-15
 
     def test_degenerate_sandwich_closes(self, table_instances, beta):
         inst = table_instances[30]
-        tail = float(q_micro(inst, beta))
-        upper = g_inc_upper(inst, beta, 0.7, 0.99)
+        tail = q_micro(inst, beta)
+        upper = g_inc_upper(inst, tail, 0.7, 0.99)
         floor = g_inc_floor(inst, 0.7, tail, 0.99)
-        assert floor == pytest.approx(upper.value, rel=1e-12)
+        assert floor == pytest.approx(upper, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho, tail, name",
+        [(1.5, 0.5, "rho_bar"), (-0.1, 0.5, "rho_bar"),
+         (0.5, math.nan, "tail"), (0.5, 1.5, "tail")],
+    )
+    def test_upper_inputs_range_checked(self, table_instances, rho, tail, name):
+        with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+            g_inc_upper(table_instances[30], tail, rho, 0.99)
 
 
 class TestRaceModelValidation:
