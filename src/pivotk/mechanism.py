@@ -20,6 +20,7 @@ __all__ = [
     "DecodeNotReached",
     "PivotalAllocation",
     "pivotal_allocation",
+    "pivotal_share",
     "WeightRule",
     "removal_floor",
     "MinimaxReport",
@@ -64,8 +65,20 @@ class PivotalAllocation:
         return self.full * (self.kappa - 1) + self.last
 
     def paid_to(self, owner: Owner) -> Fraction:
-        share = self.owners[:-1].count(owner) * self.full
-        return share + self.last if self.owners[-1] == owner else share
+        owns_final = self.owners[-1] == owner
+        return pivotal_share(self.owners.count(owner), owns_final, self.full, self.last)
+
+
+def pivotal_share(count: int, owns_final: bool, full, last):
+    """What the holder of ``count`` of the first kappa ranks is paid.
+
+    Ranks 1..kappa-1 pay ``full`` each and rank kappa pays ``last``;
+    ``owns_final`` says whether rank kappa is among the holder's.  In symbol
+    indices (``full = s``, ``last = r_idx``) this is the holder's pivotal
+    index count I = s*count - (s - r_idx)*[owns rank kappa], and its bounty
+    share is B*I/K.
+    """
+    return (count - 1) * full + last if owns_final else count * full
 
 
 def pivotal_allocation(owners: Sequence[Owner], K: int, s: int, B) -> PivotalAllocation:

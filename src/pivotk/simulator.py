@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import SystemInstance, cartel_lane_count, json_field
 from .incentives import EconParams
-from .mechanism import Owner, cartel_prefix_count, pivotal_allocation
+from .mechanism import Owner, cartel_prefix_count, pivotal_share
 from .probability import MCEstimate
 
 __all__ = [
@@ -65,9 +65,12 @@ class AdversaryPolicy:
 
     Each kind is a frozen dataclass whose fields are its config keys after
     ``kind`` and its spec argument, so policies compare and hash by value.
+    ``draws`` says whether the kind reads ``rng``; :func:`run_trace` builds
+    the policy stream only for a kind that does.
     """
 
     name = "abstract"
+    draws = True
 
     def withhold(self, t: int, contacts, withheld_so_far, instance: SystemInstance, rng):
         """Bundles withheld in slot ``t`` out of ``contacts`` received."""
@@ -99,6 +102,7 @@ class AdversaryPolicy:
 @dataclass(frozen=True)
 class FullInclude(AdversaryPolicy):
     name = "full_include"
+    draws = False
 
     def withhold(self, t, contacts, withheld_so_far, instance, rng):
         return np.zeros_like(contacts)
@@ -107,6 +111,7 @@ class FullInclude(AdversaryPolicy):
 @dataclass(frozen=True)
 class FullWithhold(AdversaryPolicy):
     name = "full_withhold"
+    draws = False
 
     def withhold(self, t, contacts, withheld_so_far, instance, rng):
         return contacts
@@ -136,6 +141,7 @@ class MinimalSabotage(AdversaryPolicy):
     """Withhold the first slack+1 bundles before the horizon, include the rest."""
 
     name = "minimal_sabotage"
+    draws = False
 
     def withhold(self, t, contacts, withheld_so_far, instance, rng):
         if t > instance.t_star:
@@ -149,6 +155,7 @@ class RatchetSpread(AdversaryPolicy):
 
     caps: tuple[int, ...]
     name = "ratchet_spread"
+    draws = False
 
     def __post_init__(self):
         if any(c < 0 for c in self.caps):
@@ -165,6 +172,7 @@ class Scripted(AdversaryPolicy):
 
     includes: tuple[int, ...]
     name = "scripted"
+    draws = False
 
     def __post_init__(self):
         if any(x < 0 for x in self.includes):
@@ -340,7 +348,7 @@ def run_trace(
     marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
-    policy_rng = np.random.default_rng(key + [_POLICY_STREAM])
+    policy_rng = np.random.default_rng(key + [_POLICY_STREAM]) if policy.draws else None
     cartel_set, slot_lanes = _lane_path(
         instance.n, instance.m, marked, contact_rng, HORIZON_CAP_FACTOR * instance.t_star
     )
@@ -449,8 +457,8 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     """Cartel payoff of a finished trace.
 
     Fees: gamma^(t-1) * f per included cartel bundle, up to the inclusion
-    slot.  Bounty: the cartel's exact share of the pivotal allocation
-    (:func:`pivotal_allocation`), discounted to the inclusion slot; zero if
+    slot.  Bounty: the cartel's share of the pivotal allocation
+    (:func:`_bounty_share`), discounted to the inclusion slot; zero if
     decoding never happened or the bounty is 0.  MEV option: alpha*v*gamma^t*
     on delayed paths.
     """
@@ -467,14 +475,25 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     )
 
     bounty = 0.0
-    order = trace.inclusion_order
-    if econ.bounty > 0 and trace.inclusion_time is not None and len(order) >= inst.kappa:
-        owners = [owner for _, _, owner in order[: inst.kappa]]
-        alloc = pivotal_allocation(owners, inst.K, inst.s, econ.bounty)
-        bounty = g**trace.inclusion_time * float(alloc.paid_to("cartel"))
+    count = trace.pivotal_cartel_count  # None when fewer than kappa rows
+    if econ.bounty > 0 and trace.inclusion_time is not None and count is not None:
+        owns_final = trace.inclusion_order[inst.kappa - 1][2] == "cartel"
+        bounty = g**trace.inclusion_time * _bounty_share(inst, count, owns_final, econ.bounty)
 
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)
+
+
+def _bounty_share(instance: SystemInstance, count: int, owns_final: bool, B) -> float:
+    """B*I/K for the holder of ``count`` pivotal ranks, I its pivotal index count.
+
+    I is :func:`~pivotk.mechanism.pivotal_share` in symbol indices.  The
+    share is rounded once from integers, ``p*I / (q*K)`` with ``p/q = B``,
+    as ``float(pivotal_allocation(...).paid_to(owner))`` rounds the exact
+    Fraction, so the two agree bit for bit.
+    """
+    p, q = B.as_integer_ratio()
+    return p * pivotal_share(count, owns_final, instance.s, instance.r_idx) / (q * instance.K)
 
 
 # --- serialization ---------------------------------------------------------
@@ -511,7 +530,8 @@ def trace_to_json(trace: Trace, payoff: PayoffBreakdown, econ: EconParams) -> st
         "payoff": {name: getattr(payoff, name) for name in _PAYOFF_FIELDS},
         "econ": econ.to_config(),
     }
-    return json.dumps(obj, separators=(",", ":"))
+    # built fresh from tuples, dicts and scalars, so it holds no cycle to check
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconParams]:
@@ -661,6 +681,7 @@ class _WithholdPattern(AdversaryPolicy):
     """Include flags per slot, in lane order, for the first slots; include the rest."""
 
     flags: tuple[tuple[bool, ...], ...]
+    draws = False
 
     def include_flags(self, t, contacts, withheld_so_far, instance, rng):
         return self.flags[t - 1] if t <= len(self.flags) else (True,) * contacts

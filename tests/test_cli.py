@@ -1209,6 +1209,32 @@ class TestSimulateReplay:
         assert code == EXIT_OK
         assert json.loads(out) == {"traces": 6, "mismatches": 0}
 
+    def test_multi_symbol_bundles_replay(self, capsys, tmp_path):
+        # s = 3 and K = 29: kappa 10, and the final bundle carries r_idx = 2
+        # of its 3 indices, so the bounty's partial-bundle term is priced
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "instance": {"n": 30, "m": 6, "s": 3, "K": 29},
+            "beta": 0.2,
+            "econ": {"fee": 1.0, "alpha_v": 40.0, "gamma": 0.95, "bounty": 24.0},
+        }))
+        out_path = tmp_path / "traces.jsonl"
+        lines = []
+        for policy in ("full_include", "stationary_w:0.5", "minimal_sabotage"):
+            code, out = run_cli(
+                capsys, "simulate", "--config", str(cfg_path), "--policy", policy, "--traces", "8"
+            )
+            assert code == EXIT_OK
+            lines += out.splitlines()
+        out_path.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "replay", "--input", str(out_path))
+        assert code == EXIT_OK
+        assert json.loads(out) == {"traces": 24, "mismatches": 0}
+        # some trace pays the cartel for the partial final bundle
+        records = [json.loads(line) for line in lines]
+        assert any(r["inclusion_order"][9][2] == "cartel" for r in records)
+        assert all(r["payoff"]["bounty_revenue"] > 0 for r in records if r["pivotal_cartel_count"])
+
     def test_simulate_then_replay_matches(self, capsys, tmp_path):
         out_path = tmp_path / "traces.jsonl"
         code, _ = run_cli(

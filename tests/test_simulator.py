@@ -6,17 +6,18 @@ import itertools
 import json
 import math
 import pathlib
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 
 from pivotk import simulator
 from pivotk.delay import exact_q0
-from pivotk.geometry import SystemInstance
+from pivotk.geometry import SystemInstance, cartel_lane_count
 from pivotk.incentives import EconParams
-from pivotk.mechanism import cartel_prefix_count
+from pivotk.mechanism import cartel_prefix_count, pivotal_allocation
 from pivotk.simulator import (
+    AdversaryPolicy,
     FullInclude,
     FullWithhold,
     MinimalSabotage,
@@ -25,6 +26,7 @@ from pivotk.simulator import (
     SlotRecord,
     StationaryW,
     Trace,
+    _bounty_share,
     _replay,
     estimate_delay,
     minimal_sabotage_exhaustive,
@@ -282,6 +284,26 @@ class TestPayoffs:
         assert p.total == pytest.approx(p.fee_revenue + p.bounty_revenue + p.mev_option)
 
 
+BOUNTY_BUDGETS = [5e-324, 1e-300, 0.1, 24.0, 1e300]
+
+
+class TestBountyShare:
+    def test_matches_the_allocation_bit_for_bit(self):
+        # the integer share is the allocation's exact share, rounded once;
+        # every owner sequence, so the cartel holds rank kappa in half of them
+        for s, kappa in itertools.product(range(1, 7), range(1, 5)):
+            for owners in itertools.product(("honest", "cartel"), repeat=kappa + 1):
+                count = owners[:kappa].count("cartel")
+                owns_final = owners[kappa - 1] == "cartel"
+                for r_idx in range(1, s + 1):  # r_idx < s: a partial final bundle
+                    K = (kappa - 1) * s + r_idx
+                    inst = SystemInstance(n=kappa + 1, m=kappa + 1, s=s, K=K)
+                    for B in BOUNTY_BUDGETS:
+                        share = _bounty_share(inst, count, owns_final, B)
+                        exact = pivotal_allocation(owners, K, s, B).paid_to("cartel")
+                        assert share.hex() == float(exact).hex(), (s, K, owners, B)
+
+
 SIX_POLICIES = [
     "full_include",
     "full_withhold",
@@ -295,6 +317,57 @@ ROW_INSTANCES = {
     100: SystemInstance.from_kappa(100, 20, 37),
     1000: SystemInstance.from_kappa(1000, 200, 397),
 }
+
+
+@dataclass(frozen=True)
+class _CoinPerSlot(AdversaryPolicy):
+    """A drawing kind defined outside the module; it records what it was handed."""
+
+    seen: list = field(default_factory=list, compare=False)
+    name = "coin_per_slot"
+
+    def withhold(self, t, contacts, withheld_so_far, instance, rng):
+        self.seen.append(rng)
+        return contacts - rng.binomial(contacts, 0.5)
+
+
+class TestPolicyStreams:
+    @pytest.fixture
+    def generators(self, monkeypatch):
+        """The seeds of every generator built while the test runs."""
+        built, real = [], np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: built.append(seed) or real(seed)
+        )
+        return built
+
+    @pytest.mark.parametrize("spec", SIX_POLICIES)
+    def test_one_generator_unless_the_kind_draws(self, generators, spec):
+        run_trace(SMALL, 0.25, policy_from_spec(spec), seed=[5, 2])
+        expected = [[5, 2, 0], [5, 2, 1]] if spec.startswith("stationary_w") else [[5, 2, 0]]
+        assert generators == expected
+
+    def test_a_drawing_subclass_keeps_its_stream(self, generators):
+        policy = _CoinPerSlot()
+        trace = run_trace(SMALL, 0.25, policy, seed=9)
+        assert generators == [[9, 0], [9, 1]]
+        assert policy.seen and all(isinstance(rng, np.random.Generator) for rng in policy.seen)
+        assert trace == run_trace(SMALL, 0.25, _CoinPerSlot(), seed=9)
+
+    @pytest.mark.parametrize("name", list(DETERMINISTIC_POLICIES))
+    def test_deterministic_kinds_ignore_the_stream(self, name):
+        # the trace a deterministic kind makes without a stream is the one it
+        # makes when handed the stream run_trace used to build
+        policy = DETERMINISTIC_POLICIES[name]
+        marked = cartel_lane_count(SMALL.n, 0.25)
+        cap = simulator.HORIZON_CAP_FACTOR * SMALL.t_star
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 0])
+            cartel_set, lanes = simulator._lane_path(SMALL.n, SMALL.m, marked, rng, cap)
+            with_stream = _replay(
+                SMALL, cartel_set, lanes, policy, np.random.default_rng([seed, 1]), seed
+            )
+            assert run_trace(SMALL, 0.25, policy, seed=seed) == with_stream
 
 
 class TestInclusionRows:
