@@ -18,6 +18,7 @@ __all__ = [
     "pi_share",
     "ICCheck",
     "ic_stationary_check",
+    "ic_stationary_profile",
     "KnifeEdgeThreshold",
     "knife_edge_bounty_threshold",
     "coalition_sufficient_bounty",

@@ -22,7 +22,6 @@ __all__ = [
     "pivotal_allocation",
     "pivotal_share",
     "WeightRule",
-    "removal_floor",
     "MinimaxReport",
     "minimax_certificate",
     "cartel_prefix_count",
@@ -54,11 +53,6 @@ class PivotalAllocation:
     @property
     def kappa(self) -> int:
         return len(self.owners)
-
-    @property
-    def payments(self) -> tuple[Fraction, ...]:
-        """The payment of each rank, 1 to kappa."""
-        return (self.full,) * (self.kappa - 1) + (self.last,)
 
     @property
     def total_paid(self) -> Fraction:
@@ -159,17 +153,6 @@ class WeightRule:
         return cls(total, tuple(ws))
 
 
-def removal_floor(rule: WeightRule, d: int) -> Fraction:
-    """Minimum budget fraction forfeited by deleting any d pivotal ranks.
-
-    An attacker targets the d cheapest ranks, so the floor is the sum of the
-    d smallest weights.
-    """
-    if not 1 <= d <= rule.kappa:
-        raise ValueError(f"d={d} outside [1, {rule.kappa}]")
-    return Fraction(sum(sorted(rule.nums)[:d]), rule.scale)
-
-
 @dataclass(frozen=True)
 class MinimaxReport:
     """Outcome of checking the uniform rule's worst-case-forfeiture optimality."""
@@ -191,6 +174,9 @@ def minimax_certificate(
 ) -> MinimaxReport:
     """Certify d/kappa as the exact removal-floor ceiling over trial rules.
 
+    A rule's removal floor is the least budget fraction forfeited by deleting
+    any d pivotal ranks: an attacker targets the d cheapest, so it is the sum
+    of the d smallest weights.
     Every rule must satisfy floor <= d/kappa, with equality only for the
     uniform rule; all comparisons are exact rational arithmetic.
     """

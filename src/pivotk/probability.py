@@ -103,10 +103,6 @@ class HypergeomLaw:
     def support_max(self) -> int:
         return min(self.draws, self.successes)
 
-    @property
-    def mean(self) -> float:
-        return self.draws * self.successes / self.population
-
 
 # The fast mass check sums the masses in numpy blocks of at most this many
 # entries.  In any order, a sum of k terms is off by at most gamma_(k-1) =
@@ -194,18 +190,6 @@ class DiscreteDistribution:
     @property
     def support_max(self) -> int:
         return self.offset + len(self.masses) - 1
-
-    def total_mass(self) -> float:
-        return math.fsum(self.masses.tolist())
-
-    def pmf(self, k: int) -> float:
-        i = k - self.offset
-        if 0 <= i < len(self.masses):
-            return float(self.masses[i])
-        return 0.0
-
-    def mean(self) -> float:
-        return math.fsum(m * (self.offset + i) for i, m in enumerate(self.masses.tolist()))
 
     def tail_ge(self, r: int) -> float:
         """P[X >= r]: the stored tail, else ``math.fsum`` of the masses clamped into [0, 1].

@@ -301,10 +301,6 @@ class Trace:
         object.__setattr__(self, "delayed", withheld > instance.delta)
         object.__setattr__(self, "truncated", inclusion_time is None)
 
-    @property
-    def t_star(self) -> int:
-        return self.instance.t_star
-
 
 def _seed_list(seed) -> list[int]:
     if isinstance(seed, (list, tuple)):

@@ -18,7 +18,6 @@ from pivotk.mechanism import (
     WeightRule,
     minimax_certificate,
     pivotal_allocation,
-    removal_floor,
 )
 
 
@@ -51,6 +50,23 @@ def reference_floor(rule, d):
     return sum(sorted(rule.weights)[:d], Fraction(0))
 
 
+def brute_force_report(kappa, d, rules):
+    """``(violations, false_equalities)`` with each rule's removal floor taken
+    as the least weight sum over every d-subset of its ranks."""
+    ceiling = Fraction(d, kappa)
+    floors = [
+        Fraction(min(map(sum, itertools.combinations(rule.nums, d))), rule.scale)
+        for rule in rules
+    ]
+    return (
+        tuple(i for i, f in enumerate(floors) if f > ceiling),
+        tuple(
+            i for i, (f, rule) in enumerate(zip(floors, rules))
+            if f == ceiling and len(set(rule.nums)) > 1
+        ),
+    )
+
+
 def reference_paid_to(owners, K, s, B, owner):
     """Per-rank payment sum: each of the first kappa ranks that ``owner``
     holds earns ``Fraction(B) / K`` per symbol index it carries."""
@@ -74,14 +90,14 @@ class TestPivotalAllocation:
     def test_divisible_uniform_payments(self):
         alloc = pivotal_allocation(["honest"] * 7, K=10, s=2, B=1)
         assert alloc.kappa == 5
-        assert alloc.payments == (Fraction(1, 5),) * 5
+        assert (alloc.full, alloc.last) == (Fraction(1, 5), Fraction(1, 5))
         assert alloc.total_paid == 1
 
     def test_partial_final_bundle(self):
         alloc = pivotal_allocation(["honest"] * 4, K=10, s=4, B=1)
         assert alloc.kappa == 3
         assert alloc.r_idx == 2
-        assert [float(p) for p in alloc.payments] == [0.4, 0.4, 0.2]
+        assert (alloc.full, alloc.last) == (Fraction(2, 5), Fraction(1, 5))
         assert alloc.total_paid == 1
 
     def test_decode_not_reached(self):
@@ -113,7 +129,9 @@ class TestPivotalAllocation:
                 # Floats such as 0.1 and Fractions such as 7/3 are not whole.
                 B = {int: raw, float: raw / 10, Fraction: Fraction(raw, 3)}[kind]
                 alloc = pivotal_allocation(["honest"] * (kappa + 1), K, s, B)
-                assert alloc.payments == tuple(Fraction(B) / K * c for c in index_counts)
+                assert (alloc.full,) * (kappa - 1) + (alloc.last,) == tuple(
+                    Fraction(B) / K * c for c in index_counts
+                )
                 assert alloc.total_paid == Fraction(B)
 
     def test_conservation_reads_the_entries(self):
@@ -170,33 +188,41 @@ class TestCartelShare:
 
 class TestWeightRules:
     def test_uniform_floor(self):
+        # The uniform rule's floor is d/12, the ceiling itself: no violation,
+        # and no false equality since the rule is uniform.
         rule = WeightRule.uniform(12)
         for d in range(1, 13):
-            assert removal_floor(rule, d) == Fraction(d, 12)
+            report = minimax_certificate(12, d, [rule])
+            assert report.passed
+            assert report.ceiling == reference_floor(rule, d) == Fraction(d, 12)
 
     def test_concentrated_rule_floor_zero(self):
+        # Floor 0 at d = 1..3; only deleting all four ranks forfeits the
+        # whole budget, where every rule attains the ceiling 1.
         rule = WeightRule.from_weights([1, 0, 0, 0])
-        assert removal_floor(rule, 1) == 0
+        for d in (1, 2, 3):
+            assert minimax_certificate(4, d, [rule]).passed
+        assert minimax_certificate(4, 4, [rule]).false_equalities == (0,)
 
     def test_floor_matches_subset_minimum(self):
         rng = random.Random(3)
+        rules = [WeightRule.uniform(5)]
         for _ in range(50):
             raw = [rng.randint(0, 20) for _ in range(5)]
             if sum(raw) == 0:
                 raw[0] = 1
-            rule = WeightRule.from_weights(raw)
-            brute = min(
-                sum(subset, Fraction(0))
-                for subset in itertools.combinations(rule.weights, 2)
-            )
-            assert removal_floor(rule, 2) == brute
+            rules.append(WeightRule.from_weights(raw))
+        rules.append(unnormalized_rule(5))
+        for d in range(1, 6):
+            report = minimax_certificate(5, d, rules)
+            assert (report.violations, report.false_equalities) == brute_force_report(5, d, rules)
+            assert report.violations == (len(rules) - 1,)
 
     def test_out_of_range_rejected(self):
-        rule = WeightRule.uniform(4)
-        with pytest.raises(ValueError):
-            removal_floor(rule, 0)
-        with pytest.raises(ValueError):
-            removal_floor(rule, 5)
+        rules = [WeightRule.uniform(4)]
+        for d in (0, 5):
+            with pytest.raises(ValueError, match=rf"^d={d} outside \[1, 4\]$"):
+                minimax_certificate(4, d, rules)
 
     def test_rejects_unnormalized_or_negative(self):
         with pytest.raises(ValueError, match=r"^weights sum to 5/6, not 1$"):
@@ -228,7 +254,11 @@ class TestWeightRules:
     @pytest.mark.parametrize("rule", UNEQUAL_DENOMINATOR_RULES)
     def test_floor_matches_fraction_reference(self, rule):
         for d in range(1, rule.kappa + 1):
-            assert removal_floor(rule, d) == reference_floor(rule, d)
+            report = minimax_certificate(rule.kappa, d, [rule])
+            floor = reference_floor(rule, d)
+            # none of these rules is uniform, so attaining the ceiling is a false equality
+            assert report.violations == ((0,) if floor > report.ceiling else ())
+            assert report.false_equalities == ((0,) if floor == report.ceiling else ())
 
     @pytest.mark.parametrize("raw", [
         [3, 0, 5, 0, 1],
@@ -279,11 +309,9 @@ class TestWeightRules:
         assert rule.kappa == 5
         assert not rule.is_uniform and uniform.is_uniform
         assert built == []
-        assert removal_floor(rule, 2) == Fraction(1, 12)
-        assert len(built) == 1  # the floor itself
         report = minimax_certificate(5, 2, [uniform, rule])
         assert report.passed
-        assert len(built) == 2  # the ceiling itself
+        assert len(built) == 1  # the ceiling itself
         assert rule.weights == (Fraction(5, 12), 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 12))
 
     def test_negative_weight_with_positive_total_rejected(self):
@@ -314,9 +342,13 @@ class TestWeightRules:
     def test_floor_never_exceeds_uniform(self, raw):
         if sum(raw) == 0:
             raw[0] = 1
-        rule = WeightRule.from_weights(raw)
-        for d in range(1, rule.kappa + 1):
-            assert removal_floor(rule, d) <= Fraction(d, rule.kappa)
+        rules = [WeightRule.from_weights(raw), WeightRule.uniform(len(raw))]
+        for d in range(1, len(raw) + 1):
+            report = minimax_certificate(len(raw), d, rules)
+            assert (report.violations, report.false_equalities) == brute_force_report(
+                len(raw), d, rules
+            )
+            assert report.violations == ()
 
 
 class TestMinimaxCertificate:
@@ -374,8 +406,9 @@ class TestMinimaxCertificate:
         weights[0] += eps
         weights[1] -= eps
         rule = WeightRule.from_weights(weights)
+        # strictly below the ceiling: neither above it nor equal to it
         for d in range(1, kappa):
-            assert removal_floor(rule, d) < Fraction(d, kappa)
+            assert minimax_certificate(kappa, d, [rule]).passed
 
     def test_mismatched_rank_count_rejected(self):
         with pytest.raises(ValueError):
