@@ -262,7 +262,7 @@ def cmd_sweep_ratchet(args) -> int:
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)
         # the worse of everything in slot one and the minimal need spread evenly
         estimates = [
-            ratchet.ratchet_multi_slot_delay(inst, cfg.beta, policy, cfg.trials, cfg.seed)
+            simulator.estimate_delay(inst, cfg.beta, policy, cfg.trials, cfg.seed, ratchet=True)
             for policy in (
                 simulator.RatchetSpread((inst.m,)),
                 simulator.RatchetSpread(_even_spread(inst.delta, inst.t_star)),

@@ -81,15 +81,6 @@ class AdversaryPolicy:
         k = int(self.withhold(t, contacts, withheld_so_far, instance, rng))
         return [False] * k + [True] * (contacts - k)
 
-    def withheld_by_horizon(
-        self, contacts: np.ndarray, instance: SystemInstance, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Pre-horizon withheld counts, one per row of a (paths, t*) contact matrix."""
-        withheld = np.zeros(contacts.shape[0], dtype=np.int64)
-        for t in range(1, contacts.shape[1] + 1):
-            withheld += self.withhold(t, contacts[:, t - 1], withheld, instance, rng)
-        return withheld
-
     def to_config(self) -> dict:
         """The policy's config block: its kind, then each field, a tuple as a list."""
         obj = {"kind": self.name}
@@ -320,14 +311,9 @@ def _lane_path(n: int, m: int, marked: int, rng: np.random.Generator, slots: int
     return cartel_set, lanes
 
 
-def _contact_matrix(
-    instance: SystemInstance, marked: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Cartel contact counts, one row per path and one column per slot to t*."""
-    shape = (trials, instance.t_star)
-    if marked == 0:
-        return np.zeros(shape, dtype=np.int64)
-    return rng.hypergeometric(marked, instance.n - marked, instance.m, size=shape)
+def _policy_stream(policy: AdversaryPolicy, key: list[int]):
+    """The policy's own generator at ``key``, built only for a kind that draws."""
+    return np.random.default_rng(key) if policy.draws else None
 
 
 def run_trace(
@@ -344,7 +330,7 @@ def run_trace(
     marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
     contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
-    policy_rng = np.random.default_rng(key + [_POLICY_STREAM]) if policy.draws else None
+    policy_rng = _policy_stream(policy, key + [_POLICY_STREAM])
     cartel_set, slot_lanes = _lane_path(
         instance.n, instance.m, marked, contact_rng, HORIZON_CAP_FACTOR * instance.t_star
     )
@@ -415,24 +401,65 @@ def _replay(
     return trace
 
 
-def estimate_delay(
-    instance: SystemInstance, beta, policy: AdversaryPolicy, trials: int, seed
-) -> MCEstimate:
-    """Monte-Carlo delay frequency for a policy.
+def _withheld_at_horizon(
+    instance: SystemInstance, beta, policies, trials: int, key: list[int], ratchet: bool
+) -> list[np.ndarray]:
+    """Pre-horizon withheld counts W on ``trials`` paths, one array per (policy, key) pair.
 
-    Works at contact-count granularity: the delay event depends only on the
-    pre-horizon withheld count, so lane identities are not drawn.
+    The one Monte-Carlo slot loop.  Each slot draws every path's cartel
+    contacts at once from the contact stream ``key + [0]``, then adds each
+    policy's ``withhold`` to that policy's W; a policy that draws reads its
+    own stream at its key.  The delay event depends only on W, so lane
+    identities are not drawn.  The static sender contacts m of a cartel and
+    n - a honest lanes every slot, so one draw per slot serves every policy
+    (common random numbers).  The ratchet flags each withheld lane out of
+    the pool: slot t draws from a - W cartel and n - a honest lanes, so it
+    runs one policy, whose W sets the pool.
     """
+    n, m = instance.n, instance.m
+    marked = cartel_lane_count(n, beta)
+    rng = np.random.default_rng(key + [_CONTACT_STREAM])
+    streams = [(policy, _policy_stream(policy, policy_key)) for policy, policy_key in policies]
+    withheld = [np.zeros(trials, dtype=np.int64) for _ in streams]
+    for t in range(1, instance.t_star + 1):
+        pool = marked
+        if ratchet:
+            (pool_withheld,) = withheld
+            most = int(pool_withheld.max())
+            if n - most < m:
+                raise ValueError(f"eligible pool shrank below m={m}; instance too small")
+            if most:  # a scalar pool draws the same variates, faster
+                pool = marked - pool_withheld
+        contacts = rng.hypergeometric(pool, n - marked, m, size=trials)
+        for w, (policy, policy_rng) in zip(withheld, streams):
+            w += policy.withhold(t, contacts, w, instance, policy_rng)
+    return withheld
+
+
+def estimate_delay(
+    instance: SystemInstance,
+    beta,
+    policy: AdversaryPolicy,
+    trials: int,
+    seed,
+    ratchet: bool = False,
+) -> MCEstimate:
+    """Monte-Carlo delay frequency for a policy under the static sender or the ratchet.
+
+    With ``ratchet`` the sender stops contacting every lane whose bundle was
+    withheld, which needs a multi-slot horizon: with t* = 1 there is no
+    later slot for the ratchet to protect.  Slot one's draw depends on
+    neither the policy nor kappa, so for a given seed it is shared across
+    both, and across the two senders.
+    """
+    if ratchet and instance.t_star < 2:
+        raise ValueError("ratchet analysis needs t_star >= 2")
     if trials < 1:
         raise ValueError("need at least one trial")
-    marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
-    contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
-    policy_rng = np.random.default_rng(key + [_POLICY_STREAM])
-
-    contacts = _contact_matrix(instance, marked, trials, contact_rng)
-    withheld = policy.withheld_by_horizon(contacts, instance, policy_rng)
-    return MCEstimate.from_counts(int((withheld > instance.delta).sum()), trials)
+    pairs = [(policy, key + [_POLICY_STREAM])]
+    (withheld,) = _withheld_at_horizon(instance, beta, pairs, trials, key, ratchet)
+    return MCEstimate.from_counts(int(np.count_nonzero(withheld > instance.delta)), trials)
 
 
 @dataclass(frozen=True)
@@ -843,17 +870,13 @@ def verify_pathwise_theorems(
             StationaryW(0.75),
             MinimalSabotage(),
         ]
-    marked = cartel_lane_count(instance.n, beta)
     key = _seed_list(seed)
-    contact_rng = np.random.default_rng(key + [_CONTACT_STREAM])
-    contacts = _contact_matrix(instance, marked, trials, contact_rng)
-
-    baseline = contacts.sum(axis=1) > instance.delta  # full withholding
-    violations = 0
-    for idx, policy in enumerate(policies):
-        policy_rng = np.random.default_rng(key + [_POLICY_STREAM, idx])
-        withheld = policy.withheld_by_horizon(contacts, instance, policy_rng)
-        delayed = withheld > instance.delta
-        violations += int((delayed & ~baseline).sum())
-
+    pairs = [(FullWithhold(), None)] + [
+        (policy, key + [_POLICY_STREAM, idx]) for idx, policy in enumerate(policies)
+    ]
+    baseline, *withheld = _withheld_at_horizon(instance, beta, pairs, trials, key, False)
+    baseline_delayed = baseline > instance.delta
+    violations = sum(
+        int(np.count_nonzero((w > instance.delta) & ~baseline_delayed)) for w in withheld
+    )
     return PathwiseReport(dominance_paths=trials, dominance_violations=violations)

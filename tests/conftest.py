@@ -104,12 +104,12 @@ def exact_ratchet_tail_gt(
 def reference_ratchet_estimate(instance, beta, spread, trials: int, seed: int) -> MCEstimate:
     """The ratchet Monte Carlo for withholding caps ``spread``, on two pool arrays.
 
-    This is the original caps-tuple ``ratchet_multi_slot_delay``.  Each trial
-    keeps its eligible pool size and its cartel lanes in that pool.  Slot t
-    draws a ~ Hypergeom(cartel, pool - cartel, m) from the stream
-    ``[seed, 0]``, and the cartel withholds min(spread[t-1], a), each
-    withheld lane leaving both counts.  A spread shorter than t* withholds
-    nothing after it.
+    This is the original caps-tuple form of ``estimate_delay(...,
+    ratchet=True)``.  Each trial keeps its eligible pool size and its cartel
+    lanes in that pool.  Slot t draws a ~ Hypergeom(cartel, pool - cartel, m)
+    from the stream ``[seed, 0]``, and the cartel withholds
+    min(spread[t-1], a), each withheld lane leaving both counts.  A spread
+    shorter than t* withholds nothing after it.
     """
     n, m = instance.n, instance.m
     rng = np.random.default_rng([seed, 0])

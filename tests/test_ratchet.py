@@ -16,12 +16,14 @@ from pivotk.probability import (
     cartel_contact_law,
     contact_sums,
 )
-from pivotk.ratchet import (
-    _with_misses,
-    honest_miss_delay_bound,
-    ratchet_multi_slot_delay,
+from pivotk.ratchet import _with_misses, honest_miss_delay_bound
+from pivotk.simulator import (
+    FullWithhold,
+    MinimalSabotage,
+    RatchetSpread,
+    StationaryW,
+    estimate_delay,
 )
-from pivotk.simulator import FullWithhold, MinimalSabotage, RatchetSpread, StationaryW
 
 from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt, reference_ratchet_estimate
 
@@ -85,24 +87,25 @@ class TestFirstSlotTail:
 class TestMultiSlotRatchet:
     def test_single_slot_horizon_rejected(self, table_instances, beta):
         with pytest.raises(ValueError):
-            ratchet_multi_slot_delay(table_instances[10], beta, RatchetSpread((1,)), 10, 0)
+            estimate_delay(table_instances[10], beta, RatchetSpread((1,)), 10, 0, ratchet=True)
 
     def test_no_withholding_never_delays(self, table_instances, beta):
-        est = ratchet_multi_slot_delay(table_instances[30], beta, RatchetSpread((0, 0)), 500, 1)
+        inst = table_instances[30]
+        est = estimate_delay(inst, beta, RatchetSpread((0, 0)), 500, 1, ratchet=True)
         assert est.frequency == 0.0
 
     def test_bounded_by_static_exact(self, table_instances, beta):
         inst = table_instances[30]
         q0 = float(exact_q0(inst, beta))
         for spread in [(20, 0), (11, 0), (6, 5), (4, 4), (0, 20)]:
-            est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), 2000, 7)
+            est = estimate_delay(inst, beta, RatchetSpread(spread), 2000, 7, ratchet=True)
             assert est.frequency <= q0 + 3 * max(est.stderr, 1e-4)
 
     def test_all_first_slot_spread_matches_first_slot_tail(self, beta):
         # With delta=2 the first-slot tail is large enough for MC to see.
         inst = SystemInstance.from_kappa(100, 20, 38)
         q_rat = sweep_q_rat(beta, [38])[38]
-        est = ratchet_multi_slot_delay(inst, beta, RatchetSpread((20, 0)), 4000, 11)
+        est = estimate_delay(inst, beta, RatchetSpread((20, 0)), 4000, 11, ratchet=True)
         assert est.ci_low - 0.02 <= q_rat <= est.ci_high + 0.02
 
     @pytest.mark.parametrize("kappa", [30, 33, 35, 38, 55])
@@ -112,7 +115,7 @@ class TestMultiSlotRatchet:
         trials = 200_000
         for spread in [(20, 0) + pad, (6, 5) + pad, _even_spread(inst.delta, inst.t_star)]:
             exact = float(exact_ratchet_tail_gt(100, 20, 20, spread, inst.delta))
-            est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), trials, 2026)
+            est = estimate_delay(inst, beta, RatchetSpread(spread), trials, 2026, ratchet=True)
             se = math.sqrt(exact * (1 - exact) / trials)
             assert abs(est.frequency - exact) <= Z_TOL * se, (spread, exact, est)
 
@@ -121,8 +124,13 @@ class TestMultiSlotRatchet:
         # draw exceeds delta.  One seed gives every kappa the same first
         # draws, so the hits can only grow as delta shrinks with kappa.
         freqs = [
-            ratchet_multi_slot_delay(
-                SystemInstance.from_kappa(100, 20, kappa), beta, RatchetSpread((20, 0)), 2000, 5
+            estimate_delay(
+                SystemInstance.from_kappa(100, 20, kappa),
+                beta,
+                RatchetSpread((20, 0)),
+                2000,
+                5,
+                ratchet=True,
             ).frequency
             for kappa in range(21, 40)
         ]
@@ -130,8 +138,8 @@ class TestMultiSlotRatchet:
 
     def test_reproducible(self, table_instances, beta):
         policy = RatchetSpread((6, 5))
-        a = ratchet_multi_slot_delay(table_instances[30], beta, policy, 300, 42)
-        b = ratchet_multi_slot_delay(table_instances[30], beta, policy, 300, 42)
+        a = estimate_delay(table_instances[30], beta, policy, 300, 42, ratchet=True)
+        b = estimate_delay(table_instances[30], beta, policy, 300, 42, ratchet=True)
         assert a == b
 
     @pytest.mark.parametrize("kappa", [38, 40, 55, 58, 75, 78, 95, 98])
@@ -146,23 +154,36 @@ class TestMultiSlotRatchet:
         ]
         for spread in spreads:
             for seed in range(20):
-                est = ratchet_multi_slot_delay(inst, beta, RatchetSpread(spread), 500, seed)
+                est = estimate_delay(inst, beta, RatchetSpread(spread), 500, seed, ratchet=True)
                 ref = reference_ratchet_estimate(inst, beta, spread, 500, seed)
                 assert est == ref, (spread, seed)
+
+    @pytest.mark.parametrize("kappa", [38, 58, 79, 100])
+    def test_both_senders_share_one_draw_order(self, beta, kappa):
+        # Withholding only in slot t* shrinks the pool after the last draw,
+        # so the ratchet and the static sender see the same contacts and
+        # must give the same estimate.  kappa 38..100 runs t* = 2..5.
+        inst = SystemInstance.from_kappa(100, 20, kappa)
+        last_slot_only = RatchetSpread((0,) * (inst.t_star - 1) + (inst.m,))
+        for seed in range(5):
+            ratchet = estimate_delay(inst, beta, last_slot_only, 1000, seed, ratchet=True)
+            static = estimate_delay(inst, beta, last_slot_only, 1000, seed)
+            assert ratchet == static, seed
+            assert ratchet.frequency > 0.0  # the comparison sees hits
 
     @pytest.mark.parametrize("kappa", [30, 38, 58, 79])
     def test_full_withhold_is_every_cap_at_m(self, beta, kappa):
         inst = SystemInstance.from_kappa(100, 20, kappa)
         for seed in range(5):
-            full = ratchet_multi_slot_delay(inst, beta, FullWithhold(), 1000, seed)
+            full = estimate_delay(inst, beta, FullWithhold(), 1000, seed, ratchet=True)
             caps = RatchetSpread((inst.m,) * inst.t_star)
-            assert full == ratchet_multi_slot_delay(inst, beta, caps, 1000, seed)
+            assert full == estimate_delay(inst, beta, caps, 1000, seed, ratchet=True)
 
     @pytest.mark.parametrize("policy", [StationaryW(0.5), MinimalSabotage()], ids=lambda p: p.name)
     def test_random_and_stateful_policies_give_valid_estimates(self, beta, policy):
         for kappa in (30, 38, 58):
             inst = SystemInstance.from_kappa(100, 20, kappa)
-            est = ratchet_multi_slot_delay(inst, beta, policy, 1000, 3)
+            est = estimate_delay(inst, beta, policy, 1000, 3, ratchet=True)
             assert 0.0 <= est.ci_low <= est.frequency <= est.ci_high <= 1.0
 
     def test_pool_below_m_rejected(self):
@@ -170,7 +191,7 @@ class TestMultiSlotRatchet:
         # first-slot contacts leaves fewer than m eligible lanes for slot two.
         inst = SystemInstance.from_kappa(30, 20, 25)
         with pytest.raises(ValueError, match="below m=20"):
-            ratchet_multi_slot_delay(inst, 0.5, FullWithhold(), 200, 0)
+            estimate_delay(inst, 0.5, FullWithhold(), 200, 0, ratchet=True)
 
 
 class TestHonestMissBound:

@@ -178,17 +178,20 @@ class TestPolicyAgreement:
     @pytest.mark.parametrize("name", list(DETERMINISTIC_POLICIES))
     @pytest.mark.parametrize("kappa", [10, 12, 14])
     def test_trace_matches_vectorized_count(self, name, kappa):
-        # the per-slot decisions of run_trace and the vectorized count used by
-        # estimate_delay must withhold the same number on the same path
+        # the per-lane decisions of run_trace and the element-wise rule that
+        # estimate_delay steps over an array of paths must withhold the same
+        # number on the same path
         policy = DETERMINISTIC_POLICIES[name]
         inst = SystemInstance.from_kappa(20, 5, kappa)
-        for seed in range(30):
-            trace = run_trace(inst, 0.25, policy, seed=seed)
-            contacts = np.array(
-                [[s.contacts_cartel for s in trace.slots[: inst.t_star]]], dtype=np.int64
-            )
-            withheld = policy.withheld_by_horizon(contacts, inst, np.random.default_rng(0))
-            assert int(withheld[0]) == trace.withheld_at_horizon
+        traces = [run_trace(inst, 0.25, policy, seed=seed) for seed in range(30)]
+        contacts = np.array(
+            [[s.contacts_cartel for s in trace.slots[: inst.t_star]] for trace in traces],
+            dtype=np.int64,
+        )
+        withheld = np.zeros(len(traces), dtype=np.int64)
+        for t in range(1, inst.t_star + 1):
+            withheld += policy.withhold(t, contacts[:, t - 1], withheld, inst, None)
+        assert withheld.tolist() == [trace.withheld_at_horizon for trace in traces]
 
 
 class TestEstimateDelay:
@@ -344,6 +347,15 @@ class TestPolicyStreams:
     @pytest.mark.parametrize("spec", SIX_POLICIES)
     def test_one_generator_unless_the_kind_draws(self, generators, spec):
         run_trace(SMALL, 0.25, policy_from_spec(spec), seed=[5, 2])
+        expected = [[5, 2, 0], [5, 2, 1]] if spec.startswith("stationary_w") else [[5, 2, 0]]
+        assert generators == expected
+
+    @pytest.mark.parametrize("ratchet", [False, True], ids=["static", "ratchet"])
+    @pytest.mark.parametrize("spec", SIX_POLICIES)
+    def test_estimate_builds_the_policy_stream_only_when_the_kind_draws(
+        self, generators, spec, ratchet
+    ):
+        estimate_delay(SMALL, 0.25, policy_from_spec(spec), 50, seed=[5, 2], ratchet=ratchet)
         expected = [[5, 2, 0], [5, 2, 1]] if spec.startswith("stationary_w") else [[5, 2, 0]]
         assert generators == expected
 
