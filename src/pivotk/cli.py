@@ -224,12 +224,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _even_spread(delta: int, t_star: int) -> tuple[int, ...]:
-    need = delta + 1
-    base, extra = divmod(need, t_star)
-    return tuple(base + (1 if i < extra else 0) for i in range(t_star))
-
-
 _SWEEP_RATCHET_COLUMNS = _columns(
     "kappa", "q0", "q_rat", "q_rat_multi_mc", "ci_low", "ci_high", "epsilon"
 )
@@ -243,13 +237,15 @@ def cmd_sweep_ratchet(args) -> int:
     rows = []
     n, m = cfg.instance.n, cfg.instance.m
     marked = cartel_lane_count(n, cfg.beta)
-    # Withholding a whole first slot leaves n - min(m, marked) eligible lanes;
-    # the ratchet needs m of them for every later slot (t* >= 2: kappa > m).
-    if cfg.sweep_max > m and n - min(m, marked) < m:
+    # Full withholding flags every cartel lane contacted before the last slot
+    # of the longest horizon; the ratchet needs m eligible lanes in that slot.
+    t_max = -(-cfg.sweep_max // m)
+    flagged = min(marked, (t_max - 1) * m)
+    if n - flagged < m:
         raise ConfigError(
             f"sweep-ratchet: n={n} lanes, m={m} per slot and a cartel of {marked} "
-            f"lanes let first-slot withholding leave {n - min(m, marked)} < m "
-            f"eligible lanes; use n >= {m + min(m, marked)} or kappa_max <= {m}"
+            f"lanes let full withholding over {t_max} slots leave {n - flagged} < m "
+            f"eligible lanes; use n >= {m + flagged} or kappa_max <= {m * (n // m)}"
         )
     first_slot_law = DiscreteDistribution.from_law(cartel_contact_law(n, cfg.beta, m))
     for row in delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)):
@@ -260,23 +256,19 @@ def cmd_sweep_ratchet(args) -> int:
         # first-slot bound at the configured honest-miss rate; at epsilon=0
         # this is exactly the ratchet tail P[A1 > delta_rec]
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)
-        # the worse of everything in slot one and the minimal need spread evenly
-        estimates = [
-            simulator.estimate_delay(inst, cfg.beta, policy, cfg.trials, cfg.seed, ratchet=True)
-            for policy in (
-                simulator.RatchetSpread((inst.m,)),
-                simulator.RatchetSpread(_even_spread(inst.delta, inst.t_star)),
-            )
-        ]
-        worst = max(estimates, key=lambda est: est.frequency)
+        # every contacted cartel bundle withheld in every slot, each withheld
+        # lane flagged out of the pool; the sender never compensates
+        est = simulator.estimate_delay(
+            inst, cfg.beta, simulator.FullWithhold(), cfg.trials, cfg.seed, ratchet=True
+        )
         rows.append(
             {
                 "kappa": row.kappa,
                 "q0": row.q0,
                 "q_rat": q_rat,
-                "q_rat_multi_mc": worst.frequency,
-                "ci_low": worst.ci_low,
-                "ci_high": worst.ci_high,
+                "q_rat_multi_mc": est.frequency,
+                "ci_low": est.ci_low,
+                "ci_high": est.ci_high,
                 "epsilon": epsilon,
             }
         )

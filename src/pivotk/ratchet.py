@@ -1,10 +1,11 @@
 """Adaptive-sender analysis: lane flagging, pool shrinkage, and delay bounds.
 
 A sender that permanently stops contacting lanes whose tickets go unredeemed
-turns every withheld bundle into a burned cartel lane.  With a multi-slot
-horizon this collapses the relevant delay event to a first-slot deficit and
-shrinks the cartel's effective fraction slot over slot.  The Monte Carlo of
-that shrinking pool is ``simulator.estimate_delay(..., ratchet=True)``.
+turns every withheld bundle into a burned cartel lane, shrinking the cartel's
+effective fraction slot over slot.  q_rat = P[A_1 > delta_rec] is the
+first-slot deficit tail.  The sender never compensates withheld symbols, so
+full withholding keeps adding to the deficit after slot one; ``sweep-ratchet``
+estimates it with ``simulator.estimate_delay(..., ratchet=True)``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from pivotk.config import AnalysisConfig, ConfigError
 from pivotk.geometry import SystemInstance
 from pivotk.incentives import coalition_sufficient_bounty
 
-from conftest import reference_bound_dominance
+from conftest import exact_ratchet_tail_gt, reference_bound_dominance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -848,6 +848,24 @@ class TestSweep:
         assert lines[0] == "kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon"
         assert len(lines) == 6  # every kappa in range has t* >= 2
 
+    def test_ratchet_sweep_estimates_full_withholding(self, capsys, tmp_path):
+        # The Monte-Carlo column is full withholding under the ratchet: within
+        # three binomial standard errors of that policy's exact tail.
+        trials = 10_000
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": {"kappa_min": 30, "kappa_max": 90}}))
+        code, out = run_cli(
+            capsys, "sweep-ratchet", "--trials", str(trials), "--seed", "20260809",
+            "--config", str(cfg_path),
+        )
+        assert code == EXIT_OK
+        cells = (line.split(",") for line in out.splitlines()[1:])
+        estimates = {int(row[0]): float(row[3]) for row in cells}
+        for kappa in (30, 50, 70, 90):
+            inst = SystemInstance.from_kappa(100, 20, kappa)
+            exact = float(exact_ratchet_tail_gt(100, 20, 20, (20,) * inst.t_star, inst.delta))
+            se = math.sqrt(exact * (1 - exact) / trials)
+            assert abs(estimates[kappa] - exact) <= 3 * se, (kappa, exact, estimates[kappa])
 
     @pytest.mark.parametrize("epsilon", ["1.5", "1", "-0.1", "nan"])
     def test_ratchet_sweep_rejects_bad_epsilon(self, capsys, epsilon):
@@ -877,6 +895,18 @@ class TestSweep:
         assert captured.err.startswith("config error: ")
         assert "n=30" in captured.err and "m=20" in captured.err
         assert "cartel of 15 lanes" in captured.err
+
+    def test_ratchet_sweep_rejects_pool_below_m_after_slot_one(self, capsys, tmp_path):
+        # A cartel of 90 lanes: full withholding to kappa 120 (t* = 6) may flag
+        # all 90 and leave 10 eligible lanes, although slot two still has 80.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 0.9}))
+        code = main(["sweep-ratchet", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "eligible lanes" in captured.err
+        assert "n >= 110" in captured.err and "kappa_max <= 100" in captured.err
 
     def test_ratchet_sweep_single_slot_kappas_need_no_pool(self, capsys, tmp_path):
         # With kappa <= m no row has t* >= 2, so no slot draws from a shrunk pool.

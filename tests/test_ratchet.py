@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from pivotk.cli import _even_spread
 from pivotk.delay import exact_q0, sawtooth_sweep
 from pivotk.geometry import ContactSchedule, SystemInstance
 from pivotk.probability import (
@@ -30,6 +29,13 @@ from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt, reference_r
 # Largest allowed distance between a Monte-Carlo frequency and the exact
 # ratchet law, in binomial standard errors sqrt(p(1-p)/trials) of the exact p.
 Z_TOL = 4.0
+
+
+def even_spread(delta: int, t_star: int) -> tuple[int, ...]:
+    """Caps that spread the minimal need delta + 1 as evenly as they can over t* slots."""
+    base, extra = divmod(delta + 1, t_star)
+    return tuple(base + (1 if i < extra else 0) for i in range(t_star))
+
 
 def contact_law_dist(n=100, marked=20, m=20):
     return DiscreteDistribution.from_law(HypergeomLaw(n, marked, m))
@@ -113,11 +119,26 @@ class TestMultiSlotRatchet:
         inst = SystemInstance.from_kappa(100, 20, kappa)
         pad = (0,) * (inst.t_star - 2)
         trials = 200_000
-        for spread in [(20, 0) + pad, (6, 5) + pad, _even_spread(inst.delta, inst.t_star)]:
+        for spread in [(20, 0) + pad, (6, 5) + pad, even_spread(inst.delta, inst.t_star)]:
             exact = float(exact_ratchet_tail_gt(100, 20, 20, spread, inst.delta))
             est = estimate_delay(inst, beta, RatchetSpread(spread), trials, 2026, ratchet=True)
             se = math.sqrt(exact * (1 - exact) / trials)
             assert abs(est.frequency - exact) <= Z_TOL * se, (spread, exact, est)
+
+    def test_full_withholding_dominates_the_fixed_spreads(self):
+        # Exact: at every multi-slot kappa of the default sweep, withholding
+        # everything in every slot (caps m, ..., m) delays at least as often
+        # as withholding only slot one's contacts or the minimal need spread
+        # evenly over t* slots.
+        m, marked = 20, 20
+        for kappa in range(21, 121):
+            inst = SystemInstance.from_kappa(100, m, kappa)
+            full = exact_ratchet_tail_gt(100, marked, m, (m,) * inst.t_star, inst.delta)
+            for spread in [(m,), even_spread(inst.delta, inst.t_star)]:
+                assert full >= exact_ratchet_tail_gt(100, marked, m, spread, inst.delta), (
+                    kappa,
+                    spread,
+                )
 
     def test_first_slot_draws_shared_across_kappas(self, beta):
         # With everything withheld in slot one a trial hits iff its first
@@ -149,8 +170,8 @@ class TestMultiSlotRatchet:
         inst = SystemInstance.from_kappa(100, 20, kappa)
         spreads = [
             (20,),
-            _even_spread(inst.delta, inst.t_star),
-            _even_spread(inst.delta, inst.t_star - 1),
+            even_spread(inst.delta, inst.t_star),
+            even_spread(inst.delta, inst.t_star - 1),
         ]
         for spread in spreads:
             for seed in range(20):

@@ -77,10 +77,12 @@ CONFIGS = {
                  "per_byte_price": 0.01, "proposer_share": 0.5, "alpha": 0.01, "value": 10000.0},
     },
     "bad.json": {"instance": 5},
+    "beta09.json": {"beta": 0.9},
 }
 
 # (exit code, argv): the CI console-script set at small trials, a knife-edge
-# and a bytes-mode advise, both exit-1 paths, a malformed config, and a
+# and a bytes-mode advise, both exit-1 paths, a malformed config, a ratchet
+# pool too small for full withholding, and a
 # simulate/replay round trip per policy kind.
 COMMANDS = [
     (0, ["simulate", "--traces", "3", "--out", "t.jsonl"]),
@@ -103,6 +105,7 @@ COMMANDS = [
     (1, ["sweep", "--format", "yaml"]),
     (1, ["simulate", "--policy", "bogus"]),
     (1, ["sweep", "--config", "bad.json"]),
+    (1, ["sweep-ratchet", "--config", "beta09.json"]),
 ] + [
     (0, argv)
     for i, spec in enumerate(POLICY_SPECS)
