@@ -135,10 +135,8 @@ class TestMultiSlotRatchet:
             inst = SystemInstance.from_kappa(100, m, kappa)
             full = exact_ratchet_tail_gt(100, marked, m, (m,) * inst.t_star, inst.delta)
             for spread in [(m,), even_spread(inst.delta, inst.t_star)]:
-                assert full >= exact_ratchet_tail_gt(100, marked, m, spread, inst.delta), (
-                    kappa,
-                    spread,
-                )
+                other = exact_ratchet_tail_gt(100, marked, m, spread, inst.delta)
+                assert full >= other, (kappa, spread)
 
     def test_first_slot_draws_shared_across_kappas(self, beta):
         # With everything withheld in slot one a trial hits iff its first

@@ -82,8 +82,8 @@ CONFIGS = {
 
 # (exit code, argv): the CI console-script set at small trials, a knife-edge
 # and a bytes-mode advise, both exit-1 paths, a malformed config, a ratchet
-# pool too small for full withholding, and a
-# simulate/replay round trip per policy kind.
+# pool too small for full withholding, and a simulate/replay round trip per
+# policy kind.
 COMMANDS = [
     (0, ["simulate", "--traces", "3", "--out", "t.jsonl"]),
     (0, ["replay", "--input", "t.jsonl"]),
