@@ -248,19 +248,19 @@ def cmd_sweep_ratchet(args) -> int:
             f"eligible lanes; use n >= {m + flagged} or kappa_max <= {m * (n // m)}"
         )
     first_slot_law = DiscreteDistribution.from_law(cartel_contact_law(n, cfg.beta, m))
-    for row in delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1)):
-        if row.t_star < 2:
-            continue
-        inst = SystemInstance.from_kappa(n, m, row.kappa)
-        schedule = ContactSchedule.static(inst)
+    sweep = delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1))
+    multi_slot = [row for row in sweep if row.t_star >= 2]
+    # every contacted cartel bundle withheld in every slot, each withheld
+    # lane flagged out of the pool; the sender never compensates.  One
+    # pass to the largest t* serves every kappa.
+    estimates = simulator.estimate_ratchet_full_withhold(
+        n, m, cfg.beta, [row.kappa for row in multi_slot], cfg.trials, cfg.seed
+    )
+    for row, est in zip(multi_slot, estimates):
+        schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, row.kappa))
         # first-slot bound at the configured honest-miss rate; at epsilon=0
         # this is exactly the ratchet tail P[A1 > delta_rec]
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)
-        # every contacted cartel bundle withheld in every slot, each withheld
-        # lane flagged out of the pool; the sender never compensates
-        est = simulator.estimate_delay(
-            inst, cfg.beta, simulator.FullWithhold(), cfg.trials, cfg.seed, ratchet=True
-        )
         rows.append(
             {
                 "kappa": row.kappa,

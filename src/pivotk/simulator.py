@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "Trace",
     "run_trace",
     "estimate_delay",
+    "estimate_ratchet_full_withhold",
     "PayoffBreakdown",
     "payoff_of_trace",
     "SabotageReport",
@@ -401,14 +402,16 @@ def _replay(
     return trace
 
 
-def _withheld_at_horizon(
+def _withheld_by_slot(
     instance: SystemInstance, beta, policies, trials: int, key: list[int], ratchet: bool
-) -> list[np.ndarray]:
-    """Pre-horizon withheld counts W on ``trials`` paths, one array per (policy, key) pair.
+) -> Iterator[list[np.ndarray]]:
+    """W on ``trials`` paths after each slot t = 1..t*: one array per (policy, key) pair.
 
     The one Monte-Carlo slot loop.  Each slot draws every path's cartel
-    contacts at once from the contact stream ``key + [0]``, then adds each
-    policy's ``withhold`` to that policy's W; a policy that draws reads its
+    contacts at once from the contact stream ``key + [0]``, adds each
+    policy's ``withhold`` to that policy's W, and yields the list of W
+    arrays.  The arrays are updated in place, so a caller that keeps one
+    slot's W past the next slot copies it.  A policy that draws reads its
     own stream at its key.  The delay event depends only on W, so lane
     identities are not drawn.  The static sender contacts m of a cartel and
     n - a honest lanes every slot, so one draw per slot serves every policy
@@ -433,7 +436,7 @@ def _withheld_at_horizon(
         contacts = rng.hypergeometric(pool, n - marked, m, size=trials)
         for w, (policy, policy_rng) in zip(withheld, streams):
             w += policy.withhold(t, contacts, w, instance, policy_rng)
-    return withheld
+        yield withheld
 
 
 def estimate_delay(
@@ -446,11 +449,13 @@ def estimate_delay(
 ) -> MCEstimate:
     """Monte-Carlo delay frequency for a policy under the static sender or the ratchet.
 
-    With ``ratchet`` the sender stops contacting every lane whose bundle was
+    Counts the paths whose W after slot t* exceeds the slack delta.  With
+    ``ratchet`` the sender stops contacting every lane whose bundle was
     withheld, which needs a multi-slot horizon: with t* = 1 there is no
-    later slot for the ratchet to protect.  Slot one's draw depends on
-    neither the policy nor kappa, so for a given seed it is shared across
-    both, and across the two senders.
+    later slot for the ratchet to protect.  Every estimate at one seed
+    reads the same contact stream, so slot one's draws, which depend on
+    neither the policy, kappa nor the sender, are shared by all of them;
+    :func:`estimate_ratchet_full_withhold` shares every slot across kappas.
     """
     if ratchet and instance.t_star < 2:
         raise ValueError("ratchet analysis needs t_star >= 2")
@@ -458,8 +463,49 @@ def estimate_delay(
         raise ValueError("need at least one trial")
     key = _seed_list(seed)
     pairs = [(policy, key + [_POLICY_STREAM])]
-    (withheld,) = _withheld_at_horizon(instance, beta, pairs, trials, key, ratchet)
+    *_, (withheld,) = _withheld_by_slot(instance, beta, pairs, trials, key, ratchet)
     return MCEstimate.from_counts(int(np.count_nonzero(withheld > instance.delta)), trials)
+
+
+def estimate_ratchet_full_withhold(
+    n: int, m: int, beta, kappas: Sequence[int], trials: int, seed
+) -> list[MCEstimate]:
+    """Full-withholding delay frequency under the ratchet at each kappa, from one slot pass.
+
+    Each estimate equals ``estimate_delay(SystemInstance.from_kappa(n, m,
+    kappa), beta, FullWithhold(), trials, seed, ratchet=True)``.  Full
+    withholding ignores the instance, so W after slot t is the same on every
+    path for every kappa: one pass to the largest t* serves them all, and
+    each kappa counts the paths whose W after its own t* exceeds its delta.
+    The estimates share their paths (common random numbers), so they are
+    correlated, and within one t* they are nondecreasing in kappa.  A policy
+    that reads the instance, such as minimal sabotage, would need a pass per
+    kappa, so this takes no policy.  The pass raises ``ValueError`` when the
+    pool shrinks below m before the largest t*, even where a smaller
+    kappa's own run would not reach that slot.
+    """
+    instances = [SystemInstance.from_kappa(n, m, kappa) for kappa in kappas]
+    if any(inst.t_star < 2 for inst in instances):
+        raise ValueError("ratchet analysis needs t_star >= 2")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not instances:
+        return []
+    by_horizon: dict[int, list[int]] = {}
+    for idx, inst in enumerate(instances):
+        by_horizon.setdefault(inst.t_star, []).append(idx)
+    horizon = max(instances, key=lambda inst: inst.t_star)
+    pairs = [(FullWithhold(), None)]
+    hits = [0] * len(instances)
+    slots = _withheld_by_slot(horizon, beta, pairs, trials, _seed_list(seed), True)
+    for t, (withheld,) in enumerate(slots, start=1):
+        if t in by_horizon:
+            ordered = np.sort(withheld)
+            deltas = [instances[idx].delta for idx in by_horizon[t]]
+            not_delayed = np.searchsorted(ordered, deltas, side="right")
+            for idx, below in zip(by_horizon[t], not_delayed.tolist()):
+                hits[idx] = trials - below
+    return [MCEstimate.from_counts(h, trials) for h in hits]
 
 
 @dataclass(frozen=True)
@@ -874,7 +920,7 @@ def verify_pathwise_theorems(
     pairs = [(FullWithhold(), None)] + [
         (policy, key + [_POLICY_STREAM, idx]) for idx, policy in enumerate(policies)
     ]
-    baseline, *withheld = _withheld_at_horizon(instance, beta, pairs, trials, key, False)
+    *_, (baseline, *withheld) = _withheld_by_slot(instance, beta, pairs, trials, key, False)
     baseline_delayed = baseline > instance.delta
     violations = sum(
         int(np.count_nonzero((w > instance.delta) & ~baseline_delayed)) for w in withheld
