@@ -250,14 +250,13 @@ def cmd_sweep_ratchet(args) -> int:
     first_slot_law = DiscreteDistribution.from_law(cartel_contact_law(n, cfg.beta, m))
     sweep = delay.sawtooth_sweep(n, m, cfg.beta, range(cfg.sweep_min, cfg.sweep_max + 1))
     multi_slot = [row for row in sweep if row.t_star >= 2]
+    instances = [SystemInstance.from_kappa(n, m, row.kappa) for row in multi_slot]
     # every contacted cartel bundle withheld in every slot, each withheld
     # lane flagged out of the pool; the sender never compensates.  One
     # pass to the largest t* serves every kappa.
-    estimates = simulator.estimate_ratchet_full_withhold(
-        n, m, cfg.beta, [row.kappa for row in multi_slot], cfg.trials, cfg.seed
-    )
-    for row, est in zip(multi_slot, estimates):
-        schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, row.kappa))
+    estimates = simulator.estimate_ratchet_full_withhold(instances, cfg.beta, cfg.trials, cfg.seed)
+    for row, inst, est in zip(multi_slot, instances, estimates):
+        schedule = ContactSchedule.static(inst)
         # first-slot bound at the configured honest-miss rate; at epsilon=0
         # this is exactly the ratchet tail P[A1 > delta_rec]
         q_rat = ratchet.honest_miss_delay_bound(schedule, epsilon, first_slot_law)

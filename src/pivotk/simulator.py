@@ -468,25 +468,26 @@ def estimate_delay(
 
 
 def estimate_ratchet_full_withhold(
-    n: int, m: int, beta, kappas: Sequence[int], trials: int, seed
+    instances: Sequence[SystemInstance], beta, trials: int, seed
 ) -> list[MCEstimate]:
-    """Full-withholding delay frequency under the ratchet at each kappa, from one slot pass.
+    """Full-withholding delay frequency under the ratchet on each instance, from one slot pass.
 
-    Each estimate equals ``estimate_delay(SystemInstance.from_kappa(n, m,
-    kappa), beta, FullWithhold(), trials, seed, ratchet=True)``.  Full
+    The instances share n and m.  Each estimate equals ``estimate_delay(
+    instance, beta, FullWithhold(), trials, seed, ratchet=True)``.  Full
     withholding ignores the instance, so W after slot t is the same on every
     path for every kappa: one pass to the largest t* serves them all, and
-    each kappa counts the paths whose W after its own t* exceeds its delta.
-    The estimates share their paths (common random numbers), so they are
-    correlated, and within one t* they are nondecreasing in kappa.  A policy
-    that reads the instance, such as minimal sabotage, would need a pass per
-    kappa, so this takes no policy.  The pass raises ``ValueError`` when the
-    pool shrinks below m before the largest t*, even where a smaller
-    kappa's own run would not reach that slot.
+    each instance counts the paths whose W after its own t* exceeds its
+    delta.  The estimates share their paths (common random numbers), so
+    they are correlated, and within one t* they are nondecreasing in kappa.
+    A policy that reads the instance, such as minimal sabotage, would need a
+    pass per instance, so this takes no policy.  The pass raises
+    ``ValueError`` when the pool shrinks below m before the largest t*, even
+    where a smaller kappa's own run would not reach that slot.
     """
-    instances = [SystemInstance.from_kappa(n, m, kappa) for kappa in kappas]
     if any(inst.t_star < 2 for inst in instances):
         raise ValueError("ratchet analysis needs t_star >= 2")
+    if len({(inst.n, inst.m) for inst in instances}) > 1:
+        raise ValueError("one pass needs instances that share n and m")
     if trials < 1:
         raise ValueError("need at least one trial")
     if not instances:

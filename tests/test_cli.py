@@ -100,6 +100,14 @@ GOLDEN_COMMANDS = [
 ]
 
 
+N10000_BAND = {"instance": {"n": 10000, "m": 2000}, "sweep": {"kappa_min": 1, "kappa_max": 10000}}
+
+# every sweep-ratchet golden, and the n = 10 000 band, which has no golden file
+RATCHET_SWEEPS = [p for p in GOLDEN_COMMANDS if p.values[1][0] == "sweep-ratchet"] + [
+    pytest.param(None, ["sweep-ratchet", "--trials", "200"], N10000_BAND, id="sweep-ratchet-n10000")
+]
+
+
 def with_config(tmp_path, argv, config) -> list[str]:
     """``argv`` reading ``config`` from a file in ``tmp_path``; unchanged if None."""
     if config is None:
@@ -848,6 +856,35 @@ class TestSweep:
         assert lines[0] == "kappa,q0,q_rat,q_rat_multi_mc,ci_low,ci_high,epsilon"
         assert len(lines) == 6  # every kappa in range has t* >= 2
 
+    @pytest.mark.parametrize("golden, argv, config", RATCHET_SWEEPS)
+    def test_ratchet_sweep_column_is_monotone_within_each_horizon(
+        self, capsys, tmp_path, golden, argv, config
+    ):
+        # The rows share their paths, and within one t* a larger kappa has a
+        # smaller slack, so count(W > delta) cannot fall: exactly, not only
+        # in expectation.
+        code, out = run_cli(capsys, *with_config(tmp_path, argv, config))
+        assert code == EXIT_OK
+        m = (config or {}).get("instance", {}).get("m", 20)
+        by_horizon = {}
+        for line in out.splitlines()[1:]:
+            kappa, _, _, estimate, *_ = line.split(",")
+            by_horizon.setdefault(-(-int(kappa) // m), []).append(float(estimate))
+        assert by_horizon
+        for t_star, column in by_horizon.items():
+            assert column == sorted(column), t_star
+
+    def test_ratchet_sweep_n10000_matches_recorded_digest(self, capsys, tmp_path):
+        # The 8 000-row CSV is pinned by its sha256: the bytes one
+        # estimate_delay per kappa printed before the kappas shared one pass.
+        argv = with_config(tmp_path, ["sweep-ratchet", "--trials", "1000"], N10000_BAND)
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 8001
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "68d1cc9bc8c6cceafec6bec0033a4804aa7e04b7d69888c7b4c5be5526a44df6"
+        )
+
     def test_ratchet_sweep_estimates_full_withholding(self, capsys, tmp_path):
         # The Monte-Carlo column is full withholding under the ratchet: within
         # three binomial standard errors of that policy's exact tail.
@@ -908,8 +945,12 @@ class TestSweep:
         assert "eligible lanes" in captured.err
         assert "n >= 110" in captured.err and "kappa_max <= 100" in captured.err
 
-    def test_ratchet_sweep_single_slot_kappas_need_no_pool(self, capsys, tmp_path):
-        # With kappa <= m no row has t* >= 2, so no slot draws from a shrunk pool.
+    def test_ratchet_sweep_single_slot_kappas_need_no_pool(self, capsys, tmp_path, monkeypatch):
+        # With kappa <= m no row has t* >= 2, so the Monte-Carlo pass never starts.
+        def no_pass(*args):
+            raise AssertionError("the slot loop ran")
+
+        monkeypatch.setattr(simulator, "_withheld_by_slot", no_pass)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             json.dumps(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 
+from pivotk.config import AnalysisConfig
 from pivotk.delay import exact_q0, sawtooth_sweep
 from pivotk.geometry import ContactSchedule, SystemInstance
 from pivotk.probability import (
@@ -22,6 +24,7 @@ from pivotk.simulator import (
     RatchetSpread,
     StationaryW,
     estimate_delay,
+    estimate_ratchet_full_withhold,
 )
 
 from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt, reference_ratchet_estimate
@@ -211,6 +214,58 @@ class TestMultiSlotRatchet:
         inst = SystemInstance.from_kappa(30, 20, 25)
         with pytest.raises(ValueError, match="below m=20"):
             estimate_delay(inst, 0.5, FullWithhold(), 200, 0, ratchet=True)
+        with pytest.raises(ValueError, match="below m=20"):
+            estimate_ratchet_full_withhold([inst], 0.5, 200, 0)
+
+
+class TestOnePassFullWithhold:
+    @pytest.mark.parametrize(
+        "n, m, kappas, trials",
+        [
+            # the default sweep's multi-slot kappas
+            (100, 20, range(21, 121), 200),
+            # the n = 1 000 band of the sweep-ratchet-eps-n1000 golden
+            (1000, 200, range(201, 1001), 50),
+            # t* = 2..5 at n = 10 000; 6 000 and 10 000 are knife edges (kappa = t* m)
+            (10_000, 2000, [3500, 6000, 7001, 10_000], 200),
+        ],
+        ids=["default", "n1000", "n10000"],
+    )
+    def test_equals_one_estimate_per_kappa(self, n, m, kappas, trials):
+        cfg = AnalysisConfig.default()
+        instances = [SystemInstance.from_kappa(n, m, kappa) for kappa in kappas]
+        shared = estimate_ratchet_full_withhold(instances, cfg.beta, trials, cfg.seed)
+        assert shared == [
+            estimate_delay(inst, cfg.beta, FullWithhold(), trials, cfg.seed, ratchet=True)
+            for inst in instances
+        ]
+        assert any(est.frequency > 0.0 for est in shared)  # the comparison sees hits
+        # the instances may come in any order
+        backwards = estimate_ratchet_full_withhold(instances[::-1], cfg.beta, trials, cfg.seed)
+        assert backwards == shared[::-1]
+
+    def test_takes_no_policy(self, table_instances, beta):
+        # A policy that reads the instance, such as minimal sabotage (t* and
+        # delta), withholds differently at each kappa, so one pass cannot
+        # serve them all: the estimator has no parameter to pass one through.
+        assert "policy" not in inspect.signature(estimate_ratchet_full_withhold).parameters
+        with pytest.raises(TypeError, match="policy"):
+            estimate_ratchet_full_withhold(
+                [table_instances[30]], beta, 50, 0, policy=MinimalSabotage()
+            )
+
+    def test_single_slot_kappa_rejected(self, table_instances, beta):
+        with pytest.raises(ValueError, match="t_star >= 2"):
+            estimate_ratchet_full_withhold([table_instances[30], table_instances[20]], beta, 50, 0)
+
+    def test_instances_must_share_the_pool(self, table_instances, beta):
+        # one pass draws from one n and one m
+        other = SystemInstance.from_kappa(200, 20, 30)
+        with pytest.raises(ValueError, match="share n and m"):
+            estimate_ratchet_full_withhold([table_instances[30], other], beta, 50, 0)
+
+    def test_no_instances_give_no_estimates(self, beta):
+        assert estimate_ratchet_full_withhold([], beta, 50, 0) == []
 
 
 class TestHonestMissBound:
