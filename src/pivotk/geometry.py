@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import bisect
 import difflib
-import itertools
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -60,28 +57,18 @@ def check_keys(block: Mapping, accepted: Sequence[str], name: str | None) -> Non
 def cartel_lane_count(n: int, beta) -> int:
     """The integer cartel lane count ``beta * n``.
 
-    ``beta`` may be a float or Fraction; the product must be integral (to
-    within 1e-9 for floats) because the contact law needs a whole number of
-    marked lanes.  Non-integral products are rejected with the nearest legal
-    cartel size in the message.
+    ``float(beta) * n`` must be integral to within 1e-9 because the contact
+    law needs a whole number of marked lanes; an integral Fraction gives the
+    same count as its float.  Non-integral products are rejected with the
+    nearest legal cartel size in the message.
     """
-    if isinstance(beta, Fraction):
-        exact = beta * n
-        if exact.denominator != 1:
-            nearest = int(round(float(exact)))
-            raise ValueError(
-                f"beta*n = {exact} is not an integer; nearest integral cartel "
-                f"size is {nearest} lanes (beta = {Fraction(nearest, n)})"
-            )
-        count = int(exact)
-    else:
-        raw = float(beta) * n
-        count = int(round(raw))
-        if abs(raw - count) > 1e-9:
-            raise ValueError(
-                f"beta*n = {raw} is not an integer; nearest integral cartel "
-                f"size is {count} lanes (beta = {count}/{n})"
-            )
+    raw = float(beta) * n
+    count = int(round(raw))
+    if abs(raw - count) > 1e-9:
+        raise ValueError(
+            f"beta*n = {raw} is not an integer; nearest integral cartel "
+            f"size is {count} lanes (beta = {count}/{n})"
+        )
     if not 0 <= count <= n:
         raise ValueError(f"cartel size {count} outside [0, {n}]")
     return count
@@ -157,43 +144,26 @@ class SystemInstance:
 
 @dataclass(frozen=True)
 class ContactSchedule:
-    """A finite per-slot contact plan reaching the decode threshold.
+    """The static sender's contacts up to its horizon, as the ratchet bound reads them.
 
-    ``per_slot_contacts[t-1]`` lanes are contacted in slot ``t``.  The horizon
-    is the first slot whose cumulative contact count reaches ``kappa``; the
-    recovery slack is whatever the plan over-delivers by then, which is the
-    deficit a first-slot withholder must exceed once flagged lanes are routed
-    around.
+    ``total_by_horizon`` lanes, t* * m, are contacted by the horizon t*.  The
+    recovery slack ``delta_rec`` is what they deliver beyond kappa, the
+    instance's delta: the deficit a first-slot withholder must exceed once
+    flagged lanes are routed around.  Both are read from the instance, which
+    holds the one horizon rule.
     """
 
-    per_slot_contacts: tuple[int, ...]
-    kappa: int
-    t_star: int = field(init=False, repr=False)
-    total_by_horizon: int = field(init=False, repr=False)
+    instance: SystemInstance
 
-    def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not self.per_slot_contacts:
-            raise ValueError("schedule is empty")
-        if any(c < 0 for c in self.per_slot_contacts):
-            raise ValueError("per-slot contact counts must be nonnegative")
-        cumulative = list(itertools.accumulate(self.per_slot_contacts))
-        if cumulative[-1] < self.kappa:
-            raise ValueError(
-                f"schedule delivers {cumulative[-1]} contacts, never reaching kappa={self.kappa}"
-            )
-        # Counts are nonnegative, so the running totals never fall.
-        t = bisect.bisect_left(cumulative, self.kappa)
-        object.__setattr__(self, "t_star", t + 1)
-        object.__setattr__(self, "total_by_horizon", cumulative[t])
+    @property
+    def total_by_horizon(self) -> int:
+        return self.instance.t_star * self.instance.m
 
     @property
     def delta_rec(self) -> int:
-        """The recovery slack: contacts planned by the horizon beyond kappa."""
-        return self.total_by_horizon - self.kappa
+        return self.instance.delta
 
     @classmethod
     def static(cls, instance: SystemInstance) -> "ContactSchedule":
         """The fixed-m sender truncated at its horizon."""
-        return cls((instance.m,) * instance.t_star, instance.kappa)
+        return cls(instance)

@@ -130,23 +130,20 @@ class EconParams:
 
     @classmethod
     def normalized(
-        cls,
-        fee: float,
-        alpha_v: float,
-        gamma: float,
-        bounty: float = 0.0,
-        alpha: float = 1.0,
-        bundle_price: float | None = None,
+        cls, fee: float, alpha_v: float, gamma: float, bounty: float = 0.0
     ) -> "EconParams":
-        """Unit-fee economics: proposer fee set directly, MEV given as alpha*v."""
+        """Unit-fee economics: proposer fee set directly, MEV given as alpha*v.
+
+        alpha is 1, so v = alpha_v, and a bundle is priced at the fee.
+        """
         return cls(
             mode="normalized",
             fee=fee,
             alpha_v=alpha_v,
-            alpha=alpha,
+            alpha=1.0,
             gamma=gamma,
             bounty=bounty,
-            bundle_price=fee if bundle_price is None else bundle_price,
+            bundle_price=fee,
         )
 
     @property

@@ -41,7 +41,8 @@ class PivotalAllocation:
     ``owners`` are the first kappa included bundles' owners in resolution
     order.  Each of the first kappa-1 carries s fresh symbol indices and earns
     ``full``; the final bundle contributes only the r_idx indices still
-    missing and earns ``last``, pro rata.  Payments sum to exactly the budget.
+    missing and earns ``last``, pro rata.  What the two owners are paid sums
+    to exactly the budget.
     """
 
     owners: tuple[Owner, ...]
@@ -49,14 +50,6 @@ class PivotalAllocation:
     full: Fraction
     last: Fraction
     budget: Fraction
-
-    @property
-    def kappa(self) -> int:
-        return len(self.owners)
-
-    @property
-    def total_paid(self) -> Fraction:
-        return self.full * (self.kappa - 1) + self.last
 
     def paid_to(self, owner: Owner) -> Fraction:
         owns_final = self.owners[-1] == owner
@@ -157,10 +150,6 @@ class WeightRule:
 class MinimaxReport:
     """Outcome of checking the uniform rule's worst-case-forfeiture optimality."""
 
-    kappa: int
-    d: int
-    ceiling: Fraction
-    rules_checked: int
     violations: tuple[int, ...]  # indices with floor above the ceiling
     false_equalities: tuple[int, ...]  # non-uniform rules attaining the ceiling
 
@@ -193,14 +182,7 @@ def minimax_certificate(
             violations.append(i)
         elif floor_scaled == d * rule.scale and not rule.is_uniform:
             false_eq.append(i)
-    return MinimaxReport(
-        kappa=kappa,
-        d=d,
-        ceiling=Fraction(d, kappa),
-        rules_checked=len(trial_rules),
-        violations=tuple(violations),
-        false_equalities=tuple(false_eq),
-    )
+    return MinimaxReport(violations=tuple(violations), false_equalities=tuple(false_eq))
 
 
 def cartel_prefix_count(owners: Sequence[Owner], kappa: int) -> int:

@@ -5,7 +5,8 @@ turns every withheld bundle into a burned cartel lane, shrinking the cartel's
 effective fraction slot over slot.  q_rat = P[A_1 > delta_rec] is the
 first-slot deficit tail.  The sender never compensates withheld symbols, so
 full withholding keeps adding to the deficit after slot one; ``sweep-ratchet``
-estimates it with ``simulator.estimate_delay(..., ratchet=True)``.
+estimates it for every kappa from one slot pass,
+``simulator.estimate_ratchet_full_withhold``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def honest_miss_delay_bound(
     """Delay bound when honest lanes miss redemptions at rate ``epsilon``.
 
     Honest misses add an independent Bin(M, epsilon) of lost bundles on top of
-    the strategic withholding law, where M is the schedule's planned contact
+    the strategic withholding law, where M = t* * m is the schedule's contact
     total by the horizon: P[W + Bin(M, eps) > delta_rec].  Bin(M, 0) is the
     point mass at 0, so at ``epsilon == 0`` this is the law's own tail; with
     the first slot's contact law that is the ratchet tail

@@ -42,7 +42,6 @@ __all__ = [
     "SabotageReport",
     "minimal_sabotage_exhaustive",
     "prefix_monotonicity_exhaustive",
-    "PathwiseReport",
     "verify_pathwise_theorems",
     "trace_to_json",
     "trace_from_json_with_econ",
@@ -736,7 +735,6 @@ def trace_from_json_with_econ(line: str) -> tuple[Trace, PayoffBreakdown, EconPa
 class SabotageReport:
     """Exhaustive check that optimal delay-inducing deviations are minimal."""
 
-    paths_checked: int
     paths_with_delay_option: int
     paths_skipped: int
     violations: int
@@ -825,30 +823,27 @@ def minimal_sabotage_exhaustive(
             violations += 1
 
     return SabotageReport(
-        paths_checked=paths,
         paths_with_delay_option=with_delay,
         paths_skipped=skipped,
         violations=violations,
     )
 
 
-def prefix_monotonicity_exhaustive(kappa: int, extra: int = 2) -> int:
+def prefix_monotonicity_exhaustive(kappa: int) -> int:
     """Exhaustively verify that inserting cartel bundles never shrinks the prefix count.
 
-    All owner sequences of length kappa+extra and all ways to insert one or
-    two cartel bundles are enumerated; returns the number of cases checked.
+    All owner sequences of length kappa+2 and all ways to insert one or two
+    cartel bundles are enumerated; returns the number of cases checked.
     Raises on any violation.
 
     A sequence is a bit pattern, bit i set when position i is the cartel's.
     :func:`cartel_prefix_count` is called once on each distinct sequence of
-    length kappa+extra, +1 and +2, and every case compares two of those
-    counts, looked up by the pattern before and after the insertion.
+    length kappa+2, +3 and +4, and every case compares two of those counts,
+    looked up by the pattern before and after the insertion.
     """
     if not 1 <= kappa <= 6:
         raise ValueError(f"kappa={kappa} outside 1..6, the range exhaustive enumeration covers")
-    if extra < 0:
-        raise ValueError(f"extra={extra} is negative: it must be >= 0")
-    length = kappa + extra
+    length = kappa + 2
     # seqs[k][bits] is the length+k sequence with pattern bits: product() runs
     # its last position fastest, so reversing each tuple puts bit i at position i
     seqs = [
@@ -880,50 +875,33 @@ def _insert_cartel(bits: np.ndarray, at) -> np.ndarray:
     return bits + (bits >> at << at) + (1 << at)
 
 
-@dataclass(frozen=True)
-class PathwiseReport:
-    """Outcome of the pathwise dominance check."""
-
-    dominance_paths: int
-    dominance_violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.dominance_violations == 0
+# every policy the dominance check holds against full withholding
+DOMINANCE_POLICIES = (
+    FullInclude(),
+    StationaryW(0.25),
+    StationaryW(0.5),
+    StationaryW(0.75),
+    MinimalSabotage(),
+)
 
 
-def verify_pathwise_theorems(
-    instance: SystemInstance,
-    beta,
-    trials: int,
-    seed,
-    policies: Sequence[AdversaryPolicy] | None = None,
-) -> PathwiseReport:
-    """Check the pathwise dominance on one instance.
+def verify_pathwise_theorems(instance: SystemInstance, beta, trials: int, seed) -> int:
+    """Check the pathwise dominance on one instance; returns the violation count.
 
-    On shared contact paths, no policy's delay indicator may exceed full
-    withholding's, with zero violations allowed.  Minimal sabotage and prefix
-    monotonicity are checked on their own by
+    On shared contact paths, no policy of :data:`DOMINANCE_POLICIES` may be
+    delayed where full withholding is not, with zero violations allowed.
+    Minimal sabotage and prefix monotonicity are checked on their own by
     :func:`minimal_sabotage_exhaustive` and
     :func:`prefix_monotonicity_exhaustive`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if policies is None:
-        policies = [
-            FullInclude(),
-            StationaryW(0.25),
-            StationaryW(0.5),
-            StationaryW(0.75),
-            MinimalSabotage(),
-        ]
     key = _seed_list(seed)
     pairs = [(FullWithhold(), None)] + [
-        (policy, key + [_POLICY_STREAM, idx]) for idx, policy in enumerate(policies)
+        (policy, key + [_POLICY_STREAM, idx]) for idx, policy in enumerate(DOMINANCE_POLICIES)
     ]
     *_, (baseline, *withheld) = _withheld_by_slot(instance, beta, pairs, trials, key, False)
     baseline_delayed = baseline > instance.delta
-    violations = sum(
+    return sum(
         int(np.count_nonzero((w > instance.delta) & ~baseline_delayed)) for w in withheld
     )
-    return PathwiseReport(dominance_paths=trials, dominance_violations=violations)

@@ -313,15 +313,15 @@ def reference_sabotage_report(instance, beta, econ, paths, seed):
     return with_delay, skipped, violations
 
 
-def reference_prefix_monotonicity(kappa, count, extra=2):
+def reference_prefix_monotonicity(kappa, count):
     """The prefix battery by list insertion, one ``count`` call per case.
 
-    Every owner sequence of length kappa+extra gets one or two cartel
+    Every owner sequence of length kappa+2 gets one or two cartel
     bundles inserted at every combination of spots, and ``count(aug, kappa)``
     is compared with ``count(seq, kappa)``.  Returns the number of cases, or
     raises AssertionError naming the first case whose count dropped.
     """
-    length = kappa + extra
+    length = kappa + 2
     checked = 0
     for bits in range(1 << length):
         seq = ["cartel" if bits >> i & 1 else "honest" for i in range(length)]

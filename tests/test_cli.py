@@ -1063,6 +1063,34 @@ class TestVerifyCommand:
         assert cli._suite_minimax(cfg, inject_fault=False)["passed"] is True
         assert seen == [want] * 3
 
+    def test_conservation_suite_catches_a_share_that_ignores_the_final_rank(self, monkeypatch):
+        # Paying rank kappa as a full bundle overpays whoever holds it by
+        # (s - r_idx) B / K, so every triple with a partial final bundle fails.
+        def ignores_final(count, owns_final, full, last):
+            return count * full
+
+        cfg = AnalysisConfig.default()
+        assert cli._suite_conservation(cfg) == {"passed": True, "triples": 300, "failures": 0}
+        monkeypatch.setattr(mechanism, "pivotal_share", ignores_final)
+        outcome = cli._suite_conservation(cfg)
+        assert outcome["passed"] is False
+        assert 0 < outcome["failures"] < outcome["triples"] == 300
+
+    def test_conservation_suite_prices_both_owners(self, monkeypatch):
+        # Owners are drawn at random, so both are priced and both own the final rank.
+        calls = []
+
+        def recording(count, owns_final, full, last):
+            calls.append((count, owns_final))
+            return share(count, owns_final, full, last)
+
+        share = mechanism.pivotal_share
+        monkeypatch.setattr(mechanism, "pivotal_share", recording)
+        assert cli._suite_conservation(AnalysisConfig.default())["passed"] is True
+        assert len(calls) == 600
+        assert sum(owns_final for _, owns_final in calls) == 300  # one owner holds rank kappa
+        assert {count for count, _ in calls} >= {0, 1}
+
     @pytest.mark.parametrize("injected", ["low", "above_one"])
     def test_honest_miss_suite_catches_bound(self, capsys, tmp_path, monkeypatch, injected):
         # At kappa = 12 (t* = 1, delta = 8) q_rat = P[A_1 > 8] is about 0.004.
@@ -1071,7 +1099,7 @@ class TestVerifyCommand:
         value = {"low": 0.0, "above_one": math.nextafter(1.0, 2.0)}[injected]
 
         def faulty(schedule, epsilon, law):
-            return value if schedule.kappa == kappa else honest(schedule, epsilon, law)
+            return value if schedule.instance.kappa == kappa else honest(schedule, epsilon, law)
 
         monkeypatch.setattr(ratchet, "honest_miss_delay_bound", faulty)
         cfg_path = tmp_path / "cfg.json"

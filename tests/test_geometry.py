@@ -1,4 +1,4 @@
-"""Instance geometry: thresholds, horizons, slack sawtooth, schedules."""
+"""Instance geometry: thresholds, horizons, slack sawtooth, the static schedule."""
 
 from __future__ import annotations
 
@@ -116,62 +116,38 @@ def slot_by_slot_horizon(per_slot_contacts, kappa):
 
 
 class TestContactSchedule:
+    """The static schedule's t* * m and delta, cross-checked by a running sum."""
+
     @pytest.mark.parametrize(
-        "per_slot, kappa",
+        "n, m, kappas",
         [
-            ((0, 0, 5, 0, 9), 5),
-            ((0, 0, 5, 0, 9), 6),
-            ((0, 20), 1),
-            ((3, 0, 0, 0, 7, 10), 11),
-            ((50,), 1),
-            ((50, 50, 50), 51),
-            ((7, 7, 7), 21),
+            (100, 20, range(1, 121)),  # the default sweep; knife edges at multiples of 20
+            (7, 1, range(1, 8)),  # one lane a slot: every kappa is a knife edge
+            (1000, 200, range(1, 1001)),
+            (10_000, 2000, [1, 1999, 2000, 2001, 3500, 6000, 7001, 9999, 10_000]),
         ],
+        ids=["n100", "m1", "n1000", "n10000"],
     )
-    def test_horizon_matches_slot_by_slot_sum(self, per_slot, kappa):
-        schedule = ContactSchedule(per_slot, kappa)
-        got = (schedule.t_star, schedule.total_by_horizon, schedule.delta_rec)
-        assert got == slot_by_slot_horizon(per_slot, kappa)
+    def test_horizon_matches_slot_by_slot_sum(self, n, m, kappas):
+        for kappa in kappas:
+            inst = SystemInstance.from_kappa(n, m, kappa)
+            schedule = ContactSchedule.static(inst)
+            got = (inst.t_star, schedule.total_by_horizon, schedule.delta_rec)
+            assert got == slot_by_slot_horizon((m,) * inst.t_star, kappa), kappa
 
-    @given(per_slot=st.lists(st.integers(0, 30), min_size=1, max_size=8), data=st.data())
+    @given(n=st.integers(1, 10_000), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_horizon_matches_slot_by_slot_sum_random(self, per_slot, data):
-        if sum(per_slot) == 0:
-            per_slot = [*per_slot, 1]
-        kappa = data.draw(st.integers(1, sum(per_slot)))
-        schedule = ContactSchedule(tuple(per_slot), kappa)
-        got = (schedule.t_star, schedule.total_by_horizon, schedule.delta_rec)
-        assert got == slot_by_slot_horizon(per_slot, kappa)
-
-    def test_uniform_matches_static_instance(self):
-        inst = SystemInstance(100, 20, 1, 30)
-        schedule = ContactSchedule((20,) * 4, kappa=30)
-        assert schedule.t_star == inst.t_star
-        assert schedule.delta_rec == inst.delta
-        assert ContactSchedule.static(inst).delta_rec == inst.delta
+    def test_horizon_matches_slot_by_slot_sum_random(self, n, data):
+        m = data.draw(st.integers(1, n))
+        s = data.draw(st.integers(1, 8))
+        inst = SystemInstance(n, m, s, data.draw(st.integers(1, 3 * n * s)))
+        schedule = ContactSchedule.static(inst)
+        got = (inst.t_star, schedule.total_by_horizon, schedule.delta_rec)
+        assert got == slot_by_slot_horizon((m,) * inst.t_star, inst.kappa)
 
     def test_two_slot_recovery(self):
-        schedule = ContactSchedule((20, 20), kappa=30)
-        assert schedule.t_star == 2
-        assert schedule.total_by_horizon == 40
-        assert schedule.delta_rec == 10
-        assert repr(schedule) == "ContactSchedule(per_slot_contacts=(20, 20), kappa=30)"
-
-    def test_over_contacting_single_slot(self):
-        schedule = ContactSchedule((25,), kappa=20)
-        assert schedule.t_star == 1
-        assert schedule.delta_rec == 5
-
-    def test_unreachable_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ContactSchedule((5, 5), kappa=11)
-        with pytest.raises(ValueError):
-            ContactSchedule((), kappa=1)
-
-    def test_slack_strictly_below_final_slot_contacts(self):
-        schedule = ContactSchedule((3, 0, 7, 10), kappa=12)
-        assert schedule.t_star == 4
-        assert 0 <= schedule.delta_rec < 10
+        schedule = ContactSchedule.static(SystemInstance(100, 20, 1, 30))
+        assert (schedule.total_by_horizon, schedule.delta_rec) == (40, 10)
 
 
 class TestCartelLaneCount:
@@ -181,6 +157,12 @@ class TestCartelLaneCount:
     def test_exact_fraction(self):
         assert cartel_lane_count(100, Fraction(1, 5)) == 20
         assert cartel_lane_count(3, Fraction(1, 3)) == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 100, 997, 1000, 10_000])
+    def test_integral_fraction_counts_as_its_exact_product(self, n):
+        # float(beta) * n lands within the 1e-9 tolerance of every integral k
+        for k in range(n + 1):
+            assert cartel_lane_count(n, Fraction(k, n)) == k
 
     def test_non_integral_rejected_with_suggestion(self):
         with pytest.raises(ValueError, match="nearest integral cartel size is 21"):

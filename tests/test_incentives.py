@@ -118,7 +118,7 @@ class TestEconParams:
 
     def test_normalized_keeps_alpha_v_as_given(self):
         # alpha * (alpha_v / alpha) is 945.3300000000002 here
-        econ = EconParams.normalized(fee=1.0, alpha_v=945.33, gamma=0.99, alpha=0.9)
+        econ = EconParams.from_config({**PAPER_ECON.to_config(), "alpha_v": 945.33, "alpha": 0.9})
         assert econ.mev_exposure == econ.to_config()["alpha_v"] == 945.33
         assert econ.transaction_value == 945.33 / 0.9
 
@@ -135,9 +135,11 @@ class TestEconParams:
         ids=["fee", "bundle_price", "bounty", "alpha_v", "alpha", "gamma"],
     )
     def test_normalized_checks_what_the_parser_checks(self, kwargs, reason):
-        args = {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **kwargs}
-        with pytest.raises(ValueError, match=re.escape(reason)):
-            EconParams.normalized(**args)
+        # normalized() fixes alpha at 1 and the bundle price at the fee
+        if not kwargs.keys() & {"alpha", "bundle_price"}:
+            args = {"fee": 1.0, "alpha_v": 100.0, "gamma": 0.99, **kwargs}
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                EconParams.normalized(**args)
         block = {**EconParams.normalized(1.0, 100.0, 0.99).to_config(), **kwargs}
         with pytest.raises(ValueError, match=re.escape(reason)):
             EconParams.from_config(block)

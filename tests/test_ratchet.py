@@ -27,7 +27,7 @@ from pivotk.simulator import (
     estimate_ratchet_full_withhold,
 )
 
-from conftest import exact_hypergeom_tail_ge, exact_ratchet_tail_gt, reference_ratchet_estimate
+from conftest import exact_ratchet_tail_gt, reference_ratchet_estimate
 
 # Largest allowed distance between a Monte-Carlo frequency and the exact
 # ratchet law, in binomial standard errors sqrt(p(1-p)/trials) of the exact p.
@@ -44,12 +44,6 @@ def contact_law_dist(n=100, marked=20, m=20):
     return DiscreteDistribution.from_law(HypergeomLaw(n, marked, m))
 
 
-def first_slot_tail(schedule, beta, n=100):
-    """q_rat of any schedule: the first slot's contact law past the recovery slack."""
-    law = cartel_contact_law(n, beta, schedule.per_slot_contacts[0])
-    return honest_miss_delay_bound(schedule, 0.0, DiscreteDistribution.from_law(law))
-
-
 def sweep_q_rat(beta, kappas):
     """q_rat of the static schedules, read off the sweep at n = 100, m = 20."""
     return {row.kappa: row.q_rat for row in sawtooth_sweep(100, 20, beta, kappas)}
@@ -63,15 +57,6 @@ class TestFirstSlotTail:
         schedule = ContactSchedule.static(table_instances[100])
         assert schedule.delta_rec == 0
         assert sweep_q_rat(beta, [100])[100] == pytest.approx(0.993, abs=5e-4)
-
-    def test_recovery_slack_beyond_first_slot(self, beta):
-        schedule = ContactSchedule((20, 40), kappa=30)  # delta_rec = 30 > m1
-        assert first_slot_tail(schedule, beta) == 0.0
-
-    def test_time_varying_schedule_uses_first_slot_draws(self, beta):
-        # over-contacting slot one both widens the draw and adds slack
-        schedule = ContactSchedule((25,), kappa=20)
-        assert first_slot_tail(schedule, beta) == float(exact_hypergeom_tail_ge(100, 20, 25, 6))
 
     def test_improves_on_static_for_multi_slot(self, beta):
         # strict improvement everywhere the horizon is multi-slot with slack
@@ -348,11 +333,12 @@ class TestHonestMissBound:
         law = contact_sums(cartel_contact_law(n, 0.2, m), 1)[0]
         reference = {}
         for kappa in kappas:
-            schedule = ContactSchedule.static(SystemInstance.from_kappa(n, m, kappa))
-            if schedule.t_star not in reference:
-                misses = binomial_pmf_vector(schedule.t_star * m, 0.01)
-                reference[schedule.t_star] = law.convolve(misses)
-            exact = reference[schedule.t_star].tail_gt(schedule.delta_rec)
+            inst = SystemInstance.from_kappa(n, m, kappa)
+            if inst.t_star not in reference:
+                misses = binomial_pmf_vector(inst.t_star * m, 0.01)
+                reference[inst.t_star] = law.convolve(misses)
+            exact = reference[inst.t_star].tail_gt(inst.delta)
+            schedule = ContactSchedule.static(inst)
             assert honest_miss_delay_bound(schedule, 0.01, law).hex() == exact.hex(), kappa
 
     def test_equal_laws_built_separately_give_the_same_bound(self, table_instances):

@@ -1,4 +1,5 @@
-"""Every function in ``src/pivotk`` is entered by a command, or allowlisted with a reason.
+"""Every function in ``src/pivotk`` is entered by a command, or allowlisted with a reason,
+and so is every value its defaulted parameters take.
 
 The gate runs COMMANDS through ``cli.main`` in one fresh interpreter, with a
 ``sys.setprofile`` hook installed before ``import pivotk``.  A warm process
@@ -12,6 +13,16 @@ The functions no command enters must be exactly ALLOWLIST's keys.  A new
 unentered function fails the gate until a command reaches it, it is deleted
 or it gains an entry.  An entry whose function is now entered, or no longer
 exists, fails it too: wiring in or deleting a function removes its entry.
+
+The parameter half holds the functions a command enters to the same rule.
+The hook also reads the arguments of each call to a package function and
+records every defaulted parameter that gets a value other than its default
+(``is`` or ``==`` of the same type).  A defaulted parameter that no command
+sets is a knob nothing turns: make it a constant, or give it a
+PARAM_ALLOWLIST entry.  The parameters no command sets must be exactly
+PARAM_ALLOWLIST's keys.  A generator's arguments are read at each
+resumption, so a generator that rebinds a defaulted parameter would count as
+setting it; no generator in the package has one.
 """
 
 from __future__ import annotations
@@ -52,11 +63,20 @@ ALLOWLIST = {
     "incentives.coalition_loss_floor": "library API",
     "mechanism.WeightRule.weights": "library API",
     "probability.DiscreteDistribution.__eq__": "library API",
-    # the Fraction reference the integer bounty share is checked against
-    "mechanism.PivotalAllocation.paid_to": "test reference",
     "simulator.AdversaryPolicy.withhold": "abstract",
 }
 REASONS = ("library API", "test reference", "bench oracle", "abstract")
+
+# Each reason is checked the same way: the named files call the function
+# with the parameter as a keyword.
+# "test reference": a test passes it to build the reference another
+# implementation is compared against;
+# "bench oracle": bench/workloads.py passes it.
+PARAM_ALLOWLIST = {
+    # the per-instance ratchet run the one-pass estimator equals bit for bit
+    "simulator.estimate_delay.ratchet": "test reference",
+}
+PARAM_REASONS = ("test reference", "bench oracle")
 
 POLICY_SPECS = (
     "full_include", "full_withhold", "stationary_w:0.5", "minimal_sabotage",
@@ -114,27 +134,57 @@ COMMANDS = [
 ]
 
 # Run in a fresh interpreter: argv[1] is the JSON command list.  Prints the
-# package directory, the exit codes and the (file name, first line) of every
-# package code object entered.
+# package directory, the exit codes, the (file name, first line) of every
+# package code object entered and the (file name, first line, parameter) of
+# every defaulted parameter a call gave a value other than its default.  The
+# defaults are read once per code object, from the function that runs it.
 PROBE = """
-import sys
+import gc, os, sys, types
+from importlib.util import find_spec
+package = os.path.dirname(os.path.abspath(find_spec("pivotk").origin))
 entered = set()
+watched = {}  # code -> ((parameter, default), ...)
+changed = set()
+
+def defaults_of(code):
+    if os.path.dirname(os.path.abspath(code.co_filename)) != package or code.co_name[0] == "<":
+        return ()
+    fn = next((f for f in gc.get_referrers(code) if isinstance(f, types.FunctionType)), None)
+    if fn is None:
+        return ()
+    names, values = code.co_varnames[: code.co_argcount], fn.__defaults__ or ()
+    keywords = (fn.__kwdefaults__ or {}).items()
+    return (*zip(names[len(names) - len(values) :], values), *keywords)
+
 def hook(frame, event, arg, add=entered.add):
-    add(frame.f_code)  # the frame of every event has been entered
+    code = frame.f_code
+    add(code)  # the frame of every event has been entered
+    if event == "call":
+        params = watched.get(code)
+        if params is None:
+            params = watched[code] = defaults_of(code)
+        for name, default in params:
+            value = frame.f_locals[name]
+            if value is not default and not (type(value) is type(default) and value == default):
+                changed.add((code, name))
+
 sys.setprofile(hook)
-import contextlib, io, json, os
+import contextlib, io, json
 import pivotk.cli
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(pivotk.cli.main(argv))
 sys.setprofile(None)
-package = os.path.dirname(os.path.abspath(pivotk.__file__))
 positions = sorted({
     (os.path.basename(code.co_filename), code.co_firstlineno)
     for code in entered if os.path.dirname(os.path.abspath(code.co_filename)) == package
 })
-json.dump({"package": package, "exit_codes": codes, "entered": positions}, sys.stdout)
+arguments = sorted(
+    (os.path.basename(code.co_filename), code.co_firstlineno, name) for code, name in changed
+)
+found = {"package": package, "exit_codes": codes, "entered": positions, "set": arguments}
+json.dump(found, sys.stdout)
 """
 
 
@@ -173,7 +223,52 @@ def gate_faults(defined: set[str], entered: set[str], allowlist: dict[str, str])
     return faults
 
 
-def test_every_function_is_reached_or_allowlisted(tmp_path):
+def defaulted_parameters(node: ast.FunctionDef) -> list[str]:
+    """The names of the parameters of ``node`` that have a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    return [arg.arg for arg in positional[len(positional) - len(args.defaults) :]] + [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+
+
+def param_faults(settable: set[str], set_: set[str], allowlist: dict[str, str]) -> list[str]:
+    """Why the parameter half fails, one message per parameter named; empty when it passes.
+
+    ``settable`` holds the defaulted parameters of the entered functions, as
+    ``module.Qual.name.parameter``, and ``set_`` those a command set.
+    """
+    unset = settable - set_
+    faults = [
+        f"{name}: no command sets it; set it from a command, make it a constant, "
+        f"or allowlist it with one of {PARAM_REASONS}"
+        for name in sorted(unset - allowlist.keys())
+    ]
+    for name in sorted(allowlist.keys() - unset):
+        why = "a command sets it" if name in settable else "no such parameter of an entered function"
+        faults.append(f"{name}: stale parameter allowlist entry ({why}); remove it")
+    return faults
+
+
+def passes_keyword(text: str, function: str, param: str) -> bool:
+    """Whether a call ``function(...)`` in ``text`` passes ``param=`` at its own level."""
+    keyword = re.compile(rf"\b{re.escape(param)}\s*=(?!=)")
+    for call in re.finditer(rf"\b{re.escape(function)}\(", text):
+        depth, top = 1, []
+        for char in text[call.end() :]:
+            depth += (char in "([{") - (char in ")]}")
+            if depth == 0:
+                break
+            top.append(char if depth == 1 else " ")
+        if keyword.search("".join(top)):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory) -> dict:
+    """Run COMMANDS in the probe once: what they enter and which parameters they set."""
+    tmp_path = tmp_path_factory.mktemp("reachability")
     for name, obj in CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     env = dict(os.environ)
@@ -183,13 +278,31 @@ def test_every_function_is_reached_or_allowlisted(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    probe = json.loads(done.stdout)
-    assert pathlib.Path(probe["package"]).resolve() == SRC
+    found = json.loads(done.stdout)
+    assert pathlib.Path(found["package"]).resolve() == SRC
     # each command takes the path it is listed for
-    assert [(code, argv) for code, (_, argv) in zip(probe["exit_codes"], COMMANDS)] == COMMANDS
+    assert [(code, argv) for code, (_, argv) in zip(found["exit_codes"], COMMANDS)] == COMMANDS
     defined = defined_functions()
-    entered = {defined[tuple(pos)][0] for pos in probe["entered"] if tuple(pos) in defined}
-    assert gate_faults({name for name, _ in defined.values()}, entered, ALLOWLIST) == []
+    found["entered"] = {defined[tuple(pos)][0] for pos in found["entered"] if tuple(pos) in defined}
+    found["set"] = {
+        f"{defined[(file, line)][0]}.{name}" for file, line, name in found["set"] if (file, line) in defined
+    }
+    return found
+
+
+def test_every_function_is_reached_or_allowlisted(probe):
+    defined = {name for name, _ in defined_functions().values()}
+    assert gate_faults(defined, probe["entered"], ALLOWLIST) == []
+
+
+def test_every_parameter_is_set_or_allowlisted(probe):
+    settable = {
+        f"{name}.{param}"
+        for name, node in defined_functions().values()
+        if name in probe["entered"]
+        for param in defaulted_parameters(node)
+    }
+    assert param_faults(settable, probe["set"], PARAM_ALLOWLIST) == []
 
 
 @pytest.mark.parametrize("name, reason", sorted(ALLOWLIST.items()))
@@ -214,6 +327,19 @@ def test_allowlist_reason_holds(name, reason):
         assert ast.unparse(node.body[-1]).startswith("raise NotImplementedError"), name
 
 
+
+@pytest.mark.parametrize("name, reason", sorted(PARAM_ALLOWLIST.items()))
+def test_param_allowlist_reason_holds(name, reason):
+    function, param = name.rsplit(".", 2)[-2:]
+    if reason == "bench oracle":
+        files = [WORKLOADS]
+    else:
+        assert reason == "test reference", f"{name}: unknown reason {reason!r}, not one of {PARAM_REASONS}"
+        files = [path for path in TESTS.glob("test_*.py") if path.name != pathlib.Path(__file__).name]
+    assert any(passes_keyword(path.read_text(encoding="utf-8"), function, param) for path in files), (
+        f"{name}: no {reason} call to {function} passes {param}="
+    )
+
 def test_gate_names_each_fault():
     defined = {"m.f", "m.g", "m.C.h"}
     # a function no command enters and nothing allowlists
@@ -226,3 +352,27 @@ def test_gate_names_each_fault():
     faults = gate_faults(defined, defined, {"m.C.h": "abstract"})
     assert faults == ["m.C.h: stale allowlist entry (a command enters it); remove it"]
     assert gate_faults(defined, {"m.f"}, {"m.g": "bench oracle", "m.C.h": "abstract"}) == []
+
+
+def test_param_gate_names_each_fault():
+    settable = {"m.f.x", "m.C.h.y"}
+    # a parameter no command sets and nothing allowlists
+    faults = param_faults(settable, {"m.C.h.y"}, {})
+    assert len(faults) == 1 and faults[0].startswith("m.f.x: no command sets it")
+    # an allowlist entry naming a parameter that does not exist
+    faults = param_faults(settable, {"m.C.h.y"}, {"m.f.x": "test reference", "m.f.gone": "bench oracle"})
+    assert faults == [
+        "m.f.gone: stale parameter allowlist entry (no such parameter of an entered function); remove it"
+    ]
+    # an allowlist entry whose parameter a command now sets
+    faults = param_faults(settable, settable, {"m.C.h.y": "test reference"})
+    assert faults == ["m.C.h.y: stale parameter allowlist entry (a command sets it); remove it"]
+    assert param_faults(settable, set(), {"m.f.x": "bench oracle", "m.C.h.y": "test reference"}) == []
+
+
+def test_passes_keyword_reads_the_call_itself():
+    assert passes_keyword("f(a, g(b),\n  ratchet=True)", "f", "ratchet")
+    assert passes_keyword("g(ratchet=1); x.f(ratchet = 2)", "f", "ratchet")
+    assert not passes_keyword("f(a, g(ratchet=True))", "f", "ratchet")  # another call's keyword
+    assert not passes_keyword("f(a, ratchet == b)", "f", "ratchet")
+    assert not passes_keyword("ff(ratchet=True)", "f", "ratchet")
