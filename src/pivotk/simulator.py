@@ -242,14 +242,16 @@ class Trace:
     no ``(slot, lane)`` cell holds two bundles.
 
     The outcome fields follow from ``slots`` and ``inclusion_order``, so they
-    are computed here, never passed in.  The inclusion time T is the first
-    slot whose included bundles bring the total to kappa (None if none does),
-    and a decoded trace ends by slot max(T, t*) + 1.  W counts the cartel
-    bundles withheld through slot t* (0 if the trace stops before it), a
-    trace is delayed when W exceeds the slack, truncated when it never
-    decoded, and the pivotal cartel count is the cartel's rows among the
-    first kappa (None when there are fewer).  Raises ValueError, naming
-    ``slots``, for a decoded trace that runs on.
+    are computed here, never passed in.  The inclusion time T is the slot of
+    the kappa-th row, the one decode rule (None with fewer rows), and a
+    decoded trace ends by slot max(T, t*) + 1.  W counts the cartel bundles
+    withheld through slot t* (0 if the trace stops before it), a trace is
+    delayed when W exceeds the slack, truncated when it never decoded, and
+    the pivotal cartel count is the cartel's rows among the first kappa
+    (None when there are fewer).  Every slot contacts m lanes, so a decoded
+    trace's rows through t* number t*·m - W: T > t* exactly when W exceeds
+    the slack.
+    Raises ValueError, naming ``slots``, for a decoded trace that runs on.
     """
 
     instance: SystemInstance
@@ -267,14 +269,9 @@ class Trace:
     def __post_init__(self):
         instance, slots = self.instance, self.slots
         t_star, kappa = instance.t_star, instance.kappa
-        inclusion_time = None
-        included = 0
-        for t, s in enumerate(slots, start=1):
-            included += s.contacts_honest + s.included_cartel
-            if included >= kappa:
-                inclusion_time = t
-                break
-        if inclusion_time is not None and len(slots) > max(inclusion_time, t_star) + 1:
+        decoded = len(self.inclusion_order) >= kappa
+        inclusion_time = self.inclusion_order[kappa - 1][0] if decoded else None
+        if decoded and len(slots) > max(inclusion_time, t_star) + 1:
             raise ValueError(
                 f"slots must end by slot {max(inclusion_time, t_star) + 1}, one past the later of "
                 f"the inclusion slot {inclusion_time} and t*={t_star}; got {len(slots)} slots"
@@ -285,12 +282,12 @@ class Trace:
             else 0
         )
         owners = [owner for _, _, owner in self.inclusion_order[:kappa]]
-        pivotal = cartel_prefix_count(owners, kappa) if len(owners) == kappa else None
+        pivotal = cartel_prefix_count(owners, kappa) if decoded else None
         object.__setattr__(self, "inclusion_time", inclusion_time)
         object.__setattr__(self, "withheld_at_horizon", withheld)
         object.__setattr__(self, "pivotal_cartel_count", pivotal)
         object.__setattr__(self, "delayed", withheld > instance.delta)
-        object.__setattr__(self, "truncated", inclusion_time is None)
+        object.__setattr__(self, "truncated", not decoded)
 
 
 def _seed_list(seed) -> list[int]:
@@ -352,14 +349,13 @@ def _replay(
     ``slot_lanes`` yields each slot's sorted contacted lanes; a path that runs
     out of slots before decoding ends as a truncated trace.  Walking each
     slot's lanes in order appends the included bundles already in resolution
-    order, one bundle per ``(slot, lane)`` cell.
+    order, one bundle per ``(slot, lane)`` cell, so the kappa-th row's slot is
+    the inclusion time and the run stops one slot past it and t*.
     """
     kappa, t_star = instance.kappa, instance.t_star
     slots: list[SlotRecord] = []
     rows: list[InclusionRow] = []
-    included_total = 0
     withheld_so_far = 0
-    inclusion_time: int | None = None
 
     for t, lanes in enumerate(slot_lanes, start=1):
         cartel = [l for l in lanes if l in cartel_set]
@@ -377,14 +373,10 @@ def _replay(
                 rows.append((t, lane, "cartel"))
         honest = len(lanes) - len(cartel)
         slots.append(SlotRecord(len(cartel), honest, x))
-        included_total += honest + x
-
-        if inclusion_time is None and included_total >= kappa:
-            inclusion_time = t
-        if inclusion_time is not None and t >= max(inclusion_time, t_star) + 1:
+        if len(rows) >= kappa and t > max(rows[kappa - 1][0], t_star):
             break
 
-    trace = Trace(
+    return Trace(
         instance=instance,
         cartel_lanes=len(cartel_set),
         policy=policy,
@@ -392,13 +384,6 @@ def _replay(
         slots=tuple(slots),
         inclusion_order=tuple(rows),
     )
-    if inclusion_time is not None and (inclusion_time > t_star) != trace.delayed:
-        raise RuntimeError(
-            "delay/deficit equivalence violated: "
-            f"T={inclusion_time}, t*={t_star}, W={trace.withheld_at_horizon}, "
-            f"delta={instance.delta}"
-        )
-    return trace
 
 
 def _withheld_by_slot(
@@ -534,20 +519,16 @@ def payoff_of_trace(trace: Trace, econ: EconParams) -> PayoffBreakdown:
     inst = trace.instance
     f = econ.proposer_fee(inst.s)
     g = econ.gamma
-    horizon = (
-        trace.inclusion_time if trace.inclusion_time is not None else len(trace.slots)
-    )
-    fee = math.fsum(
+    fee = math.fsum(  # a truncated trace's slice runs to its last slot
         g ** (t - 1) * f * rec.included_cartel
-        for t, rec in enumerate(trace.slots, start=1)
-        if t <= horizon
+        for t, rec in enumerate(trace.slots[: trace.inclusion_time], start=1)
     )
 
     bounty = 0.0
-    count = trace.pivotal_cartel_count  # None when fewer than kappa rows
-    if econ.bounty > 0 and trace.inclusion_time is not None and count is not None:
+    if econ.bounty > 0 and not trace.truncated:
         owns_final = trace.inclusion_order[inst.kappa - 1][2] == "cartel"
-        bounty = g**trace.inclusion_time * _bounty_share(inst, count, owns_final, econ.bounty)
+        share = _bounty_share(inst, trace.pivotal_cartel_count, owns_final, econ.bounty)
+        bounty = g**trace.inclusion_time * share
 
     mev = econ.mev_exposure * g**inst.t_star if trace.delayed else 0.0
     return PayoffBreakdown(fee, bounty, mev, fee + bounty + mev)

@@ -339,6 +339,21 @@ def reference_prefix_monotonicity(kappa, count):
     return checked
 
 
+def reference_inclusion_time(slots, kappa):
+    """The first slot whose included bundles bring the running total to kappa.
+
+    Counts each slot's honest contacts and included cartel bundles from its
+    ``SlotRecord``; None when no slot does.  ``Trace`` reads T off the
+    kappa-th inclusion row instead.
+    """
+    included = 0
+    for t, slot in enumerate(slots, start=1):
+        included += slot.contacts_honest + slot.included_cartel
+        if included >= kappa:
+            return t
+    return None
+
+
 def reference_resolution_order(rows):
     """Inclusion rows ``(slot, lane, owner)`` in resolution order, by the full key.
 

@@ -41,11 +41,13 @@ from pivotk.simulator import (
 )
 
 from conftest import (
+    reference_inclusion_time,
     reference_payoff_of_trace,
     reference_prefix_monotonicity,
     reference_resolution_order,
     reference_sabotage_report,
 )
+from test_reachability import POLICY_SPECS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 OUTCOME_FIELDS = [
@@ -86,6 +88,48 @@ def _outcome(run):
         return run()
     except AssertionError as err:
         return str(err)
+
+
+# n = 20 and 100, a knife edge (kappa = t*·m, slack 0) and an s = 3 instance
+# whose K = 34 leaves a partial final bundle
+DECODE_INSTANCES = {
+    "n20": SMALL,
+    "n100": SystemInstance.from_kappa(100, 20, 37),
+    "knife-edge": SystemInstance.from_kappa(100, 20, 40),
+    "s3-partial": SystemInstance(n=20, m=5, s=3, K=34),
+}
+
+
+class TestDecodeRule:
+    """T is the slot of the kappa-th inclusion row."""
+
+    @pytest.mark.parametrize("spec", POLICY_SPECS)
+    @pytest.mark.parametrize("inst", DECODE_INSTANCES.values(), ids=DECODE_INSTANCES)
+    def test_kappa_th_row_gives_the_slot_count_inclusion_time(self, inst, spec):
+        policy = policy_from_spec(spec)
+        for seed in range(40):
+            trace = run_trace(inst, 0.2, policy, seed=seed)
+            T = reference_inclusion_time(trace.slots, inst.kappa)
+            assert trace.inclusion_time == T, seed
+            assert T is not None and not trace.truncated, seed
+            assert len(trace.slots) == max(T, inst.t_star) + 1, seed
+            assert (T > inst.t_star) == (trace.withheld_at_horizon > inst.delta), seed
+
+    def test_fewer_than_kappa_rows_never_decode(self):
+        # SMALL has kappa 12 and t* 3; two slots hold 4 + 5 rows, lanes 1 and 6
+        # are the cartel's, and it withholds lane 1 and includes lane 6
+        slots = (SlotRecord(1, 4, 0), SlotRecord(1, 4, 1))
+        rows = [(1, lane, "honest") for lane in range(2, 6)]
+        rows += [(2, 6, "cartel")] + [(2, lane, "honest") for lane in range(7, 11)]
+        trace = Trace(
+            instance=SMALL, cartel_lanes=2, policy=FullInclude(), seed=0,
+            slots=slots, inclusion_order=tuple(rows),
+        )
+        assert trace.inclusion_time is None and trace.pivotal_cartel_count is None
+        assert trace.truncated
+        payoff = payoff_of_trace(trace, ECON)
+        assert ECON.bounty > 0 and payoff.bounty_revenue == 0.0
+        assert payoff == reference_payoff_of_trace(trace, ECON)
 
 
 class TestRunTrace:
