@@ -117,12 +117,12 @@ class TestDecodeRule:
 
     def test_fewer_than_kappa_rows_never_decode(self):
         # SMALL has kappa 12 and t* 3; two slots hold 4 + 5 rows, lanes 1 and 6
-        # are the cartel's, and it withholds lane 1 and includes lane 6
+        # are the cartel's, and the script withholds lane 1 and includes lane 6
         slots = (SlotRecord(1, 4, 0), SlotRecord(1, 4, 1))
         rows = [(1, lane, "honest") for lane in range(2, 6)]
         rows += [(2, 6, "cartel")] + [(2, lane, "honest") for lane in range(7, 11)]
         trace = Trace(
-            instance=SMALL, cartel_lanes=2, policy=FullInclude(), seed=0,
+            instance=SMALL, cartel_lanes=2, policy=Scripted((0, 1)), seed=0,
             slots=slots, inclusion_order=tuple(rows),
         )
         assert trace.inclusion_time is None and trace.pivotal_cartel_count is None
